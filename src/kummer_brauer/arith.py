@@ -8,6 +8,7 @@ here is safe to share between concurrent tasks.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,20 +35,19 @@ def primes_up_to(limit: int) -> list[int]:
     if _SIEVED_TO < limit:
         _SIEVED_TO = max(limit, 1000)
         _SMALL_PRIMES = _sieve(_SIEVED_TO)
-    # bisect would do; the list is small enough that a scan is fine
-    out = []
-    for p in _SMALL_PRIMES:
-        if p > limit:
-            break
-        out.append(p)
-    return out
+    return _SMALL_PRIMES[: bisect_right(_SMALL_PRIMES, limit)]
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# bases {2, 3, 5, 7} are proven deterministic below this bound (Jaeschke 1993)
+_MR_SMALL_BOUND = 3_215_031_751
 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond 64-bit inputs."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -55,8 +55,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    # this witness set is proven deterministic for n < 3.3 * 10^24
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    # the full witness set is proven deterministic for n < 3.3 * 10^24
+    for a in _MR_BASES[:4] if n < _MR_SMALL_BOUND else _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

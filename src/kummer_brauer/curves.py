@@ -1,10 +1,11 @@
-"""Elliptic curve models over Q: invariants, reduction, exhaustive point
-counting over F_p, Frobenius trace tables, and complex-multiplication status.
+"""Elliptic curve models over Q: invariants, reduction, point counting over
+F_p (exhaustive, and baby-step giant-step in the Hasse interval), Frobenius
+trace tables, and complex-multiplication status.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -55,10 +56,20 @@ class CurveLW:
     a4: Rational
     a6: Rational
 
+    # computed once from a1..a6; equality and hashing ignore them
+    _c4: Rational = field(init=False, repr=False, compare=False)
+    _c6: Rational = field(init=False, repr=False, compare=False)
+    _disc: Rational = field(init=False, repr=False, compare=False)
+
     def __init__(self, a1, a2, a3, a4, a6):
         for name, v in zip(("a1", "a2", "a3", "a4", "a6"), (a1, a2, a3, a4, a6)):
             object.__setattr__(self, name, Fraction(v))
-        if self.discriminant() == 0:
+        b2, b4, b6, b8 = self.b_invariants()
+        object.__setattr__(self, "_c4", b2 * b2 - 24 * b4)
+        object.__setattr__(self, "_c6", -b2**3 + 36 * b2 * b4 - 216 * b6)
+        object.__setattr__(
+            self, "_disc", -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6)
+        if self._disc == 0:
             raise SingularCurveError("zero discriminant")
 
     def b_invariants(self) -> tuple[Rational, Rational, Rational, Rational]:
@@ -70,13 +81,10 @@ class CurveLW:
         return b2, b4, b6, b8
 
     def discriminant(self) -> Rational:
-        b2, b4, b6, b8 = self.b_invariants()
-        return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        return self._disc
 
     def j(self) -> Rational:
-        b2, b4, _, _ = self.b_invariants()
-        c4 = b2 * b2 - 24 * b4
-        return c4**3 / self.discriminant()
+        return self._c4**3 / self._disc
 
     def is_p_integral(self, p: int) -> bool:
         return all(
@@ -122,25 +130,28 @@ def good_reduction_at(curve: CurveLW, p: int) -> bool:
         raise ValueError(f"{p} is not prime")
     if not curve.is_p_integral(p):
         raise NonIntegralModelError(f"model is not {p}-integral")
-    disc = curve.discriminant()
-    return disc.numerator % p != 0
+    return curve._disc.numerator % p != 0
 
 
-def count_points(curve: CurveLW, p: int) -> int:
+def _require_good_reduction(curve: CurveLW, p: int) -> None:
+    # good_reduction_at raises NonIntegralModelError itself
+    if not good_reduction_at(curve, p):
+        raise BadReductionError(f"bad reduction at {p}")
+
+
+def _reduce(c: Rational, p: int) -> int:
+    return c.numerator * pow(c.denominator, -1, p) % p
+
+
+def count_points_exhaustive(curve: CurveLW, p: int) -> int:
     """#E(F_p) including the point at infinity, by exhaustive enumeration of x.
 
     For odd p the quadratic in y is resolved by its discriminant against a
     table of squares mod p; p = 2 is exhausted directly.
     """
-    if not curve.is_p_integral(p):
-        raise NonIntegralModelError(f"model is not {p}-integral")
-    if not good_reduction_at(curve, p):
-        raise BadReductionError(f"bad reduction at {p}")
-
-    def red(c: Rational) -> int:
-        return c.numerator * pow(c.denominator, -1, p) % p
-
-    a1, a2, a3, a4, a6 = (red(c) for c in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
+    _require_good_reduction(curve, p)
+    a1, a2, a3, a4, a6 = (
+        _reduce(c, p) for c in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
     if p == 2:
         n = 1
         for x in (0, 1):
@@ -162,6 +173,123 @@ def count_points(curve: CurveLW, p: int) -> int:
         elif sq[d]:
             n += 2
     return n
+
+
+# -- #E(F_p) by baby-step giant-step in the Hasse interval -------------------
+#
+# Points are affine pairs (x, y) over F_p on y^2 = x^3 + a x + b, or None for
+# the point at infinity; the group law needs only a.
+
+# count_points counts exhaustively at p <= EXHAUSTIVE_MAX_PRIME.  Above it, E
+# or its quadratic twist always has a point whose order has exactly one
+# multiple in the Hasse interval (Cremona and Sutherland, J. Theor. Nombres
+# Bordeaux 22, 2010), so a few sampled points almost always decide;
+# count_points_exhaustive covers the rest.
+EXHAUSTIVE_MAX_PRIME = 229
+# x = 0, 1, ... tried before bsgs_count gives up
+_BSGS_TRIES = 16
+
+
+def _ec_add(P, Q, a: int, p: int):
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def _ec_mul(n: int, P, a: int, p: int):
+    R = None
+    while n:
+        if n & 1:
+            R = _ec_add(R, P, a, p)
+        P = _ec_add(P, P, a, p)
+        n >>= 1
+    return R
+
+
+def _killing_multipliers(P, a: int, p: int, lo: int, hi: int) -> list[int] | None:
+    """Every m in [lo, hi] with m P = O, by baby-step giant-step; None when P
+    has order below the baby-step count s (its multiples crowd the interval).
+
+    Baby steps store jP -> j for 0 <= j < s, all distinct once P has order at
+    least s; the giant step from lo in strides of s then meets -jP exactly at
+    the m = base + j that kill P.
+    """
+    s = isqrt(hi - lo) + 1
+    baby = {}
+    R = None
+    for j in range(s):
+        if j and R is None:
+            return None
+        baby[R] = j
+        R = _ec_add(R, P, a, p)
+    Q = _ec_mul(lo, P, a, p)
+    found = []
+    for base in range(lo, hi + 1, s):
+        j = baby.get(None if Q is None else (Q[0], -Q[1] % p))
+        if j is not None and base + j <= hi:
+            found.append(base + j)
+        Q = _ec_add(Q, R, a, p)
+    return found
+
+
+def bsgs_count(curve: CurveLW, p: int) -> int | None:
+    """#E(F_p) by Shanks-Mestre baby-step giant-step, or None if undecided.
+
+    Works on y^2 = x^3 + A x + B with A = -27 c4, B = -54 c6, isomorphic to
+    the model over F_p for p > 3.  For x0 = 0, 1, ... with d = x0^3 + A x0 + B
+    nonzero, (d x0, d^2) lies on y^2 = x^3 + A d^2 x + B d^3: that is E when d
+    is a square mod p and its quadratic twist E' otherwise, and
+    #E' = 2p + 2 - #E.  Each point leaves as candidates the N in the Hasse
+    interval [p + 1 - w, p + 1 + w], w = floor(2 sqrt p), with N P = O
+    (respectively (2p + 2 - N) P = O).  #E is always a candidate, so a single
+    survivor is #E.  Raises like count_points_exhaustive at a bad prime or on
+    a model that is not p-integral.
+    """
+    _require_good_reduction(curve, p)
+    if p <= 3:
+        return None
+    A = -27 * _reduce(curve._c4, p) % p
+    B = -54 * _reduce(curve._c6, p) % p
+    w = isqrt(4 * p)
+    lo, hi = p + 1 - w, p + 1 + w
+    candidates = None
+    for x in range(min(p, _BSGS_TRIES)):
+        d = ((x * x + A) * x + B) % p
+        if d == 0:  # a point of order 2
+            continue
+        kills = _killing_multipliers((d * x % p, d * d % p), A * d * d % p, p, lo, hi)
+        if kills is None:
+            continue
+        if pow(d, (p - 1) // 2, p) != 1:
+            kills = [2 * p + 2 - m for m in kills]
+        candidates = set(kills) if candidates is None else candidates.intersection(kills)
+        if len(candidates) == 1:
+            return candidates.pop()
+    return None
+
+
+def count_points(curve: CurveLW, p: int) -> int:
+    """#E(F_p) including the point at infinity, at a good prime.
+
+    bsgs_count above EXHAUSTIVE_MAX_PRIME; count_points_exhaustive at or
+    below it, and whenever bsgs_count cannot decide.
+    """
+    if p > EXHAUSTIVE_MAX_PRIME:
+        n = bsgs_count(curve, p)
+        if n is not None:
+            return n
+    return count_points_exhaustive(curve, p)
 
 
 _AP_CACHE: dict[tuple, dict[int, int]] = {}

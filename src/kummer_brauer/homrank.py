@@ -18,7 +18,7 @@ from .curves import (
     CurveRT2,
     ap,
     cm_status,
-    count_points,
+    count_points_exhaustive,
     good_reduction_at,
     primes_up_to,
     to_rt2,
@@ -46,19 +46,17 @@ def _is_cm_j(curve: CurveLW) -> bool:
     return j.denominator == 1 and j.numerator in CM_J_INVARIANTS
 
 
-def _naive_count(curve: CurveLW, p: int) -> int:
-    """Double-loop point count over F_p^2, used only to re-verify witnesses."""
-    def red(c):
-        return c.numerator * pow(c.denominator, -1, p) % p
+class WitnessVerificationError(RuntimeError):
+    """A cited a_p disagreed with its exhaustive recount: a program fault,
+    never an input error."""
 
-    a1, a2, a3, a4, a6 = (red(c) for c in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
-    n = 1
-    for x in range(p):
-        rhs = (x * x * x + a2 * x * x + a4 * x + a6) % p
-        for y in range(p):
-            if (y * y + a1 * x * y + a3 * y - rhs) % p == 0:
-                n += 1
-    return n
+
+def _verify_trace(curve: CurveLW, p: int, t: int) -> None:
+    """Check a cited a_p against the exhaustive point count at p."""
+    exact = p + 1 - count_points_exhaustive(curve, p)
+    if t != exact:
+        raise WitnessVerificationError(
+            f"a_{p} of {curve.label()} was {t}, exhaustive count gives {exact}")
 
 
 def nonisogeny_certificate(e: CurveLW, e2: CurveLW, bound: int) -> IsogenyEvidence:
@@ -84,9 +82,9 @@ def nonisogeny_certificate(e: CurveLW, e2: CurveLW, bound: int) -> IsogenyEviden
         if traces_usable and ok1 and ok2:
             t1, t2 = ap(e, p), ap(e2, p)
             if t1 * t1 != t2 * t2:
-                # re-verify both counts with the naive oracle before certifying
-                assert count_points(e, p) == _naive_count(e, p)
-                assert count_points(e2, p) == _naive_count(e2, p)
+                # re-verify both cited traces before certifying
+                _verify_trace(e, p, t1)
+                _verify_trace(e2, p, t2)
                 return IsogenyEvidence(
                     "trace-square-mismatch", p,
                     f"a_{p} = {t1} vs {t2}; {t1*t1} != {t2*t2}")

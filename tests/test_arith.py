@@ -11,6 +11,7 @@ from kummer_brauer.arith import (
     factor,
     is_prime,
     is_rational_square,
+    primes_up_to,
     sc_mul,
     square_class,
     valuation,
@@ -57,6 +58,42 @@ def test_factor_roundtrip_random():
         assert all(is_prime(p) for p, _ in f.factors)
         assert all(e >= 1 for _, e in f.factors)
         assert list(f.factors) == sorted(f.factors)
+
+
+def sieve_flags(limit):
+    """Independent primality oracle: a plain sieve of Eratosthenes."""
+    flags = [True] * (limit + 1)
+    flags[0] = flags[1] = False
+    for p in range(2, int(limit**0.5) + 1):
+        if flags[p]:
+            for m in range(p * p, limit + 1, p):
+                flags[m] = False
+    return flags
+
+
+def test_is_prime_matches_sieve():
+    flags = sieve_flags(2 * 10**5)
+    assert [n for n in range(len(flags)) if is_prime(n)] == \
+        [n for n, f in enumerate(flags) if f]
+
+
+def test_is_prime_strong_pseudoprimes_and_large_inputs():
+    # strong pseudoprimes to bases 2, 3, 5, 7 (the first at the small-base
+    # bound itself) and to 2, ..., 11
+    assert not is_prime(3215031751)
+    assert not is_prime(2152302898747)
+    assert not is_prime(3474749660383)
+    for n in range(3215031731, 3215031772):  # both sides of that bound
+        assert is_prime(n) == (trial_division(n) == [(n, 1)])
+    assert is_prime(2**61 - 1) and is_prime(2**89 - 1)
+    assert not is_prime((2**61 - 1) * (2**31 - 1))
+
+
+def test_primes_up_to_matches_sieve():
+    flags = sieve_flags(6000)
+    # a large limit first, so the smaller ones are cut from the grown sieve
+    for limit in (5000, 0, 1, 2, 10, 997, 1000, 1009, 6000):
+        assert primes_up_to(limit) == [n for n in range(limit + 1) if flags[n]]
 
 
 def test_valuation_examples():

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from kummer_brauer.cli import main
+from test_acceptance import GOLDEN_DIR, GOLDEN_SPECS
 
 
 def run(capsys, *argv):
@@ -110,3 +115,17 @@ def test_validate_criterion_subcommand(capsys):
     data = json.loads(out)
     assert data["passed"] is True
     assert data["subgroup_count"] == 55
+
+
+def test_golden_reports_under_python_O(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    for name, raw in GOLDEN_SPECS.items():
+        spec = tmp_path / name
+        spec.write_text(json.dumps(raw), encoding="utf-8")
+        out = subprocess.run(
+            [sys.executable, "-O", "-m", "kummer_brauer.cli", "analyze", "--pair", str(spec)],
+            env=env, capture_output=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == (GOLDEN_DIR / name).read_bytes(), name

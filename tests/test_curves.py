@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from kummer_brauer import curves
 from kummer_brauer.curves import (
     CM_J_INVARIANTS,
+    EXHAUSTIVE_MAX_PRIME,
     CurveLW,
     CurveRT2,
     NO_TWO_TORSION,
@@ -12,10 +14,14 @@ from kummer_brauer.curves import (
     BadReductionError,
     NonIntegralModelError,
     SingularCurveError,
+    ap,
+    bsgs_count,
     cm_status,
     count_points,
+    count_points_exhaustive,
     curve_with_j,
     frobenius_table,
+    good_primes,
     good_reduction_at,
     j_invariant_rt2,
     j_invariant_sw,
@@ -182,6 +188,73 @@ def test_count_points_against_double_loop():
             if not (c.is_p_integral(p) and good_reduction_at(c, p)):
                 continue
             assert count_points(c, p) == double_loop_count(c, p)
+
+
+# torsion-rich, CM, fully rational 2-torsion and a rational model
+BSGS_PANEL = [
+    CurveLW(0, -1, 1, -10, -20),  # 11a1, 5-torsion
+    CurveLW(0, -1, 1, 0, 0),  # 11a3, 5-torsion
+    CurveLW(1, 0, 1, 4, -6),  # 14a1, 6-torsion
+    E_XCUBE_MINUS_X,  # CM, j = 1728
+    E_SEXTIC,  # CM, j = 0
+    CurveRT2(5, 7).to_lw(),
+    CurveLW(0, 0, 0, Fraction(1, 3), Fraction(2, 5)),
+]
+
+
+def test_bsgs_count_agrees_above_threshold():
+    for c in BSGS_PANEL:
+        for p in good_primes(c, 3000):
+            if p <= EXHAUSTIVE_MAX_PRIME:
+                continue
+            exact = count_points_exhaustive(c, p)
+            assert bsgs_count(c, p) == exact, (c.label(), p)
+            assert count_points(c, p) == exact, (c.label(), p)
+
+
+def test_bsgs_count_at_small_primes_is_exact_or_undecided():
+    undecided = 0
+    for c in BSGS_PANEL:
+        for p in good_primes(c, EXHAUSTIVE_MAX_PRIME):
+            n = bsgs_count(c, p)
+            if n is None:
+                undecided += 1
+            else:
+                assert n == count_points_exhaustive(c, p), (c.label(), p)
+    assert undecided > 0
+
+
+def test_count_points_is_exhaustive_only_when_bsgs_is_undecided(monkeypatch):
+    counted = []
+
+    def spy(curve, p):
+        counted.append(p)
+        return count_points_exhaustive(curve, p)
+
+    monkeypatch.setattr(curves, "count_points_exhaustive", spy)
+    c = CurveLW(0, -1, 1, -10, -20)
+    primes = (223, 233, 1009, 2999)
+    monkeypatch.setattr(curves, "_AP_CACHE", {})
+    traces = [ap(c, p) for p in primes]
+    assert counted == [223]
+    monkeypatch.setattr(curves, "_AP_CACHE", {})
+    monkeypatch.setattr(curves, "bsgs_count", lambda curve, p: None)
+    assert [ap(c, p) for p in primes] == traces
+    assert counted == [223, *primes]
+    assert traces[1] == 233 + 1 - double_loop_count(c, 233)
+
+
+def test_errors_above_threshold(monkeypatch):
+    monkeypatch.setattr(curves, "_AP_CACHE", {})
+    bad = CurveRT2(1, 233).to_lw()
+    point_counts = (ap, count_points, count_points_exhaustive, bsgs_count)
+    for f in point_counts:
+        with pytest.raises(BadReductionError):
+            f(bad, 233)
+    non_integral = CurveLW(0, 0, 0, Fraction(1, 233), 1)
+    for f in point_counts:
+        with pytest.raises(NonIntegralModelError):
+            f(non_integral, 233)
 
 
 def test_frobenius_table_examples():

@@ -1,7 +1,17 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+from kummer_brauer import curves
 from kummer_brauer.curves import CurveLW, CurveRT2, j_invariant_rt2
-from kummer_brauer.homrank import nonisogeny_certificate, rank_r, same_curve
+from kummer_brauer.homrank import (
+    WitnessVerificationError,
+    nonisogeny_certificate,
+    rank_r,
+    same_curve,
+)
 
 E_37 = CurveLW(0, 0, 1, -1, 0)
 E_43 = CurveLW(0, 1, 1, 0, 0)
@@ -103,3 +113,33 @@ def test_random_distinct_pairs_never_misreported():
 def test_determinism_smallest_witness():
     for _ in range(3):
         assert nonisogeny_certificate(E_37, E_43, 50).witness == 3
+
+
+def poisoned_certificate_outcome():
+    """Fake a trace-square mismatch at p = 2 (a_2 = -2 for both curves) by
+    poisoning the a_p cache, and report what the certificate does."""
+    saved = curves._AP_CACHE
+    curves._AP_CACHE = {E_37.key(): {2: 0}}
+    try:
+        ev = nonisogeny_certificate(E_37, E_43, 10)
+    except WitnessVerificationError:
+        return "raised"
+    finally:
+        curves._AP_CACHE = saved
+    return f"certified {ev.kind} at {ev.witness}"
+
+
+def test_poisoned_trace_is_not_certified():
+    assert poisoned_certificate_outcome() == "raised"
+
+
+def test_poisoned_trace_is_not_certified_under_python_O():
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = ("import test_homrank as t; "
+            "print(__debug__, t.poisoned_certificate_outcome())")
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "raised"]
