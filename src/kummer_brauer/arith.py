@@ -1,5 +1,6 @@
 """Exact integer/rational arithmetic: factorization, p-adic valuations,
-square classes in Q*/Q*^2, and nullspace computation over F2.
+square classes in Q*/Q*^2 (by factorization, and as exponent parities over a
+coprime base), and nullspace computation over F2.
 
 All values are immutable and all operations are deterministic, so everything
 here is safe to share between concurrent tasks.
@@ -197,9 +198,64 @@ def sc_mul(u: SquareClass, v: SquareClass) -> SquareClass:
     return SquareClass(u.sign * v.sign, support)
 
 
+def is_square(n: int) -> bool:
+    """Whether the integer n is a perfect square."""
+    return n >= 0 and math.isqrt(n) ** 2 == n
+
+
 def is_rational_square(x: int | Rational) -> bool:
+    # a fraction in lowest terms is a square iff both of its terms are
     x = Fraction(x)
-    return x != 0 and square_class(x).is_identity
+    return x > 0 and is_square(x.numerator) and is_square(x.denominator)
+
+
+def coprime_base(ns) -> list[int]:
+    """Pairwise coprime integers > 1, ascending, such that every nonzero n in
+    ns is +-1 times a product of their powers.
+
+    Factor refinement by gcds (Bach, Driscoll and Shallit, J. Algorithms 15,
+    1993; Bernstein, J. Algorithms 54, 2005): a pair x, c with g = gcd(x, c)
+    > 1 is replaced by x/g, g and c/g, which strictly lowers the product of
+    all the numbers held, so the loop ends without factoring anything.
+    """
+    todo = [abs(n) for n in ns if abs(n) > 1]
+    base: list[int] = []
+    while todo:
+        x = todo.pop()
+        for i, c in enumerate(base):
+            g = math.gcd(x, c)
+            if g > 1:
+                del base[i]
+                todo.extend(v for v in (x // g, g, c // g) if v > 1)
+                break
+        else:
+            base.append(x)
+    return sorted(base)
+
+
+def square_class_bits(n: int, base: list[int]) -> int:
+    """The class of a nonzero integer n in Q*/Q*^2 as a bit vector: bit 0 is
+    the sign, bit i + 1 the exponent parity of base[i].
+
+    base must be pairwise coprime non-squares (the non-square elements of a
+    coprime_base).  An odd power of such an element is never a square, and
+    coprime elements share no prime, so distinct classes get distinct
+    vectors.  Raises ValueError when what is left of n after dividing out the
+    base is not a square, i.e. when n is not in the span of the base.
+    """
+    if n == 0:
+        raise ValueError("0 has no square class")
+    bits = int(n < 0)
+    n = abs(n)
+    for i, c in enumerate(base):
+        e = 0
+        while n % c == 0:
+            n //= c
+            e += 1
+        bits |= (e & 1) << (i + 1)
+    if not is_square(n):
+        raise ValueError(f"cofactor {n} is not a square over the base")
+    return bits
 
 
 class BitMatrix:

@@ -20,11 +20,18 @@ from .report import (
     CurvePairSpec,
     InputError,
     analyze,
+    check_options,
     parse_pair_spec,
     render_report,
     search_family,
 )
-from .residues import extend_residue_matrix, kernel_dimension, residue_matrix
+from .residues import (
+    ALGEBRA_LABELS,
+    DegenerateCurveError,
+    extend_residue_matrix,
+    kernel_dimension,
+    residue_matrix,
+)
 
 
 def _parse_curve_flag(text: str, six_torsion: str | None = None) -> CurveInput:
@@ -51,8 +58,12 @@ def _parse_curve_flag(text: str, six_torsion: str | None = None) -> CurveInput:
 
 def _cmd_analyze(args) -> int:
     if args.pair:
-        with open(args.pair, "r", encoding="utf-8") as fh:
-            spec = parse_pair_spec(json.load(fh))
+        try:
+            with open(args.pair, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except UnicodeDecodeError as e:
+            raise InputError(f"{args.pair} is not UTF-8 text: {e}") from e
+        spec = parse_pair_spec(data)
         # explicit flags override the file, absent flags leave it alone
         if args.bound_B is not None or args.ell_max is not None:
             spec = CurvePairSpec(
@@ -65,11 +76,15 @@ def _cmd_analyze(args) -> int:
             raise InputError("give --pair FILE or both --first and --second")
         first = _parse_curve_flag(args.first, args.six_torsion_first)
         second = _parse_curve_flag(args.second, args.six_torsion_second)
-        odd = tuple(int(x) for x in args.odd_primes.split(",")) if args.odd_primes else ()
+        try:
+            odd = tuple(int(x) for x in args.odd_primes.split(",")) if args.odd_primes else ()
+        except ValueError as e:
+            raise InputError(f"--odd-primes needs comma-separated integers: {e}") from e
         spec = CurvePairSpec(first, second,
                              10_000 if args.bound_B is None else args.bound_B,
                              37 if args.ell_max is None else args.ell_max,
                              odd)
+    check_options(spec)
     report = analyze(spec)
     sys.stdout.write(render_report(report, args.format))
     return 0
@@ -110,13 +125,15 @@ def _cmd_matrix(args) -> int:
         a, b, a2, b2 = (int(x) for x in args.pair.split(","))
     except ValueError as e:
         raise InputError("matrix needs --pair a,b,a',b'") from e
-    m = residue_matrix(a, b, a2, b2)
+    try:
+        m = residue_matrix(a, b, a2, b2)
+    except DegenerateCurveError as e:
+        raise InputError(str(e)) from e
     ext = extend_residue_matrix(m)
     d, basis = kernel_dimension(m)
     if args.format == "text":
         sys.stdout.write(f"residue matrix for (a, b, a', b') = ({a}, {b}, {a2}, {b2})\n")
         sys.stdout.write("columns: " + ", ".join(m.columns) + "\n")
-        from .residues import ALGEBRA_LABELS
         for label, row in zip(ALGEBRA_LABELS, m.representative_rows()):
             sys.stdout.write(f"  {label:9s} " + " ".join(f"{v:6d}" for v in row) + "\n")
         sys.stdout.write("nine-line extension columns: " + ", ".join(ext.columns) + "\n")
@@ -216,13 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
-        sys.stderr.write(f"input error: {e}\n")
-        return 2
-    except (OSError, json.JSONDecodeError) as e:
-        sys.stderr.write(f"input error: {e}\n")
-        return 2
-    except ValueError as e:
+    except (InputError, OSError, json.JSONDecodeError) as e:
         sys.stderr.write(f"input error: {e}\n")
         return 2
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import Rational, factor, is_prime, primes_up_to
+from .arith import Rational, is_prime, primes_up_to
 
 
 class SingularCurveError(ValueError):
@@ -131,6 +131,13 @@ def good_reduction_at(curve: CurveLW, p: int) -> bool:
     if not curve.is_p_integral(p):
         raise NonIntegralModelError(f"model is not {p}-integral")
     return curve._disc.numerator % p != 0
+
+
+def is_good_prime(curve: CurveLW, p: int) -> bool:
+    """Whether the model is p-integral with good reduction at p, for a p the
+    caller already knows to be prime (from primes_up_to): no primality test,
+    and False where good_reduction_at would raise NonIntegralModelError."""
+    return curve.is_p_integral(p) and curve._disc.numerator % p != 0
 
 
 def _require_good_reduction(curve: CurveLW, p: int) -> None:
@@ -306,7 +313,7 @@ def ap(curve: CurveLW, p: int) -> int:
 def good_primes(curve: CurveLW, bound: int):
     """Good primes p <= bound for the supplied model (non-p-integral skipped)."""
     for p in primes_up_to(bound):
-        if curve.is_p_integral(p) and good_reduction_at(curve, p):
+        if is_good_prime(curve, p):
             yield p
 
 
@@ -332,13 +339,46 @@ def frobenius_table(curve: CurveLW, bound: int) -> FrobeniusTable:
     return FrobeniusTable(curve.label(), bound, tuple(entries))
 
 
-def _divisors(n: int) -> list[int]:
-    """All positive divisors of a nonzero integer."""
-    f = factor(abs(n))
-    divs = [1]
-    for p, e in f.factors:
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+def _integer_roots_monic_cubic(d2: int, d1: int, d0: int) -> set[int]:
+    """All integer roots of f(y) = y^3 + d2 y^2 + d1 y + d0, by bisection.
+
+    Every real root lies in [-M, M] with M = 2 max(|d2|, sqrt|d1|, cbrt|d0|)
+    (Fujiwara's bound), rounded up to integers.  Since
+    3 f'(y) = (3y + d2)^2 - D with D = d2^2 - 3 d1, f increases on the
+    integers up to floor(r1), decreases from ceil(r1) to floor(r2) and
+    increases from ceil(r2) on, r1 <= r2 the critical points
+    (-d2 -+ sqrt(D)) / 3; for D <= 0 it increases everywhere.  The cut
+    points are exact: floor((t - sqrt(D)) / 3) = (t - ceil(sqrt(D))) // 3.
+    Each monotone run holds at most one root, found by bisection.
+    """
+    def f(y: int) -> int:
+        return ((y + d2) * y + d1) * y + d0
+
+    M = 2 * max(abs(d2), isqrt(abs(d1)) + 1, 1 << -(-abs(d0).bit_length() // 3))
+    D = d2 * d2 - 3 * d1
+    if D <= 0:
+        runs = [(-M, M, 1)]
+    else:
+        s = isqrt(D)
+        c = s if s * s == D else s + 1  # ceil(sqrt(D))
+        runs = [(-M, (-d2 - c) // 3, 1),
+                (-((d2 + s) // 3), (-d2 + s) // 3, -1),
+                (-((d2 - c) // 3), M, 1)]
+    roots = set()
+    for lo, hi, sign in runs:
+        lo, hi = max(lo, -M), min(hi, M)
+        if lo > hi:
+            continue
+        # the first y in [lo, hi] with sign * f(y) >= 0
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * f(mid) >= 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        if f(lo) == 0:
+            roots.add(lo)
+    return roots
 
 
 def _rational_roots_monic_cubic(c2: Rational, c1: Rational, c0: Rational) -> list[Rational]:
@@ -346,28 +386,10 @@ def _rational_roots_monic_cubic(c2: Rational, c1: Rational, c0: Rational) -> lis
     lcm_den = 1
     for c in (c2, c1, c0):
         lcm_den = lcm_den * c.denominator // gcd(lcm_den, c.denominator)
-    # y = L x turns the cubic monic integral: y^3 + c2 L y^2 + c1 L^2 y + c0 L^3
+    # y = L x turns the cubic monic integral: y^3 + c2 L y^2 + c1 L^2 y + c0 L^3,
+    # whose rational roots are integers
     L = lcm_den
-    d2 = int(c2 * L)
-    d1 = int(c1 * L * L)
-    d0 = int(c0 * L**3)
-    roots: set[Fraction] = set()
-    if d0 == 0:
-        roots.add(Fraction(0))
-        # remaining quadratic y^2 + d2 y + d1
-        disc = d2 * d2 - 4 * d1
-        if disc >= 0:
-            s = isqrt(disc)
-            if s * s == disc:
-                for sign in (1, -1):
-                    num = -d2 + sign * s
-                    if num % 2 == 0:
-                        roots.add(Fraction(num // 2))
-    else:
-        for d in _divisors(d0):
-            for r in (d, -d):
-                if ((r + d2) * r + d1) * r + d0 == 0:
-                    roots.add(Fraction(r))
+    roots = _integer_roots_monic_cubic(int(c2 * L), int(c1 * L * L), int(c0 * L**3))
     return sorted(Fraction(r, L) for r in roots)
 
 
@@ -506,19 +528,6 @@ def add_points(curve: CurveLW, P: Point, Q: Point) -> Point:
     x3 = lam * lam + a1 * lam - a2 - x1 - x2
     y3 = -(lam + a1) * x3 - nu - a3
     return (x3, y3)
-
-
-def multiply_point(curve: CurveLW, n: int, P: Point) -> Point:
-    if n < 0:
-        return multiply_point(curve, -n, negate(curve, P))
-    R: Point = None
-    Q = P
-    while n:
-        if n & 1:
-            R = add_points(curve, R, Q)
-        Q = add_points(curve, Q, Q)
-        n >>= 1
-    return R
 
 
 def point_order(curve: CurveLW, P: Point, max_order: int = 12) -> int | None:

@@ -19,7 +19,7 @@ from .curves import (
     ap,
     cm_status,
     count_points_exhaustive,
-    good_reduction_at,
+    is_good_prime,
     primes_up_to,
     to_rt2,
 )
@@ -77,8 +77,7 @@ def nonisogeny_certificate(e: CurveLW, e2: CurveLW, bound: int) -> IsogenyEviden
     traces_usable = not (_is_cm_j(e) and _is_cm_j(e2))
     je, je2 = e.j(), e2.j()
     for p in primes_up_to(bound):
-        ok1 = e.is_p_integral(p) and good_reduction_at(e, p)
-        ok2 = e2.is_p_integral(p) and good_reduction_at(e2, p)
+        ok1, ok2 = is_good_prime(e, p), is_good_prime(e2, p)
         if traces_usable and ok1 and ok2:
             t1, t2 = ap(e, p), ap(e2, p)
             if t1 * t1 != t2 * t2:
@@ -88,11 +87,12 @@ def nonisogeny_certificate(e: CurveLW, e2: CurveLW, bound: int) -> IsogenyEviden
                 return IsogenyEvidence(
                     "trace-square-mismatch", p,
                     f"a_{p} = {t1} vs {t2}; {t1*t1} != {t2*t2}")
-        if ok2 and valuation(je, p) < 0:
+        # val_p(j) < 0 iff p divides the reduced denominator (never for j = 0)
+        if ok2 and je.denominator % p == 0:
             return IsogenyEvidence(
                 "reduction-type-mismatch", p,
                 f"val_{p}(j(E)) = {valuation(je, p)} < 0 but E' has good reduction at {p}")
-        if ok1 and valuation(je2, p) < 0:
+        if ok1 and je2.denominator % p == 0:
             return IsogenyEvidence(
                 "reduction-type-mismatch", p,
                 f"val_{p}(j(E')) = {valuation(je2, p)} < 0 but E has good reduction at {p}")

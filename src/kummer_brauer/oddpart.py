@@ -19,7 +19,7 @@ from .curves import (
     ap,
     cm_status,
     good_primes,
-    good_reduction_at,
+    is_good_prime,
     on_curve,
     point_order,
     to_rt2,
@@ -153,7 +153,7 @@ def j_valuation_certificate(
     if not isinstance(rt2, CurveRT2):
         return CertificateFailure(f"partner curve: {rt2}")
     for p in (5, 7):
-        if not (partner.is_p_integral(p) and good_reduction_at(partner, p)):
+        if not is_good_prime(partner, p):
             return CertificateFailure(f"partner curve lacks good reduction at {p}")
     witnesses.append(("partner good at", "5, 7"))
     witnesses.append(("partner 2-torsion", f"rational, translates to {rt2}"))
@@ -269,7 +269,7 @@ def congruence_evidence(
     supporting evidence for a non-trivial odd class, never a proof);
     otherwise the first failing prime."""
     for p in good_primes(e, bound):
-        if not (e2.is_p_integral(p) and good_reduction_at(e2, p)):
+        if not is_good_prime(e2, p):
             continue
         if (ap(e, p) - ap(e2, p)) % ell != 0:
             return p

@@ -17,7 +17,8 @@ from .curves import (
     _rational_roots_monic_cubic,
     ap,
     good_primes,
-    good_reduction_at,
+    is_good_prime,
+    on_curve,
     to_rt2,
 )
 from .homrank import RankVerdict, rank_r, same_curve
@@ -56,6 +57,10 @@ class CurveInput:
     rt2_raw: tuple[int, int] | None = None
     six_torsion: Point = None
     label: str | None = None
+
+    def __post_init__(self):
+        if self.six_torsion is not None and not on_curve(self.lw, self.six_torsion):
+            raise InputError("six_torsion point is not on the curve")
 
     def echo(self) -> dict:
         out: dict = {}
@@ -145,17 +150,25 @@ def parse_pair_spec(data: dict) -> CurvePairSpec:
         second = parse_curve_record(data["second"])
     except KeyError as e:
         raise InputError(f"pair spec needs 'first' and 'second': missing {e}") from e
-    bound = data.get("bound", 10_000)
-    ell_max = data.get("ell_max", 37)
-    odd = tuple(data.get("odd_primes", ()))
-    if not (isinstance(bound, int) and bound >= 10):
+    odd = data.get("odd_primes", [])
+    if not isinstance(odd, (list, tuple)):
+        raise InputError("odd_primes must be a list of odd primes")
+    spec = CurvePairSpec(first, second, data.get("bound", 10_000),
+                         data.get("ell_max", 37), tuple(odd))
+    check_options(spec)
+    return spec
+
+
+def check_options(spec: CurvePairSpec) -> None:
+    """Raise InputError unless bound >= 10, ell_max >= 2 and every entry of
+    odd_primes is an odd prime."""
+    if not (isinstance(spec.bound, int) and spec.bound >= 10):
         raise InputError("bound must be an integer >= 10")
-    if not (isinstance(ell_max, int) and ell_max >= 2):
+    if not (isinstance(spec.ell_max, int) and spec.ell_max >= 2):
         raise InputError("ell_max must be an integer >= 2")
-    for ell in odd:
+    for ell in spec.odd_primes:
         if not (isinstance(ell, int) and ell >= 3 and is_prime(ell)):
             raise InputError("odd_primes must be odd primes")
-    return CurvePairSpec(first, second, bound, ell_max, odd)
 
 
 # -- surface equation rendering ---------------------------------------------
@@ -288,7 +301,7 @@ def _hom_vanishing_witness(e: CurveLW, e2: CurveLW, ell: int, bound: int) -> int
     for p in good_primes(e, bound):
         if p == ell:
             continue
-        if not (e2.is_p_integral(p) and good_reduction_at(e2, p)):
+        if not is_good_prime(e2, p):
             continue
         if (ap(e, p) - ap(e2, p)) % ell != 0:
             return p

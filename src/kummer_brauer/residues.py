@@ -10,8 +10,19 @@ The surface is z^2 = x(x-a)(x-b) y(y-a')(y-b') for curves with rational
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .arith import BitMatrix, SquareClass, bits_of, f2_nullspace, sc_mul, square_class
+from .arith import (
+    BitMatrix,
+    SquareClass,
+    bits_of,
+    coprime_base,
+    f2_nullspace,
+    is_square,
+    sc_mul,
+    square_class,
+    square_class_bits,
+)
 
 ALGEBRA_LABELS = ("A[a,a']", "A[a,0]", "A[0,a']", "A[0,0]")
 
@@ -31,16 +42,23 @@ class ResidueMatrix:
     Rows are ordered A[a,a'], A[a,0], A[0,a'], A[0,0].  In 4x4 form the
     columns are the lines over the 2-torsion points (0,0), (0,a'), (a,0),
     (a,a'); the extended 4x9 form appends (0,b'), (a,b'), (b,0), (b,a'),
-    (b,b').
+    (b,b').  Each residue is stored as an integer representative of its
+    class, a signed product of a, b, a-b, a', b', a'-b'.
     """
 
     pair: tuple[int, int, int, int]  # (a, b, a', b')
     columns: tuple[str, ...]
-    entries: tuple[tuple[SquareClass, ...], ...]
+    values: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def entries(self) -> tuple[tuple[SquareClass, ...], ...]:
+        """The residues as square classes.  This factors every value, so it
+        serves display and tests; the kernel never reads it."""
+        return tuple(tuple(square_class(v) for v in row) for row in self.values)
 
     @property
     def nrows(self) -> int:
-        return len(self.entries)
+        return len(self.values)
 
     @property
     def ncols(self) -> int:
@@ -67,13 +85,11 @@ def residue_matrix(a: int, b: int, a2: int, b2: int) -> ResidueMatrix:
     ap, bp = a2, b2
     if a == 0 or b == 0 or a == b or ap == 0 or bp == 0 or ap == bp:
         raise DegenerateCurveError("curve data must have a != b, a' != b', all nonzero")
-    one = SquareClass.identity()
-    sc = square_class
     rows = (
-        (one, sc(a * b), sc(ap * bp), sc(-a * ap)),
-        (sc(a * b), one, sc(a * ap), sc(ap * (ap - bp))),
-        (sc(ap * bp), sc(a * ap), one, sc(a * (a - b))),
-        (sc(-a * ap), sc(ap * (ap - bp)), sc(a * (a - b)), one),
+        (1, a * b, ap * bp, -a * ap),
+        (a * b, 1, a * ap, ap * (ap - bp)),
+        (ap * bp, a * ap, 1, a * (a - b)),
+        (-a * ap, ap * (ap - bp), a * (a - b), 1),
     )
     cols = (_line_label("0", "0"), _line_label("0", "a'"),
             _line_label("a", "0"), _line_label("a", "a'"))
@@ -85,52 +101,29 @@ def extend_residue_matrix(m: ResidueMatrix) -> ResidueMatrix:
 
     Along any fixed first index i in {0, a, b} or fixed second index j in
     {0, a', b'} the three residues of each algebra multiply to the identity,
-    which determines every missing column from the four computed ones.
+    which determines every missing column from the four computed ones.  A
+    class is its own inverse, so the missing value is the product of the
+    other two.
     """
     if m.ncols != 4:
         raise ValueError("expected a 4x4 residue matrix")
     e = {("0", "0"): 0, ("0", "a'"): 1, ("a", "0"): 2, ("a", "a'"): 3}
 
-    def entry(row: tuple[SquareClass, ...], i: str, j: str) -> SquareClass:
+    def entry(row: tuple[int, ...], i: str, j: str) -> int:
         if (i, j) in e:
             return row[e[(i, j)]]
         if i == "b" and j == "b'":
-            return sc_mul(
-                sc_mul(row[0], row[1]), sc_mul(row[2], row[3])
-            )
+            return row[0] * row[1] * row[2] * row[3]
         if i == "b":
-            return sc_mul(entry(row, "0", j), entry(row, "a", j))
+            return entry(row, "0", j) * entry(row, "a", j)
         # j == "b'"
-        return sc_mul(entry(row, i, "0"), entry(row, i, "a'"))
+        return entry(row, i, "0") * entry(row, i, "a'")
 
     order = [("0", "0"), ("0", "a'"), ("a", "0"), ("a", "a'"),
              ("0", "b'"), ("a", "b'"), ("b", "0"), ("b", "a'"), ("b", "b'")]
     cols = tuple(_line_label(i, j) for i, j in order)
-    rows = tuple(tuple(entry(row, i, j) for i, j in order) for row in m.entries)
+    rows = tuple(tuple(entry(row, i, j) for i, j in order) for row in m.values)
     return ResidueMatrix(m.pair, cols, rows)
-
-
-def _f2_encoding(m: ResidueMatrix) -> BitMatrix:
-    """One F2 row per (line, basis element) pair; columns are the 4 algebras.
-
-    The basis of the residue target is the class of -1 together with every
-    prime in any entry's support.
-    """
-    primes = sorted({p for row in m.entries for c in row for p in c.support})
-    rows = []
-    for col in range(m.ncols):
-        for basis_index in range(1 + len(primes)):
-            mask = 0
-            for alg in range(m.nrows):
-                c = m.entries[alg][col]
-                if basis_index == 0:
-                    bit = c.sign == -1
-                else:
-                    bit = primes[basis_index - 1] in c.support
-                if bit:
-                    mask |= 1 << alg
-            rows.append(mask)
-    return BitMatrix(rows, m.nrows)
 
 
 def kernel_dimension(m: ResidueMatrix) -> tuple[int, list[tuple[str, ...]]]:
@@ -139,8 +132,22 @@ def kernel_dimension(m: ResidueMatrix) -> tuple[int, list[tuple[str, ...]]]:
     Returns d together with a basis: each basis element is the subset of
     ALGEBRA_LABELS whose entrywise product is the identity class in every
     column of m.
+
+    Every residue is a signed product of a, b, a-b, a', b', a'-b', so its
+    class is read as exponent parities over -1 and the non-square elements
+    of their coprime base, with no factoring.  The F2 system has one row per
+    (line, base element) and one column per algebra; its nullspace, and the
+    reduced-echelon basis read from it, do not depend on the row encoding.
     """
-    basis_vectors = f2_nullspace(_f2_encoding(m))
+    a, b, a2, b2 = m.pair
+    base = [c for c in coprime_base((a, b, a - b, a2, b2, a2 - b2)) if not is_square(c)]
+    width = 1 + len(base)
+    rows = [0] * (m.ncols * width)
+    for alg, row in enumerate(m.values):
+        for col, v in enumerate(row):
+            for k in bits_of(square_class_bits(v, base)):
+                rows[col * width + k] |= 1 << alg
+    basis_vectors = f2_nullspace(BitMatrix(rows, m.nrows))
     basis = [tuple(ALGEBRA_LABELS[i] for i in bits_of(v)) for v in basis_vectors]
     return len(basis_vectors), basis
 

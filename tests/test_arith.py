@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -7,13 +8,16 @@ from kummer_brauer.arith import (
     BitMatrix,
     SquareClass,
     bits_of,
+    coprime_base,
     f2_nullspace,
     factor,
     is_prime,
     is_rational_square,
+    is_square,
     primes_up_to,
     sc_mul,
     square_class,
+    square_class_bits,
     valuation,
 )
 
@@ -154,6 +158,70 @@ def test_is_rational_square():
     assert is_rational_square(Fraction(49, 81))
     assert not is_rational_square(Fraction(-49, 81))
     assert not is_rational_square(2)
+
+
+def test_is_rational_square_matches_square_class():
+    rng = random.Random(41)
+    assert not is_rational_square(0) and is_rational_square(1)
+    assert is_square(0) and not is_square(-4) and is_square(10**40)
+    for _ in range(2000):
+        x = Fraction(rng.choice((-1, 1)) * rng.randint(1, 60) ** rng.choice((1, 2)),
+                     rng.randint(1, 60) ** rng.choice((1, 2)))
+        assert is_rational_square(x) == square_class(x).is_identity, x
+
+
+def test_coprime_base_examples():
+    assert coprime_base([]) == [] and coprime_base([1, -1, 0]) == []
+    assert coprime_base([12, 18]) == [2, 3]
+    assert coprime_base([36, 9, 27]) == [3, 4]
+    assert coprime_base([6, 10, 15]) == [2, 3, 5]
+    assert coprime_base([-2**40, 2]) == [2]
+    p, q = 400000000000000013, 7000000000000000013
+    assert coprime_base([p * q, 7, p * 7]) == [7, p, q]
+
+
+def _is_power_product(n, base):
+    n = abs(n)
+    for c in base:
+        while n % c == 0:
+            n //= c
+    return n == 1
+
+
+def test_coprime_base_random():
+    rng = random.Random(2005)
+    for _ in range(500):
+        ns = [rng.choice((-1, 1)) * rng.randint(1, 10**4) * rng.choice((1, 4, 9, 36, 210))
+              for _ in range(rng.randint(1, 6))]
+        base = coprime_base(ns)
+        assert base == sorted(set(base)) and all(c > 1 for c in base)
+        assert all(gcd(c, d) == 1 for i, c in enumerate(base) for d in base[i + 1:])
+        assert all(_is_power_product(n, base) for n in ns)
+
+
+def test_square_class_bits_matches_square_class():
+    rng = random.Random(2006)
+    for _ in range(300):
+        ns = [rng.choice((-1, 1)) * rng.randint(1, 500) * rng.choice((1, 4, 9, 36))
+              for _ in range(4)]
+        base = [c for c in coprime_base(ns) if not is_square(c)]
+        # products of the inputs: equal classes exactly when equal bit vectors
+        prods = {}
+        for mask in range(1, 16):
+            n = 1
+            for i in range(4):
+                if mask >> i & 1:
+                    n *= ns[i]
+            prods[n] = square_class(n)
+        for n, c in prods.items():
+            for n2, c2 in prods.items():
+                same = square_class_bits(n, base) == square_class_bits(n2, base)
+                assert same == (c == c2), (ns, n, n2)
+    with pytest.raises(ValueError):
+        square_class_bits(0, [2])
+    with pytest.raises(ValueError):
+        square_class_bits(12, [6])  # 12 = 6 * 2 is outside the span of {6}
+    assert square_class_bits(-24, [6]) == 0b11
 
 
 def naive_rank(rows_bits, cols):

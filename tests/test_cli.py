@@ -4,6 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from kummer_brauer import report
 from kummer_brauer.cli import main
 from test_acceptance import GOLDEN_DIR, GOLDEN_SPECS
 
@@ -77,6 +80,59 @@ def test_analyze_bad_input_exit_code(capsys):
 def test_analyze_missing_curve(capsys):
     code, _, err = run(capsys, "analyze", "--first", "rt2:1,2")
     assert code == 2
+
+
+def test_user_input_errors_exit_2(tmp_path, capsys):
+    for argv in (
+        ["analyze", "--first", "rt2:5,7", "--second", "rt2:1,2", "--bound-B", "5"],
+        ["analyze", "--first", "rt2:5,7", "--second", "rt2:1,2", "--odd-primes", "5,x"],
+        ["analyze", "--first", "rt2:5,7", "--second", "rt2:1,2", "--odd-primes", "9"],
+        ["analyze", "--first", "w:0,0,0,6,-2", "--second", "w:0,0,0,0,1",
+         "--six-torsion-second", "1,1"],
+        ["matrix", "--pair", "5,5,1,2"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "input error" in err, argv
+    binary = tmp_path / "pair.json"
+    binary.write_bytes(b"\xff\xfe{")
+    code, _, err = run(capsys, "analyze", "--pair", str(binary))
+    assert code == 2 and "input error" in err
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"first": {"rt2": {"a": 5, "b": 7}},
+                                "second": {"rt2": {"a": 1, "b": 2}}}), encoding="utf-8")
+    code, _, err = run(capsys, "analyze", "--pair", str(spec), "--bound-B", "3")
+    assert code == 2 and "input error" in err
+
+
+def test_internal_value_error_is_not_an_input_error(monkeypatch, capsys):
+    def broken(*args):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(report, "rank_r", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["analyze", "--first", "rt2:5,7", "--second", "rt2:1,2"])
+    assert "input error" not in capsys.readouterr().err
+
+
+def test_j_zero_partner_with_bad_reduction_first(capsys):
+    # 11a1 is good at 2 where y^2 = x^3 + 1 is bad: the scan reads val_2(0)
+    code, out, _ = run(capsys, "analyze", "--first", "w:0,-1,1,-10,-20",
+                       "--second", "w:0,0,0,0,1", "--bound-B", "100")
+    assert code == 0
+    assert report.validate_report(json.loads(out)) == []
+
+
+def test_37_digit_semiprime_coefficient_finishes():
+    semiprime = 400000000000000013 * 7000000000000000013
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run(
+        [sys.executable, "-m", "kummer_brauer.cli", "analyze", "--first",
+         f"rt2:{semiprime},7", "--second", "rt2:1,2", "--bound-B", "100"],
+        env=env, capture_output=True, text=True, timeout=20)
+    assert out.returncode == 0, out.stderr
+    assert report.validate_report(json.loads(out.stdout)) == []
 
 
 def test_search_json(capsys):

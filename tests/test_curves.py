@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from kummer_brauer import curves
+from kummer_brauer.arith import factor, primes_up_to
 from kummer_brauer.curves import (
     CM_J_INVARIANTS,
     EXHAUSTIVE_MAX_PRIME,
@@ -23,6 +25,7 @@ from kummer_brauer.curves import (
     frobenius_table,
     good_primes,
     good_reduction_at,
+    is_good_prime,
     j_invariant_rt2,
     j_invariant_sw,
     point_order,
@@ -169,6 +172,21 @@ def test_good_reduction():
     assert good_reduction_at(E_XCUBE_MINUS_X, 3)
     with pytest.raises(NonIntegralModelError):
         good_reduction_at(CurveLW(0, 0, 0, Fraction(1, 5), 1), 5)
+
+
+def test_is_good_prime_matches_good_reduction_at():
+    rng = random.Random(67)
+    models = [random_lw(rng) for _ in range(20)]
+    models += [CurveLW(0, 0, 0, Fraction(1, 5), 1), CurveLW(Fraction(1, 6), 0, 0, -1, 0)]
+    for c in models:
+        for p in primes_up_to(200):
+            if c.is_p_integral(p):
+                assert is_good_prime(c, p) == good_reduction_at(c, p)
+            else:
+                assert not is_good_prime(c, p)
+    # good_reduction_at keeps its own checks
+    with pytest.raises(ValueError):
+        good_reduction_at(E_XCUBE_MINUS_X, 9)
 
 
 def test_count_points_examples():
@@ -348,3 +366,104 @@ def test_singular_inputs_rejected():
         CurveRT2(3, 3)
     with pytest.raises(SingularCurveError):
         CurveLW(0, 0, 0, 0, 0)
+
+
+# -- rational roots of monic cubics: bisection against divisor enumeration -----
+
+
+def _divisors(n):
+    """All positive divisors of a nonzero integer, from its factorization."""
+    divs = [1]
+    for p, e in factor(abs(n)).factors:
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
+
+
+def divisor_integer_roots(coeffs):
+    """Integer roots of y^n + coeffs[0] y^(n-1) + ... + coeffs[-1] by the
+    rational root test: a nonzero root divides the constant term, and a zero
+    constant term splits off the root 0."""
+    if not coeffs:
+        return set()
+    if coeffs[-1] == 0:
+        return {0} | divisor_integer_roots(coeffs[:-1])
+    roots = set()
+    for d in _divisors(coeffs[-1]):
+        for r in (d, -d):
+            v = 1
+            for c in coeffs:
+                v = v * r + c
+            if v == 0:
+                roots.add(r)
+    return roots
+
+
+def divisor_roots(c2, c1, c0):
+    """Rational roots of x^3 + c2 x^2 + c1 x + c0: after y = L x, with L the
+    common denominator, they are the integer roots divided by L."""
+    L = 1
+    for c in (c2, c1, c0):
+        L = L * c.denominator // math.gcd(L, c.denominator)
+    roots = divisor_integer_roots([int(c2 * L), int(c1 * L * L), int(c0 * L**3)])
+    return sorted(Fraction(r, L) for r in roots)
+
+
+def _monic_from_roots(roots):
+    r0, r1, r2 = roots
+    return -(r0 + r1 + r2), r0 * r1 + r0 * r2 + r1 * r2, -r0 * r1 * r2
+
+
+def _shift_cubic(c, r):
+    """Coefficients of p(x - r) for the monic cubic p with coefficients c."""
+    c2, c1, c0 = c
+    return (c2 - 3 * r, c1 - 2 * c2 * r + 3 * r * r, c0 - c1 * r + c2 * r * r - r**3)
+
+
+def random_monic_cubic(rng):
+    kind = rng.randrange(6)
+    if kind == 0:  # three integer roots
+        c = _monic_from_roots([rng.randint(-300, 300) for _ in range(3)])
+    elif kind == 1:  # a double root
+        r, s = rng.randint(-300, 300), rng.randint(-300, 300)
+        c = _monic_from_roots([r, r, s])
+    elif kind == 2:  # three integer roots, one coefficient perturbed
+        c = list(_monic_from_roots([rng.randint(-300, 300) for _ in range(3)]))
+        c[rng.randrange(3)] += rng.choice((-2, -1, 1, 2))
+    elif kind == 3:  # rational roots with small denominators
+        roots = [Fraction(rng.randint(-40, 40), rng.randint(1, 6)) for _ in range(3)]
+        c = _monic_from_roots(roots)
+    elif kind == 4:  # arbitrary small coefficients
+        c = [rng.randint(-2000, 2000) for _ in range(3)]
+    else:  # an integer root r and an irrational root within 1 of it, with a
+        # critical point of the cubic between them
+        r, n = rng.randint(-300, 300), rng.randint(3, 400)
+        k, s, t = rng.randint(1, n - 1), rng.choice((-1, 1)), rng.choice((-1, 1))
+        # u (u^2 - s n u + s k) in u = x - r, mirrored to -u when t = -1
+        c = _shift_cubic((-s * t * n, s * k, 0), r)
+    return tuple(Fraction(v) for v in c)
+
+
+def test_bisection_roots_match_divisor_enumeration():
+    rng = random.Random(5003)
+    cubics = [random_monic_cubic(rng) for _ in range(5000)]
+    cubics += [(Fraction(0),) * 3, (Fraction(-3), Fraction(3), Fraction(-1)),  # x^3, (x-1)^3
+               (Fraction(0), Fraction(-3), Fraction(2)),  # (x-1)^2 (x+2)
+               (Fraction(0), Fraction(1), Fraction(0)),  # x (x^2 + 1)
+               (Fraction(-9, 4), Fraction(1, 2), Fraction(0))]
+    counts = set()
+    for c in cubics:
+        got = curves._rational_roots_monic_cubic(*c)
+        assert got == divisor_roots(*c), c
+        counts.add(len(got))
+    assert counts == {0, 1, 2, 3}
+
+
+def test_bisection_roots_of_large_cubics():
+    # roots of 60 and 200 digits, where divisor enumeration cannot run
+    for digits in (60, 200):
+        big = 10**digits
+        roots = [-big + 7, 3 * big // 7, big + 1]
+        c = [Fraction(v) for v in _monic_from_roots(roots)]
+        assert curves._rational_roots_monic_cubic(*c) == sorted(map(Fraction, roots))
+        c[2] += 1
+        assert curves._rational_roots_monic_cubic(*c) == []

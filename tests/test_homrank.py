@@ -56,6 +56,15 @@ def test_reduction_type_mismatch():
     assert ev.witness == 5
 
 
+def test_j_zero_has_no_reduction_type_witness():
+    # y^2 = x^3 + 1 (j = 0) is bad at 2 and 3 while 11a1 is good at 2; j = 0
+    # has no negative valuation, so the witness is a trace mismatch at 5
+    e11 = CurveLW(0, -1, 1, -10, -20)
+    for first, second in ((e11, CurveLW(0, 0, 0, 0, 1)), (CurveLW(0, 0, 0, 0, 1), e11)):
+        ev = nonisogeny_certificate(first, second, 100)
+        assert (ev.kind, ev.witness) == ("trace-square-mismatch", 5)
+
+
 def test_cm_pair_trace_squares_not_trusted():
     # quartic twists of a CM curve can break the trace-sign argument,
     # so a pair of CM j-invariants never yields a trace-square witness

@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from kummer_brauer.arith import is_prime
 from kummer_brauer.report import (
     InputError,
     analyze,
@@ -43,6 +45,10 @@ def test_parse_errors():
         parse_pair_spec({"first": {"rt2": {"a": 1, "b": 2}}})
     with pytest.raises(InputError):
         pair({"rt2": {"a": 1, "b": 2}}, {"rt2": {"a": 1, "b": 2}}, odd_primes=[9])
+    with pytest.raises(InputError):
+        pair({"rt2": {"a": 1, "b": 2}}, {"rt2": {"a": 1, "b": 2}}, odd_primes=7)
+    with pytest.raises(InputError):  # the point is not on y^2 = x^3 + 1
+        pair({"rt2": {"a": 1, "b": 2}}, {"weierstrass": [0, 0, 0, 0, 1], "six_torsion": [1, 1]})
     with pytest.raises(InputError):
         pair({"rt2": {"a": 1, "b": 2}}, {"rt2": {"a": 1, "b": 2}}, bound=1)
 
@@ -191,3 +197,64 @@ def test_search_family_rejects_bad_args():
         search_family(0)
     with pytest.raises(InputError):
         search_family(1, -1)
+
+
+# -- inputs whose factorization is out of reach ---------------------------------
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def _summary(spec):
+    d = analyze(spec).to_dict()
+    assert validate_report(d) == []
+    return d["conclusion"], d["d"], d["r"], d["dim2"], d["kernel_basis"]
+
+
+def test_200_digit_pair_at_small_bound_is_fast():
+    p, q, r, s = (_next_prime(k * 10**99) for k in (2, 5, 3, 7))
+    spec = pair({"rt2": {"a": p * q, "b": 3 * p}}, {"rt2": {"a": r * s, "b": 5 * r}},
+                bound=100)
+    assert len(str(p * q)) == len(str(r * s)) == 200
+    t0 = time.perf_counter()
+    summary = _summary(spec)
+    assert time.perf_counter() - t0 < 1.0
+    assert summary == ("trivial", 0, 0, 0, [])
+
+
+def _shifted(a, b, s):
+    """[a1..a6] of y^2 = (x+s)(x+s-a)(x+s-b), the rt2 curve (a, b) moved by s."""
+    r0, r1, r2 = -s, a - s, b - s
+    return [0, -(r0 + r1 + r2), 0, r0 * r1 + r0 * r2 + r1 * r2, -r0 * r1 * r2]
+
+
+def _shiftable_prime(n, p):
+    """The least prime q >= n with (q - p) / 2 prime."""
+    q = _next_prime(n)
+    while not is_prime((q - p) // 2):
+        q = _next_prime(q + 1)
+    return q
+
+
+def test_shifted_model_with_10_digit_prime_factors_matches_rt2_form():
+    # (a, b) = (p q1, p q2) shifted by p^2, as in the benchmark's big-coeff
+    # pool but with 10-digit primes: the shifted cubic's roots are -p^2 and
+    # 2 p m with m = (q - p) / 2 prime, so its constant term 4 p^4 m1 m2 has
+    # only 10-digit prime factors
+    p, p2 = _next_prime(2_000_000_000), _next_prime(3_000_000_000)
+    q1, q2 = _shiftable_prime(5_000_000_000, p), _shiftable_prime(8_000_000_000, p)
+    r1, r2 = _shiftable_prime(6_000_000_000, p2), _shiftable_prime(7_000_000_000, p2)
+    (a, b), (a2, b2) = (p * q1, p * q2), (p2 * r1, p2 * r2)
+    rt2 = pair({"rt2": {"a": a, "b": b}}, {"rt2": {"a": a2, "b": b2}}, bound=1000)
+    shifted = pair({"weierstrass": _shifted(a, b, p * p)},
+                   {"weierstrass": _shifted(a2, b2, p2 * p2)}, bound=1000)
+    assert _summary(shifted) == _summary(rt2)
+    # the curve against its own shifted model is recognised as one curve
+    self_rt2 = pair({"rt2": {"a": a, "b": b}}, {"rt2": {"a": a, "b": b}}, bound=1000)
+    self_shifted = pair({"rt2": {"a": a, "b": b}},
+                        {"weierstrass": _shifted(a, b, p * p)}, bound=1000)
+    assert _summary(self_shifted) == _summary(self_rt2)
+    assert _summary(self_rt2)[1:4] == (1, 1, 0)

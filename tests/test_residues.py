@@ -186,3 +186,83 @@ def test_surface_equation_roundtrip_random():
         xr, yr = parse_surface_roots(surface_equation(a, b, a2, b2))
         assert xr == sorted([0, a, b])
         assert yr == sorted([0, a2, b2])
+
+
+# -- coprime-base kernel against the factor-based encoding --------------------
+
+
+def factor_based_kernel(m):
+    """The kernel computed from prime factorizations: one F2 row per (line,
+    basis element), with -1 and every prime in some entry's support as the
+    basis.  Independent of the coprime base; the reference for
+    kernel_dimension."""
+    from kummer_brauer.arith import BitMatrix, bits_of, f2_nullspace
+    entries = m.entries
+    primes = sorted({p for row in entries for c in row for p in c.support})
+    rows = []
+    for col in range(m.ncols):
+        for basis_index in range(1 + len(primes)):
+            mask = 0
+            for alg in range(m.nrows):
+                c = entries[alg][col]
+                if basis_index == 0:
+                    bit = c.sign == -1
+                else:
+                    bit = primes[basis_index - 1] in c.support
+                if bit:
+                    mask |= 1 << alg
+            rows.append(mask)
+    vectors = f2_nullspace(BitMatrix(rows, m.nrows))
+    return len(vectors), [tuple(ALGEBRA_LABELS[i] for i in bits_of(v)) for v in vectors]
+
+
+def structured_pair(rng):
+    """A random pair (a, b, a', b') rich in shared factors, perfect-square
+    coprime-base elements and negative entries."""
+    squares = (1, 4, 9, 25, 36, 49, 144)
+    smooth = (1, 2, 3, 5, 6, 7, 10, 14, 15, 21, 30, 35)
+
+    def curve():
+        while True:
+            kind = rng.randrange(4)
+            if kind == 0:  # a = 36k, a - b = 9
+                a = 36 * rng.randint(-6, 6)
+                b = a - 9
+            elif kind == 1:  # a, b, a - b all sharing square and smooth parts
+                g = rng.choice(squares) * rng.choice(smooth)
+                a, b = g * rng.randint(-8, 8), g * rng.randint(-8, 8)
+            elif kind == 2:  # a perfect square times a small sign-flipped cofactor
+                a = rng.choice(squares) * rng.choice((-1, 1)) * rng.randint(1, 12)
+                b = a - rng.choice(squares) * rng.choice((-1, 1))
+            else:
+                a, b = rng.randint(-60, 60), rng.randint(-60, 60)
+            if a and b and a != b:
+                return a, b
+
+    first = curve()
+    # a partner equal to, or a square multiple of, the first curve gives d > 0
+    k = rng.choice((1, 1, 2, 3, 6))
+    second = curve() if rng.random() < 0.6 else (k * k * first[0], k * k * first[1])
+    return first + second
+
+
+def test_coprime_base_kernel_matches_factor_oracle():
+    rng = random.Random(2005)
+    pairs = [structured_pair(rng) for _ in range(2000)]
+    pairs += [(36, 27, 36, 27), (-36, -45, 9, 18), (4, 13, -4, -13), (5, 7, 5, 7)]
+    nonzero_d = 0
+    for pair in pairs:
+        m = residue_matrix(*pair)
+        for mm in (m, extend_residue_matrix(m)):
+            assert kernel_dimension(mm) == factor_based_kernel(mm), pair
+        nonzero_d += kernel_dimension(m)[0] > 0
+    # the panel reaches the nontrivial kernels as well
+    assert nonzero_d > 500
+
+
+def test_entries_are_the_classes_of_values():
+    m = extend_residue_matrix(residue_matrix(36, 27, -4, 5))
+    assert m.values[0][:4] == (1, 36 * 27, -20, 144)
+    assert m.entries[0][:4] == (SquareClass.identity(), SquareClass(1, (3,)),
+                                SquareClass(-1, (5,)), SquareClass.identity())
+    assert m.entries is m.entries  # built once per matrix
