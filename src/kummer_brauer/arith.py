@@ -322,12 +322,5 @@ def f2_nullspace(matrix: BitMatrix) -> list[int]:
 
 
 def bits_of(mask: int) -> list[int]:
-    """Indices of set bits, ascending."""
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+    """Indices of set bits of a non-negative mask, ascending."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]

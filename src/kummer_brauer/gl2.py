@@ -1,18 +1,38 @@
 """Exhaustive subgroup enumeration of GL(2, F_ell) for small ell, used as a
 soundness oracle for the trace/determinant surjectivity criterion.
 
-Subgroups are represented as bitmasks over the element list.  Every subgroup
-is reachable by repeatedly joining with cyclic subgroups of prime-power
-order (any element decomposes into commuting prime-power parts), so a
-breadth-first closure over such joins enumerates the full subgroup lattice.
-A join <H, g> is computed by a coset walk: right cosets of H are permuted by
-right multiplication, so the cost is linear in the size of the result, and
-any intermediate size above |G|/2 already forces the join to be all of G.
+Subgroups are represented as bitmasks over the element list.  They are found
+by cyclic extension over normalizers (Neubueser, Numer. Math. 2, 1960; Holt,
+Eick and O'Brien, Handbook of Computational Group Theory, 2005).  From a
+found subgroup H, one step takes a listed cyclic p-subgroup C = <g> (p prime)
+with C not inside H, g^p in H, and g normalizing H (g x g^-1 in H for each
+recorded generator x of H, which suffices for finite H).  Then H is normal of
+index p in K = <H, g> = H u Hg u ... u Hg^(p-1), so K is built directly in
+(p - 1)|H| table lookups.  The seeds are the trivial group and SL(2, ell).
+
+Why this finds every subgroup:
+
+- A subgroup K that is not perfect has a normal subgroup H of prime index p
+  (the preimage of a prime-index subgroup of the abelian K/[K, K]).  For any
+  x in K outside H, its p-part x_p also lies outside H, because the p'-part
+  maps to 1 in K/H of order p.  So <x_p> is a listed cyclic p-subgroup, not
+  inside H, whose listed generator g has g^p in H and normalizes H as an
+  element of K.  K is therefore reached from H in one step, and H, being
+  smaller, is reached by induction.
+- A perfect subgroup lies in SL(2, ell), because det maps into the abelian
+  group F_ell^*.  SL(2, 3) has order 24 and is solvable, so its only perfect
+  subgroup is trivial.  A nontrivial perfect group is not solvable, so its
+  order is at least 60; a proper perfect subgroup of SL(2, 5) (order 120)
+  would have order 60, hence index 2, hence be normal with abelian quotient,
+  which a perfect group does not have.  So the two seeds cover every perfect
+  subgroup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from .arith import bits_of
 
 
 class GL2:
@@ -20,103 +40,69 @@ class GL2:
 
     def __init__(self, ell: int):
         self.ell = ell
-        elements = []
-        for a in range(ell):
-            for b in range(ell):
-                for c in range(ell):
-                    for d in range(ell):
-                        if (a * d - b * c) % ell:
-                            elements.append((a, b, c, d))
-        self.elements = elements
-        self.index = {m: i for i, m in enumerate(elements)}
+        ell2 = ell * ell
+        elements = [(a, b, c, d) for a in range(ell) for b in range(ell)
+                    for c in range(ell) for d in range(ell) if (a * d - b * c) % ell]
         n = len(elements)
-        expected = (ell * ell - 1) * (ell * ell - ell)
+        expected = (ell2 - 1) * (ell2 - ell)
         if n != expected:
             raise RuntimeError(f"enumeration failure: {n} != {expected}")
+        # position of each matrix by its base-ell code (a b c d), -1 if singular
+        pos = [-1] * (ell2 * ell2)
+        for i, (a, b, c, d) in enumerate(elements):
+            pos[(a * ell + b) * ell2 + c * ell + d] = i
+        # images[r][j]: code of row vector r = (x, y) times elements[j]
+        images = list(zip(*[
+            [(x * e + y * g) % ell * ell + (x * f_ + y * h) % ell
+             for x in range(ell) for y in range(ell)]
+            for (e, f_, g, h) in elements]))
+        top_rows = [[v * ell2 for v in row] for row in images]
+        self.mult = [
+            [pos[t + u] for t, u in zip(top_rows[a * ell + b], images[c * ell + d])]
+            for (a, b, c, d) in elements]
+        self.elements = elements
         self.order = n
-        self.identity = self.index[(1, 0, 0, 1)]
-        mult = []
-        for (a, b, c, d) in elements:
-            row = [0] * n
-            for j, (e, f_, g, h) in enumerate(elements):
-                row[j] = self.index[(
-                    (a * e + b * g) % ell, (a * f_ + b * h) % ell,
-                    (c * e + d * g) % ell, (c * f_ + d * h) % ell)]
-            mult.append(row)
-        self.mult = mult
+        self.identity = pos[ell * ell2 + 1]  # (1, 0, 0, 1)
         self.trace = [(m[0] + m[3]) % ell for m in elements]
         self.det = [(m[0] * m[3] - m[1] * m[2]) % ell for m in elements]
 
-    def element_order(self, i: int) -> int:
-        n = 1
+    def powers(self, i: int) -> list[int]:
+        """[1, x, x^2, ..., x^(n-1)] for the element x = i of order n."""
+        out = [self.identity]
         x = i
         while x != self.identity:
+            out.append(x)
             x = self.mult[x][i]
-            n += 1
-        return n
+        return out
 
-    def cyclic_prime_power_subgroups(self) -> list[tuple[int, int]]:
-        """(mask, generator) for each distinct cyclic subgroup of prime-power
-        order > 1."""
-        seen: dict[int, int] = {}
+    def cyclic_prime_power_subgroups(self) -> list[tuple[int, int, int]]:
+        """(mask, generator, p) for each distinct cyclic subgroup of order a
+        power of the prime p."""
+        seen: dict[int, tuple[int, int]] = {}
         for i in range(self.order):
-            n = self.element_order(i)
-            if n == 1 or not _is_prime_power(n):
+            pw = self.powers(i)
+            p = _prime_power_base(len(pw))
+            if p is None:
                 continue
             mask = 0
-            x = self.identity
-            while True:
+            for x in pw:
                 mask |= 1 << x
-                x = self.mult[x][i]
-                if x == self.identity:
-                    break
-            if mask not in seen:
-                seen[mask] = i
-        return [(mask, g) for mask, g in seen.items()]
-
-    def join(self, h_elems: list[int], h_mask: int, gens: list[int], g: int,
-             limit: int) -> int | None:
-        """Mask of <H, g>, or None if its size exceeds limit (hence = G)."""
-        mult = self.mult
-        k_mask = h_mask
-        reps = [self.identity]
-        max_cosets = limit // len(h_elems)
-        walk_gens = gens + [g]
-        i = 0
-        while i < len(reps):
-            x = reps[i]
-            i += 1
-            for s in walk_gens:
-                y = mult[x][s]
-                if not (k_mask >> y) & 1:
-                    if len(reps) >= max_cosets:
-                        return None
-                    coset = 0
-                    for h in h_elems:
-                        coset |= 1 << mult[h][y]
-                    k_mask |= coset
-                    reps.append(y)
-        return k_mask
+            seen.setdefault(mask, (i, p))
+        return [(mask, g, p) for mask, (g, p) in seen.items()]
 
 
-def _is_prime_power(n: int) -> bool:
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-    return True  # n itself prime for the orders arising here
-
-
-def _mask_elements(mask: int) -> list[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+def _prime_power_base(n: int) -> int | None:
+    """The prime p if n = p^k with k >= 1, else None."""
+    if n < 2:
+        return None
+    p = 2
+    while p * p <= n and n % p:
+        p += 1
+    if n % p:
+        p = n  # no factor up to sqrt(n): n is prime
+    while n % p == 0:
+        n //= p
+    return p if n == 1 else None
 
 
 @dataclass(frozen=True)
@@ -165,26 +151,45 @@ def witness_classes(ell: int) -> tuple[set, set, set]:
 
 def enumerate_subgroups(group: GL2) -> list[int]:
     """Masks of all subgroups of the group, the full group excluded."""
-    half = group.order // 2
-    cyclics = group.cyclic_prime_power_subgroups()
-    trivial = 1 << group.identity
-    gens_of: dict[int, list[int]] = {trivial: []}
-    found = {trivial}
-    queue = [trivial]
+    sl_mask = sum(1 << i for i, det in enumerate(group.det) if det == 1)
+    # the two elementary transvections generate SL(2, ell)
+    sl_gens = [group.elements.index(m) for m in ((1, 1, 0, 1), (1, 0, 1, 1))]
+    return _cyclic_extension(group, [(1 << group.identity, []), (sl_mask, sl_gens)])
+
+
+def _cyclic_extension(group: GL2, seeds: list[tuple[int, list[int]]]) -> list[int]:
+    """Masks of the proper subgroups reached from the seeds (mask, generators)
+    by normal prime-index steps; see the module docstring."""
+    mult = group.mult
+    steps = []
+    for c_mask, g, p in group.cyclic_prime_power_subgroups():
+        pw = group.powers(g)
+        # (C, p, g^p, g^-1, [g, ..., g^(p-1)])
+        steps.append((c_mask, p, pw[p % len(pw)], pw[-1], pw[1:p]))
+    gens_of = dict(seeds)
+    queue = list(gens_of)
     while queue:
         h_mask = queue.pop()
-        h_elems = _mask_elements(h_mask)
         h_gens = gens_of[h_mask]
-        for c_mask, g in cyclics:
-            if c_mask & h_mask == c_mask:
-                continue  # already inside H
-            k_mask = group.join(h_elems, h_mask, h_gens, g, half)
-            if k_mask is None or k_mask in found:
+        h_size = bin(h_mask).count("1")
+        h_elems = None
+        for c_mask, p, g_p, g_inv, g_powers in steps:
+            if (c_mask & h_mask == c_mask or not (h_mask >> g_p) & 1
+                    or p * h_size == group.order):
                 continue
-            found.add(k_mask)
-            gens_of[k_mask] = h_gens + [g]
-            queue.append(k_mask)
-    return sorted(found)
+            g_row = mult[g_powers[0]]
+            if not all((h_mask >> mult[g_row[x]][g_inv]) & 1 for x in h_gens):
+                continue
+            if h_elems is None:
+                h_elems = bits_of(h_mask)
+            k_mask = h_mask
+            for gi in g_powers:
+                for h in h_elems:
+                    k_mask |= 1 << mult[h][gi]
+            if k_mask not in gens_of:
+                gens_of[k_mask] = h_gens + [g_powers[0]]
+                queue.append(k_mask)
+    return sorted(gens_of)
 
 
 def validate_surjectivity_criterion(ell: int) -> CriterionValidation:
@@ -211,7 +216,7 @@ def validate_surjectivity_criterion(ell: int) -> CriterionValidation:
     masks = enumerate_subgroups(group)
     offending = []
     for mask in masks:
-        elems = _mask_elements(mask)
+        elems = bits_of(mask)
         if group.order % len(elems):
             raise RuntimeError("enumeration failure: Lagrange violated")
         if witnesses(elems).all_three:

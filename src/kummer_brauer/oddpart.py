@@ -65,7 +65,9 @@ def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVe
     non-square discriminant.
 
     ell >= 3: witness sampling over good primes p <= bound, p != ell, with
-    (t, d) = (a_p mod ell, p mod ell).  Three witnesses are required:
+    (t, d) = (a_p mod ell, p mod ell).  Three witnesses are required, one
+    from each class of `witness_classes`, the predicate the exhaustive oracle
+    validates:
       (i)   t != 0 and t^2 - 4d a nonsquare mod ell;
       (ii)  t != 0 and t^2 - 4d a nonzero square mod ell;
       (iii) u = t^2/d outside {0, 1, 2, 4} with u^2 - 3u + 1 != 0 mod ell.
@@ -89,8 +91,6 @@ def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVe
               f"some witness class is empty mod {ell}; no trace/determinant "
               "sample can certify surjectivity at this ell"),),
             bound)
-    squares = {x * x % ell for x in range(ell)}
-    bad_u = {0, 1 % ell, 2 % ell, 4 % ell}
     found: dict[str, str] = {}
     names = ("nonsplit", "split", "generic")
     for p in good_primes(curve, bound):
@@ -98,15 +98,15 @@ def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVe
             continue
         t = ap(curve, p) % ell
         d = p % ell
+        td = (t, d)
         disc = (t * t - 4 * d) % ell
-        if "nonsplit" not in found and t != 0 and disc not in squares:
+        if "nonsplit" not in found and td in w1:
             found["nonsplit"] = f"p = {p}: t = {t}, t^2-4d = {disc} nonsquare mod {ell}"
-        if "split" not in found and t != 0 and disc != 0 and disc in squares:
+        if "split" not in found and td in w2:
             found["split"] = f"p = {p}: t = {t}, t^2-4d = {disc} nonzero square mod {ell}"
-        if "generic" not in found:
+        if "generic" not in found and td in w3:
             u = t * t * pow(d, -1, ell) % ell
-            if u not in bad_u and (u * u - 3 * u + 1) % ell != 0:
-                found["generic"] = f"p = {p}: u = t^2/d = {u} mod {ell}"
+            found["generic"] = f"p = {p}: u = t^2/d = {u} mod {ell}"
         if len(found) == 3:
             return SurjectivityVerdict(
                 ell, "surjective", tuple((n, found[n]) for n in names), bound)

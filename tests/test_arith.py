@@ -275,3 +275,22 @@ def test_bitmatrix_bounds():
 def test_bits_of():
     assert bits_of(0b1011) == [0, 1, 3]
     assert bits_of(0) == []
+
+
+def _bits_by_shifting(mask):
+    out = []
+    i = 0
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return out
+
+
+def test_bits_of_matches_shift_loop():
+    rng = random.Random(11)
+    masks = [0, 1, 2, 1 << 479, (1 << 480) - 1]
+    masks += [rng.getrandbits(rng.choice((1, 9, 64, 480))) for _ in range(500)]
+    for m in masks:
+        assert bits_of(m) == _bits_by_shifting(m), m

@@ -173,6 +173,12 @@ def test_validate_criterion_subcommand(capsys):
     assert data["subgroup_count"] == 55
 
 
+def test_validate_criterion_mod_5(capsys):
+    code, out, _ = run(capsys, "validate-criterion", "--ell", "5", "--format", "text")
+    assert code == 0
+    assert out == "ell = 5: PASS (466 subgroups of a group of order 480)\n"
+
+
 def test_golden_reports_under_python_O(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     path = [str(src), os.environ.get("PYTHONPATH", "")]

@@ -1,11 +1,77 @@
 import pytest
 
+from kummer_brauer.arith import bits_of, factor
 from kummer_brauer.gl2 import (
     GL2,
+    _cyclic_extension,
+    _prime_power_base,
     enumerate_subgroups,
     validate_surjectivity_criterion,
     witness_classes,
 )
+
+
+def join(group, h_elems, h_mask, gens, g, limit):
+    """Mask of <H, g> by a coset walk, or None once its size exceeds limit
+    (so that, for limit = |G|/2, the join is all of G).  Right cosets of H
+    are permuted by right multiplication, so the cost is linear in the size
+    of the result."""
+    mult = group.mult
+    k_mask = h_mask
+    reps = [group.identity]
+    max_cosets = limit // len(h_elems)
+    walk_gens = gens + [g]
+    i = 0
+    while i < len(reps):
+        x = reps[i]
+        i += 1
+        for s in walk_gens:
+            y = mult[x][s]
+            if not (k_mask >> y) & 1:
+                if len(reps) >= max_cosets:
+                    return None
+                coset = 0
+                for h in h_elems:
+                    coset |= 1 << mult[h][y]
+                k_mask |= coset
+                reps.append(y)
+    return k_mask
+
+
+def join_closure_subgroups(group):
+    """Proper subgroups by breadth-first closure over joins with cyclic
+    subgroups of prime-power order: every element is a product of commuting
+    prime-power parts, so every subgroup is such an iterated join."""
+    half = group.order // 2
+    cyclics = group.cyclic_prime_power_subgroups()
+    trivial = 1 << group.identity
+    gens_of = {trivial: []}
+    queue = [trivial]
+    while queue:
+        h_mask = queue.pop()
+        h_elems = bits_of(h_mask)
+        h_gens = gens_of[h_mask]
+        for c_mask, g, _ in cyclics:
+            if c_mask & h_mask == c_mask:
+                continue
+            k_mask = join(group, h_elems, h_mask, h_gens, g, half)
+            if k_mask is None or k_mask in gens_of:
+                continue
+            gens_of[k_mask] = h_gens + [g]
+            queue.append(k_mask)
+    return sorted(gens_of)
+
+
+def plain_table(ell):
+    """Element list and multiplication table by direct matrix products."""
+    elements = [(a, b, c, d) for a in range(ell) for b in range(ell)
+                for c in range(ell) for d in range(ell) if (a * d - b * c) % ell]
+    index = {m: i for i, m in enumerate(elements)}
+    mult = [[index[((a * e + b * g) % ell, (a * f + b * h) % ell,
+                    (c * e + d * g) % ell, (c * f + d * h) % ell)]
+             for (e, f, g, h) in elements]
+            for (a, b, c, d) in elements]
+    return elements, mult
 
 
 def test_group_orders():
@@ -68,6 +134,7 @@ def test_oracle_passes_mod_5():
     assert r.passed
     assert r.offending_proper_subgroups == ()
     assert r.group_order == 480
+    assert r.subgroup_count == 466
     # sanity: the full group exhibits all three witnesses
     assert r.full_group.all_three
     assert r.notes == ()
@@ -76,3 +143,38 @@ def test_oracle_passes_mod_5():
 def test_oracle_rejects_large_ell():
     with pytest.raises(ValueError):
         validate_surjectivity_criterion(7)
+
+
+def test_table_matches_plain_build():
+    for ell in (3, 5):
+        g = GL2(ell)
+        elements, mult = plain_table(ell)
+        assert g.elements == elements
+        assert g.mult == mult
+        assert g.elements[g.identity] == (1, 0, 0, 1)
+
+
+@pytest.mark.parametrize("ell", [3, 5])
+def test_cyclic_extension_matches_join_closure(ell):
+    g = GL2(ell)
+    assert enumerate_subgroups(g) == join_closure_subgroups(g)
+
+
+def test_sl2_seed_is_needed_exactly_for_the_perfect_top():
+    g = GL2(5)
+    full = enumerate_subgroups(g)
+    without_sl = _cyclic_extension(g, [(1 << g.identity, [])])
+    assert set(without_sl) <= set(full)
+    missing = sorted(bin(m).count("1") for m in set(full) - set(without_sl))
+    assert set(missing) == {120, 240}
+    assert all(bin(m).count("1") not in (120, 240) for m in without_sl)
+
+
+def test_prime_power_base_matches_factor():
+    for n in range(1, 2000):
+        f = factor(n).factors
+        expected = f[0][0] if len(f) == 1 else None
+        assert _prime_power_base(n) == expected, n
+    assert _prime_power_base(899) is None  # 29 * 31
+    assert _prime_power_base(1) is None
+    assert _prime_power_base(1024) == 2
