@@ -23,7 +23,6 @@ from .curves import (
     UNSUPPORTED_MODEL,
     cm_status,
     count_points,
-    discriminant,
     frobenius_table,
     good_reduction_at,
     j_invariant_rt2,
@@ -63,7 +62,6 @@ from .residues import (
     extend_residue_matrix,
     kernel_dimension,
     residue_matrix,
-    surface_equation,
     two_torsion_dimension,
 )
 

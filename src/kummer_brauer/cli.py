@@ -16,6 +16,7 @@ from fractions import Fraction
 from .curves import CurveLW, CurveRT2, frobenius_table
 from .gl2 import validate_surjectivity_criterion
 from .report import (
+    MAX_BOUND,
     CurveInput,
     CurvePairSpec,
     InputError,
@@ -106,6 +107,8 @@ def _cmd_search(args) -> int:
 def _cmd_frobenius(args) -> int:
     curve = _parse_curve_flag(args.curve)
     bound = 10_000 if args.bound_B is None else args.bound_B
+    if bound > MAX_BOUND:
+        raise InputError(f"bound must be at most {MAX_BOUND}")
     table = frobenius_table(curve.lw, bound)
     if args.format == "text":
         sys.stdout.write(f"curve {table.curve}, good primes up to {table.bound}\n")

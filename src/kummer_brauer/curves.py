@@ -98,10 +98,6 @@ class CurveLW:
         return "[" + ",".join(str(c) for c in self.key()) + "]"
 
 
-def discriminant(curve: CurveLW) -> Rational:
-    return curve.discriminant()
-
-
 def j_invariant_rt2(curve: CurveRT2) -> Rational:
     """j of y^2 = x(x-a)(x-b): 256 (a^2+b^2-ab)^3 / (a^2 b^2 (a-b)^2)."""
     a, b = curve.a, curve.b
@@ -465,8 +461,7 @@ def cm_status(curve: CurveLW, bound: int) -> CMStatus:
         raise ValueError("bound must be at least 50")
     j = curve.j()
     frac = supersingular_fraction(curve, bound)
-    in_list = j.denominator == 1 and j.numerator in CM_J_INVARIANTS
-    if in_list:
+    if j in CM_J_INVARIANTS:
         return CMStatus(
             "cm", j, f"j = {j} is in the rational CM list; "
             f"a_p = 0 for {frac[0]} of {frac[1]} good p <= {bound}", frac)
@@ -499,13 +494,6 @@ def on_curve(curve: CurveLW, pt: Point) -> bool:
     x, y = Fraction(pt[0]), Fraction(pt[1])
     a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
     return y * y + a1 * x * y + a3 * y == ((x + a2) * x + a4) * x + a6
-
-
-def negate(curve: CurveLW, pt: Point) -> Point:
-    if pt is None:
-        return None
-    x, y = pt
-    return (x, -y - curve.a1 * x - curve.a3)
 
 
 def add_points(curve: CurveLW, P: Point, Q: Point) -> Point:

@@ -10,18 +10,19 @@ else is reported as inconclusive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import isqrt
 
-from .arith import valuation
+from .arith import is_rational_square, is_square, valuation
 from .curves import (
     CM_J_INVARIANTS,
     CurveLW,
-    CurveRT2,
+    _integer_roots_monic_cubic,
     ap,
     cm_status,
     count_points_exhaustive,
     is_good_prime,
     primes_up_to,
-    to_rt2,
 )
 from .residues import Gate
 
@@ -39,11 +40,6 @@ class RankVerdict:
     confidence: str  # "certified" | "heuristic" | "inconclusive"
     gate: Gate
     evidence: IsogenyEvidence
-
-
-def _is_cm_j(curve: CurveLW) -> bool:
-    j = curve.j()
-    return j.denominator == 1 and j.numerator in CM_J_INVARIANTS
 
 
 class WitnessVerificationError(RuntimeError):
@@ -74,8 +70,8 @@ def nonisogeny_certificate(e: CurveLW, e2: CurveLW, bound: int) -> IsogenyEviden
     """
     if bound < 10:
         raise ValueError("bound must be at least 10")
-    traces_usable = not (_is_cm_j(e) and _is_cm_j(e2))
     je, je2 = e.j(), e2.j()
+    traces_usable = not (je in CM_J_INVARIANTS and je2 in CM_J_INVARIANTS)
     for p in primes_up_to(bound):
         ok1, ok2 = is_good_prime(e, p), is_good_prime(e2, p)
         if traces_usable and ok1 and ok2:
@@ -99,15 +95,41 @@ def nonisogeny_certificate(e: CurveLW, e2: CurveLW, bound: int) -> IsogenyEviden
     return IsogenyEvidence("none-found", None, f"no witness among p <= {bound}")
 
 
+def _integer_root(n: int, k: int) -> int | None:
+    """The integer r with r^k = n for k = 3, or r >= 0 with r^2 = n for
+    k = 2; None when there is none."""
+    if k == 2:
+        return isqrt(n) if is_square(n) else None
+    return next(iter(_integer_roots_monic_cubic(0, 0, -n)), None)
+
+
+def _is_rational_power(q: Fraction, *ks: int) -> bool:
+    """Whether q = u^(k1 k2 ...) for a rational u, taking integer k-th roots
+    of the coprime numerator and denominator in turn."""
+    num, den = q.numerator, q.denominator
+    for k in ks:
+        num, den = _integer_root(num, k), _integer_root(den, k)
+        if num is None or den is None:
+            return False
+    return True
+
+
 def same_curve(e: CurveLW, e2: CurveLW) -> bool:
-    """Equality as models, or of canonical translations when both have fully
-    rational 2-torsion.  Twists with equal j are deliberately not "same"."""
-    if e.key() == e2.key():
-        return True
-    r1, r2 = to_rt2(e), to_rt2(e2)
-    if isinstance(r1, CurveRT2) and isinstance(r2, CurveRT2):
-        return r1 == r2
-    return False
+    """Isomorphism over Q: c4' = u^4 c4 and c6' = u^6 c6 for a rational
+    u != 0 (Cremona, Algorithms for Modular Elliptic Curves, 3.1).
+
+    With j equal and j not in {0, 1728}, c4' = L^2 c4 and c6' = L^3 c6 for
+    L = c6' c4 / (c6 c4'), so u exists iff L is a square.  At j = 1728
+    (c6 = 0) c4'/c4 must be a fourth power, at j = 0 (c4 = 0) c6'/c6 a sixth
+    power.  Twists with equal j are deliberately not "same"."""
+    if e.j() != e2.j():
+        return False
+    c4, c6, c4b, c6b = e._c4, e._c6, e2._c4, e2._c6
+    if c4 == 0:
+        return _is_rational_power(c6b / c6, 2, 3)
+    if c6 == 0:
+        return _is_rational_power(c4b / c4, 2, 2)
+    return is_rational_square(c6b * c4 / (c6 * c4b))
 
 
 def rank_r(e: CurveLW, e2: CurveLW, bound: int) -> RankVerdict:

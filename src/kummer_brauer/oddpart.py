@@ -25,6 +25,7 @@ from .curves import (
     to_rt2,
 )
 from .gl2 import CriterionValidation, validate_surjectivity_criterion, witness_classes
+from .homrank import same_curve
 from ._cubic import two_division_cubic_is_s3
 
 DET_ASSUMPTION = ("determinant surjectivity assumed: the mod-ell determinant "
@@ -132,7 +133,7 @@ def j_valuation_certificate(
     (so E has potential multiplicative reduction at both primes with period
     valuation prime to every odd ell).  For a pair, the partner curve must
     have fully rational 2-torsion and good reduction at 5 and 7; for the
-    curve paired with itself (partner None or equal) the valuation
+    curve paired with itself (partner None or isomorphic) the valuation
     conditions alone suffice.  Asserts: the odd part of the geometric Brauer
     invariants vanishes, i.e. Br(A-bar)^Gamma is a finite abelian 2-group.
     """
@@ -145,7 +146,7 @@ def j_valuation_certificate(
     if not _is_minus_power_of_two(v7):
         return CertificateFailure(f"val_7(j) = {v7} is not minus a power of two")
     witnesses = [("val_5(j)", str(v5)), ("val_7(j)", str(v7))]
-    if partner is None or partner.key() == e.key():
+    if partner is None or same_curve(e, partner):
         return OddCertificate(
             "j-valuation", "all-odd", tuple(witnesses),
             detail="same-curve variant: scalar endomorphism rings mod every odd ell")
@@ -264,12 +265,16 @@ def cm_isogeny_exclusion_certificate(
 def congruence_evidence(
     e: CurveLW, e2: CurveLW, ell: int, bound: int
 ) -> int | None:
-    """None if a_p(E) = a_p(E') mod ell for every p <= bound good for both
-    curves (a necessary condition for isomorphic mod-ell Galois modules and
-    supporting evidence for a non-trivial odd class, never a proof);
-    otherwise the first failing prime."""
+    """None if a_p(E) = a_p(E') mod ell for every p <= bound, p != ell, good
+    for both curves (a necessary condition for isomorphic mod-ell Galois
+    modules and supporting evidence for a non-trivial odd class, never a
+    proof); otherwise the first failing prime.
+
+    A failing prime p != ell, with an irreducible mod-ell module on one side,
+    also rules out a nonzero Galois homomorphism between the ell-torsion
+    modules: the hom-vanishing witness of the pair reports."""
     for p in good_primes(e, bound):
-        if not is_good_prime(e2, p):
+        if p == ell or not is_good_prime(e2, p):
             continue
         if (ap(e, p) - ap(e2, p)) % ell != 0:
             return p

@@ -15,13 +15,10 @@ from .curves import (
     CurveRT2,
     Point,
     _rational_roots_monic_cubic,
-    ap,
-    good_primes,
-    is_good_prime,
     on_curve,
     to_rt2,
 )
-from .homrank import RankVerdict, rank_r, same_curve
+from .homrank import rank_r, same_curve
 from .oddpart import (
     CertificateFailure,
     OddCertificate,
@@ -44,6 +41,12 @@ MODEL_CAVEAT = ("reduction is tested on the supplied models without "
                 "certificates, never overclaim")
 ELL3_CAVEAT = ("mod-3 surjectivity is not decidable from trace/determinant "
                "sampling and is carried as an assumption")
+NO_TRANSFER = "no evidence that the geometric invariants vanish"
+
+# Upper limits on the options: the prime sieve allocates one byte per
+# integer up to bound, and witness_classes(ell) costs O(ell^2) per sampled ell.
+MAX_BOUND = 10**6
+MAX_ELL = 100
 
 
 class InputError(ValueError):
@@ -160,12 +163,12 @@ def parse_pair_spec(data: dict) -> CurvePairSpec:
 
 
 def check_options(spec: CurvePairSpec) -> None:
-    """Raise InputError unless bound >= 10, ell_max >= 2 and every entry of
-    odd_primes is an odd prime."""
-    if not (isinstance(spec.bound, int) and spec.bound >= 10):
-        raise InputError("bound must be an integer >= 10")
-    if not (isinstance(spec.ell_max, int) and spec.ell_max >= 2):
-        raise InputError("ell_max must be an integer >= 2")
+    """Raise InputError unless 10 <= bound <= MAX_BOUND,
+    2 <= ell_max <= MAX_ELL and every entry of odd_primes is an odd prime."""
+    if not (isinstance(spec.bound, int) and 10 <= spec.bound <= MAX_BOUND):
+        raise InputError(f"bound must be an integer in [10, {MAX_BOUND}]")
+    if not (isinstance(spec.ell_max, int) and 2 <= spec.ell_max <= MAX_ELL):
+        raise InputError(f"ell_max must be an integer in [2, {MAX_ELL}]")
     for ell in spec.odd_primes:
         if not (isinstance(ell, int) and ell >= 3 and is_prime(ell)):
             raise InputError("odd_primes must be odd primes")
@@ -294,20 +297,6 @@ class BrauerReport:
         }
 
 
-def _hom_vanishing_witness(e: CurveLW, e2: CurveLW, ell: int, bound: int) -> int | None:
-    """Smallest good p (for both curves, p != ell) with a_p(E) != a_p(E')
-    mod ell: together with an irreducible mod-ell module on one side this
-    rules out a nonzero Galois homomorphism between the ell-torsion modules."""
-    for p in good_primes(e, bound):
-        if p == ell:
-            continue
-        if not is_good_prime(e2, p):
-            continue
-        if (ap(e, p) - ap(e2, p)) % ell != 0:
-            return p
-    return None
-
-
 def analyze(spec: CurvePairSpec) -> BrauerReport:
     """Run the full pipeline on a pair of curves.
 
@@ -368,7 +357,7 @@ def analyze(spec: CurvePairSpec) -> BrauerReport:
     undecidable: set[int] = set()
     odd_ells = [p for p in primes_up_to(ell_max) if p % 2]
 
-    cert = j_valuation_certificate(e, None if same else e2)
+    cert = j_valuation_certificate(e, e2)
     if isinstance(cert, CertificateFailure) and not same:
         cert = j_valuation_certificate(e2, e)
     if isinstance(cert, OddCertificate):
@@ -398,7 +387,6 @@ def analyze(spec: CurvePairSpec) -> BrauerReport:
             else:
                 caveats.append(f"six-torsion route failed: {c.reason}")
 
-    sampling_hom_vanishing: dict[int, str] = {}
     if not odd_all and (same or rank.r == 0):
         remaining = [ell for ell in odd_ells if ell not in covered]
         s_witnesses = []
@@ -418,9 +406,8 @@ def analyze(spec: CurvePairSpec) -> BrauerReport:
                 s_covered.append(ell)
                 s_witnesses.append((f"ell = {ell}",
                                     "full mod-ell image forces scalar invariants"))
-                sampling_hom_vanishing[ell] = "full image, scalar centralizer"
             else:
-                w = _hom_vanishing_witness(e, e2, ell, bound)
+                w = congruence_evidence(e, e2, ell, bound)
                 if w is None:
                     s_caveats.append(f"ell = {ell}: traces congruent for all "
                                      f"p <= {bound}; modules may be isomorphic")
@@ -428,7 +415,6 @@ def analyze(spec: CurvePairSpec) -> BrauerReport:
                     s_covered.append(ell)
                     s_witnesses.append((f"ell = {ell}",
                                         f"full image on E and a_{w} differs mod {ell}"))
-                    sampling_hom_vanishing[ell] = f"trace mismatch at p = {w}"
         if s_covered or s_caveats:
             s_caveats.append(f"primes above {ell_max} unverified (sampling bound)")
             certificates.append(OddCertificate(
@@ -460,7 +446,7 @@ def analyze(spec: CurvePairSpec) -> BrauerReport:
                         "detail": v2.witnesses[0][1],
                     })
             elif rank.r == 0 and v2b.verdict == "surjective":
-                w = _hom_vanishing_witness(e, e2, 2, bound)
+                w = congruence_evidence(e, e2, 2, bound)
                 if w is not None:
                     two_resolved_zero = True
                     dim2 = 0
@@ -470,8 +456,6 @@ def analyze(spec: CurvePairSpec) -> BrauerReport:
                         "detail": "irreducible mod-2 module on one side and "
                                   f"a_{w} parity mismatch",
                     })
-            if two_resolved_zero:
-                sampling_hom_vanishing[2] = "mod-2 evidence"
 
     # requested congruence evidence
     evidence = []
@@ -509,15 +493,11 @@ def analyze(spec: CurvePairSpec) -> BrauerReport:
     else:
         conclusion = "odd-part-open"
 
-    flag, flag_detail = _twisted_flag(
-        pair_cert is not None, rank, same, sampling_hom_vanishing, odd_ells,
-        undecidable, ell_max)
-
     # deduplicate caveats, preserving first-seen order
     seen = set()
     caveats = [c for c in caveats if not (c in seen or seen.add(c))]
 
-    return BrauerReport(
+    report = BrauerReport(
         input_echo=spec.echo(),
         labels=[first.label, second.label],
         surface=surface,
@@ -531,53 +511,37 @@ def analyze(spec: CurvePairSpec) -> BrauerReport:
         certificates=certificates,
         witnesses=witnesses,
         evidence=evidence,
-        twisted=flag,
-        twisted_detail=flag_detail,
+        twisted=False,
+        twisted_detail=NO_TRANSFER,
         conclusion=conclusion,
         caveats=caveats,
     )
+    # the flag is read back from the report, by the rule validate_report uses
+    detail = _twisted_transfer(report.to_dict())
+    if detail is not None:
+        report.twisted, report.twisted_detail = True, detail
+    return report
 
 
-def _twisted_flag(
-    has_pair_cert: bool, rank: RankVerdict, same: bool,
-    hom_vanishing: dict[int, str], odd_ells: list[int],
-    undecidable: set[int], ell_max: int,
-) -> tuple[bool, str]:
-    """The conclusion transfers to every twisted Kummer surface of the pair
-    exactly when the evidence implies all geometric Brauer invariants vanish.
+def _twisted_transfer(data: dict) -> str | None:
+    """The twisted-surface rule on a rendered report: the detail text of the
+    branch that holds, or None when neither does.
 
-    That holds for the six-torsion CM pair certificate, and for non-isogenous
-    pairs with per-ell module-vanishing evidence at 2 and every sampled odd
-    ell.  Same-curve routes never qualify: the invariant 2-part survives.
-    """
-    if has_pair_cert:
-        return True, ("six-torsion CM pair certificate: conclusions transfer "
-                      "to all twists (conditional on the sampled-ell caveats)")
-    if same or rank.r != 0:
-        return False, "no evidence that the geometric invariants vanish"
-    need = [2] + [l for l in odd_ells if l not in undecidable]
-    if all(l in hom_vanishing for l in need):
-        return True, ("non-isogenous pair with module-vanishing evidence at "
-                      f"2 and every decidable odd ell <= {ell_max}; transfers "
-                      "to all twists (conditional on the sampled-ell caveats)")
-    return False, "no evidence that the geometric invariants vanish"
-
-
-def twisted_flag(data: dict) -> bool:
-    """Recompute the twisted-surface transfer flag from a rendered report.
-
-    True exactly when the report's own certificates imply that all geometric
+    The conclusion transfers to every twisted Kummer surface of the pair
+    exactly when the report's own certificates imply that all geometric
     Brauer invariants vanish at the sampled primes: either a six-torsion CM
     pair certificate, or a certified non-isogenous pair with module-vanishing
-    evidence at 2 and at every decidable sampled odd prime.
+    evidence at 2 and at every decidable sampled odd prime.  Same-curve
+    routes never qualify: the invariant 2-part survives.
     """
     certs = data.get("certificates", [])
     if any(c["kind"] == "six-torsion-cm-pair" for c in certs):
-        return True
+        return ("six-torsion CM pair certificate: conclusions transfer "
+                "to all twists (conditional on the sampled-ell caveats)")
     if data.get("gate", {}).get("case") != "not-isogenous":
-        return False
+        return None
     if not any(w["role"] == "two-torsion (pair)" for w in data.get("witnesses", [])):
-        return False
+        return None
     sampled = set()
     for c in certs:
         if c["kind"] == "mod-ell-sampling" and isinstance(c["primes_covered"], list):
@@ -585,7 +549,17 @@ def twisted_flag(data: dict) -> bool:
     ell_max = data.get("input", {}).get("ell_max", 37)
     odd_ells = [p for p in primes_up_to(ell_max) if p % 2]
     undecidable = {3} if ELL3_CAVEAT in data.get("caveats", []) else set()
-    return all(l in sampled or l in undecidable for l in odd_ells)
+    if all(l in sampled or l in undecidable for l in odd_ells):
+        return ("non-isogenous pair with module-vanishing evidence at "
+                f"2 and every decidable odd ell <= {ell_max}; transfers "
+                "to all twists (conditional on the sampled-ell caveats)")
+    return None
+
+
+def twisted_flag(data: dict) -> bool:
+    """Whether the twisted-surface rule holds for a rendered report; analyze
+    sets the report's flag by the same rule."""
+    return _twisted_transfer(data) is not None
 
 
 def render_report(report: BrauerReport, fmt: str = "json") -> str:

@@ -192,40 +192,3 @@ def two_torsion_dimension(
         raise DimensionContradictionError(
             f"d = {d} < r = {r} with a passing gate; r or the matrix is wrong")
     return Brauer2Result(d, r, d - r, gate, kernel_basis)
-
-
-def _root_factor(var: str, root: int) -> str:
-    if root == 0:
-        return var
-    if root > 0:
-        return f"({var}-{root})"
-    return f"({var}+{-root})"
-
-
-def surface_equation(a: int, b: int, a2: int, b2: int) -> str:
-    """The affine equation z^2 = x(x-a)(x-b) y(y-a')(y-b') as text."""
-    fx = "".join(_root_factor("x", r) for r in (0, a, b))
-    gy = "".join(_root_factor("y", r) for r in (0, a2, b2))
-    return f"z^2 = {fx}{gy}"
-
-
-def parse_surface_roots(text: str) -> tuple[list[int], list[int]]:
-    """Recover the two root multisets from a surface_equation string."""
-    rhs = text.split("=", 1)[1].strip()
-    roots: dict[str, list[int]] = {"x": [], "y": []}
-    i = 0
-    while i < len(rhs):
-        ch = rhs[i]
-        if ch in "xy":
-            roots[ch].append(0)
-            i += 1
-        elif ch == "(":
-            j = rhs.index(")", i)
-            inner = rhs[i + 1 : j]
-            var = inner[0]
-            rest = inner[1:]
-            roots[var].append(-int(rest) if rest else 0)
-            i = j + 1
-        else:
-            i += 1
-    return sorted(roots["x"]), sorted(roots["y"])

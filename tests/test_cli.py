@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,24 @@ def test_user_input_errors_exit_2(tmp_path, capsys):
                                 "second": {"rt2": {"a": 1, "b": 2}}}), encoding="utf-8")
     code, _, err = run(capsys, "analyze", "--pair", str(spec), "--bound-B", "3")
     assert code == 2 and "input error" in err
+
+
+def test_option_upper_limits_exit_2_at_once(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"first": {"rt2": {"a": 5, "b": 7}},
+                                "second": {"rt2": {"a": 1, "b": 2}}}), encoding="utf-8")
+    pair = ["--first", "rt2:5,7", "--second", "rt2:1,2"]
+    for argv in (
+        ["analyze", *pair, "--bound-B", str(10**10)],
+        ["analyze", *pair, "--ell-max", "997"],
+        ["analyze", "--pair", str(spec), "--bound-B", str(report.MAX_BOUND + 1)],
+        ["analyze", "--pair", str(spec), "--ell-max", str(report.MAX_ELL + 1)],
+        ["frobenius", "--curve", "rt2:5,7", "--bound-B", str(10**10)],
+    ):
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "input error" in err, argv
+        assert time.perf_counter() - t0 < 1, argv
 
 
 def test_internal_value_error_is_not_an_input_error(monkeypatch, capsys):

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from kummer_brauer import curves
@@ -100,6 +101,59 @@ def test_same_curve_detects_translates():
     # (1,-3) has roots {-3, 0, 1}; translated canonical form is (3, 4)
     assert same_curve(CurveRT2(1, -3).to_lw(), CurveRT2(3, 4).to_lw())
     assert not same_curve(E_37, E_43)
+
+
+def change_model(e, u, r=0, s=0, t=0):
+    """The model of e in the coordinates x = u^2 x' + r, y = u^3 y' + s u^2 x' + t
+    (Silverman, The Arithmetic of Elliptic Curves, Table III.1.2)."""
+    a1, a2, a3, a4, a6 = e.key()
+    u = Fraction(u)
+    return CurveLW(
+        (a1 + 2 * s) / u,
+        (a2 - s * a1 + 3 * r - s * s) / u**2,
+        (a3 + r * a1 + 2 * t) / u**3,
+        (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u**4,
+        (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / u**6,
+    )
+
+
+E_11 = CurveLW(0, -1, 1, -10, -20)
+MODEL_PANEL = (E_37, E_43, E_28, E_11, CurveRT2(5, 7).to_lw(), E_CM,
+               CurveLW(0, 0, 0, 0, 1), CurveLW(0, 0, 0, "-1/4", 1))
+
+
+def test_same_curve_scaled_and_translated_models():
+    for e in MODEL_PANEL:
+        for u in (2, 3, Fraction(1, 2), -1):
+            scaled = CurveLW(*(u**i * a for i, a in zip((1, 2, 3, 4, 6), e.key())))
+            assert same_curve(e, scaled) and same_curve(scaled, e), (e, u)
+        for u, r, s, t in ((1, 1, 0, 0), (1, -3, 2, 5), (5, Fraction(1, 3), -1, 7)):
+            assert same_curve(e, change_model(e, u, r, s, t)), (e, u, r, s, t)
+
+
+def test_same_curve_rejects_quadratic_twists():
+    for e in (E_37, E_43, E_28, E_11, CurveRT2(5, 7).to_lw()):
+        c4, c6 = e._c4, e._c6
+        short = CurveLW(0, 0, 0, -27 * c4, -54 * c6)
+        assert same_curve(e, short)
+        for d in (-1, 2, 3, -3, 5, 6):
+            twist = CurveLW(0, 0, 0, -27 * c4 * d * d, -54 * c6 * d**3)
+            assert twist.j() == e.j()
+            assert not same_curve(e, twist), (e, d)
+
+
+def test_same_curve_at_j_1728_and_j_0():
+    # quartic and sextic twists share j; only fourth and sixth powers rescale
+    x3_minus_x = CurveLW(0, 0, 0, -1, 0)
+    assert not same_curve(x3_minus_x, CurveLW(0, 0, 0, -4, 0))
+    assert same_curve(x3_minus_x, CurveLW(0, 0, 0, -16, 0))
+    assert not same_curve(x3_minus_x, CurveLW(0, 0, 0, 1, 0))
+    x3_plus_1 = CurveLW(0, 0, 0, 0, 1)
+    assert not same_curve(x3_plus_1, CurveLW(0, 0, 0, 0, 8))
+    assert same_curve(x3_plus_1, CurveLW(0, 0, 0, 0, 64))
+    assert not same_curve(x3_plus_1, CurveLW(0, 0, 0, 0, -1))
+    assert not same_curve(x3_plus_1, CurveLW(0, 0, 0, 0, 4))
+    assert same_curve(x3_plus_1, CurveLW(0, 0, 0, 0, Fraction(1, 729)))
 
 
 def test_random_distinct_pairs_never_misreported():

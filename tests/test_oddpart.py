@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from kummer_brauer.curves import CurveLW, CurveRT2, ap, good_primes
+from kummer_brauer.arith import primes_up_to
+from kummer_brauer.curves import CurveLW, CurveRT2, ap, good_primes, is_good_prime
 from kummer_brauer.oddpart import (
     CertificateFailure,
     OddCertificate,
@@ -222,3 +223,28 @@ def test_congruence_honors_shared_good_primes():
     for p in good_primes(e, 50):
         assert e.is_p_integral(p)
     assert congruence_evidence(e, e2, 2, 50) in (None, *range(3, 50))
+
+
+def test_congruence_evidence_never_returns_ell():
+    # the first trace mismatch of each of these pairs is at p = ell itself,
+    # where the mod-ell representation is ramified: it must be skipped
+    e_53 = CurveLW(1, -1, 1, 0, 0)
+    e_11 = CurveLW(0, -1, 1, -10, -20)
+    cases = 0
+    for e, e2 in ((E_37, E_43), (E_37, e_53), (e_11, E_43), (E_37, E_A1), (E_43, e_53)):
+        for ell in primes_up_to(13):
+            common = [p for p in good_primes(e, 200) if is_good_prime(e2, p)]
+            mismatches = [p for p in common if (ap(e, p) - ap(e2, p)) % ell]
+            cases += bool(mismatches) and mismatches[0] == ell
+            expected = next((p for p in mismatches if p != ell), None)
+            assert congruence_evidence(e, e2, ell, 200) == expected, (e, e2, ell)
+    assert cases >= 5
+
+
+def test_j_valuation_same_curve_variant_for_rescaled_partner():
+    # x(x-20)(x-28) is x(x-5)(x-7) rescaled by u = 2: the same curve, so the
+    # partner's bad reduction at 5 and 7 does not matter
+    e = CurveRT2(5, 7).to_lw()
+    cert = j_valuation_certificate(e, CurveRT2(20, 28).to_lw())
+    assert isinstance(cert, OddCertificate)
+    assert cert == j_valuation_certificate(e, None)

@@ -5,8 +5,12 @@ import pytest
 
 from kummer_brauer.arith import is_prime
 from kummer_brauer.report import (
+    MAX_BOUND,
+    MAX_ELL,
+    NO_TRANSFER,
     InputError,
     analyze,
+    pair_surface_equation,
     parse_curve_record,
     parse_pair_spec,
     render_report,
@@ -30,6 +34,8 @@ CONDUCTOR_37_43 = pair({"weierstrass": [0, 0, 1, -1, 0]},
 SELF_A1 = pair({"weierstrass": [0, 0, 0, 6, -2]}, {"weierstrass": [0, 0, 0, 6, -2]})
 SELF_CM = pair({"weierstrass": [0, 0, 0, -1, 0]}, {"weierstrass": [0, 0, 0, -1, 0]},
                bound=200)
+E_11A1 = {"weierstrass": [0, -1, 1, -10, -20]}
+E_37A1 = {"weierstrass": [0, 0, 1, -1, 0]}
 
 
 def test_parse_errors():
@@ -128,6 +134,66 @@ def test_congruence_evidence_requests():
     assert len(d["evidence"]) == 2
     for ev in d["evidence"]:
         assert ev["result"] in ("pass", "fail")
+
+
+def test_requested_evidence_skips_p_equal_ell():
+    # the first mismatch mod 3 of 37a1 and 43a1 is at p = 3, which is skipped
+    spec = pair({"weierstrass": [0, 0, 1, -1, 0]}, {"weierstrass": [0, 1, 1, 0, 0]},
+                odd_primes=[3], bound=100)
+    (ev,) = analyze(spec).to_dict()["evidence"]
+    assert ev["result"] == "fail" and ev["first_failing_prime"] == 5
+
+
+def test_twisted_flag_is_the_validator_rule_at_every_ell_max():
+    raws = ((E_11A1, E_37A1),
+            ({"weierstrass": [0, 0, 0, 6, -2]},
+             {"weierstrass": [0, 0, 0, 0, 1], "six_torsion": [2, 3]}),
+            ({"weierstrass": [0, 0, 1, -1, 0]}, {"weierstrass": [0, 1, 1, 0, 0]}),
+            ({"weierstrass": [0, 0, 0, -7, -6]}, {"weierstrass": [0, 0, 0, -7, -6]}))
+    for first, second in raws:
+        for ell_max in (2, 3, 4, 5, 37):
+            d = analyze(pair(first, second, ell_max=ell_max)).to_dict()
+            assert validate_report(d) == [], (first, second, ell_max)
+            assert d["twisted"]["flag"] is twisted_flag(d), (first, second, ell_max)
+
+
+def test_no_twist_transfer_without_odd_coverage():
+    # at ell_max = 3 the only odd ell is undecidable, so nothing covers the
+    # odd part and the conclusion stays open: no transfer to twists
+    d = analyze(pair(E_11A1, E_37A1, ell_max=3)).to_dict()
+    assert d["conclusion"] == "odd-part-open"
+    assert d["twisted"] == {"flag": False, "detail": NO_TRANSFER}
+    assert validate_report(d) == []
+
+
+def test_rescaled_model_pair_is_the_self_pair():
+    # [0,0,0,-112,-384] is [0,0,0,-7,-6] with a_i -> 2^i a_i
+    rescaled = pair({"weierstrass": [0, 0, 0, -7, -6]},
+                    {"weierstrass": [0, 0, 0, -112, -384]})
+    assert _summary(rescaled) == _summary(SELF_29)
+    assert _summary(rescaled)[:4] == ("trivial", 1, 1, 0)
+
+
+def test_option_upper_limits():
+    rt2 = {"rt2": {"a": 5, "b": 7}}
+    pair(rt2, rt2, bound=MAX_BOUND, ell_max=MAX_ELL)
+    with pytest.raises(InputError, match="bound"):
+        pair(rt2, rt2, bound=MAX_BOUND + 1)
+    with pytest.raises(InputError, match="ell_max"):
+        pair(rt2, rt2, ell_max=MAX_ELL + 1)
+
+
+def rt2_input(a, b):
+    return parse_curve_record({"rt2": {"a": a, "b": b}})
+
+
+def test_pair_surface_equation():
+    assert (pair_surface_equation(rt2_input(5, 7), rt2_input(1, 2))
+            == "z^2 = x(x-5)(x-7)y(y-1)(y-2)")
+    assert (pair_surface_equation(rt2_input(1, -3), rt2_input(2, 4))
+            == "z^2 = x(x-1)(x+3)y(y-2)(y-4)")
+    assert (pair_surface_equation(rt2_input(3, 4), rt2_input(-2, 7))
+            == "z^2 = x(x-3)(x-4)y(y+2)(y-7)")
 
 
 def test_empty_report_never_flags_twists():

@@ -11,10 +11,8 @@ from kummer_brauer.residues import (
     Gate,
     extend_residue_matrix,
     kernel_dimension,
-    parse_surface_roots,
     residue_matrix,
     subset_residue_product,
-    surface_equation,
     two_torsion_dimension,
 )
 
@@ -169,23 +167,6 @@ def test_two_torsion_dimension():
     assert r.dim2 is None
     with pytest.raises(DimensionContradictionError):
         two_torsion_dimension(0, 1, GATE_NONISO)
-
-
-def test_surface_equation():
-    assert surface_equation(5, 7, 1, 2) == "z^2 = x(x-5)(x-7)y(y-1)(y-2)"
-    eq = surface_equation(1, -3, 2, 4)
-    assert eq == "z^2 = x(x-1)(x+3)y(y-2)(y-4)"
-    xr, yr = parse_surface_roots(surface_equation(3, 4, -2, 7))
-    assert xr == [0, 3, 4] and yr == [-2, 0, 7]
-
-
-def test_surface_equation_roundtrip_random():
-    rng = random.Random(127)
-    for _ in range(100):
-        a, b, a2, b2 = rand_pair(rng)
-        xr, yr = parse_surface_roots(surface_equation(a, b, a2, b2))
-        assert xr == sorted([0, a, b])
-        assert yr == sorted([0, a2, b2])
 
 
 # -- coprime-base kernel against the factor-based encoding --------------------
