@@ -56,7 +56,6 @@ from .report import (
     validate_report,
 )
 from .residues import (
-    Brauer2Result,
     Gate,
     ResidueMatrix,
     extend_residue_matrix,

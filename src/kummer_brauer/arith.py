@@ -16,6 +16,10 @@ from fractions import Fraction
 Rational = Fraction
 
 TRIAL_DIVISION_BOUND = 10**6
+# Pollard-rho steps one factor() call may take in total: about 1 s at 37
+# digits (3 us a step).  It splits off prime factors up to about 10^11: in a
+# sample of ten products of two primes each, all split at 11 digits, 7 at 12.
+RHO_STEP_BUDGET = 300_000
 
 _SMALL_PRIMES: list[int] = []
 _SIEVED_TO = 0
@@ -70,21 +74,30 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of an odd composite n (deterministic restarts)."""
+class FactorBudgetError(ValueError):
+    """factor() ran out of its RHO_STEP_BUDGET Pollard-rho steps."""
+
+
+def _pollard_rho(n: int, steps: int) -> tuple[int, int]:
+    """A nontrivial factor of an odd composite n (deterministic restarts) and
+    what is left of the given step budget; FactorBudgetError when none is."""
     if n % 2 == 0:
-        return 2
+        return 2, steps
     c = 1
     while True:
         x = y = 2
         d = 1
         while d == 1:
+            if steps == 0:
+                raise FactorBudgetError(
+                    f"no factor of {n} within {RHO_STEP_BUDGET} Pollard-rho steps")
+            steps -= 1
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
             d = math.gcd(abs(x - y), n)
         if d != n:
-            return d
+            return d, steps
         c += 1
 
 
@@ -104,7 +117,9 @@ class Factorization:
 
 def factor(n: int) -> Factorization:
     """Factor a nonzero integer: trial division to 10^6, then Pollard rho
-    with a deterministic primality check on the cofactors."""
+    with a deterministic primality check on the cofactors.  Raises
+    FactorBudgetError when the cofactors take more than RHO_STEP_BUDGET
+    rho steps."""
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = 1 if n > 0 else -1
@@ -124,6 +139,7 @@ def factor(n: int) -> Factorization:
         p += wheel[i]
         i = (i + 1) % 8
     stack = [n] if n > 1 else []
+    steps = RHO_STEP_BUDGET
     while stack:
         m = stack.pop()
         if m == 1:
@@ -131,7 +147,7 @@ def factor(n: int) -> Factorization:
         if is_prime(m):
             powers[m] = powers.get(m, 0) + 1
             continue
-        d = _pollard_rho(m)
+        d, steps = _pollard_rho(m, steps)
         stack.append(d)
         stack.append(m // d)
     return Factorization(sign, tuple(sorted(powers.items())))
@@ -176,9 +192,6 @@ class SquareClass:
         for p in self.support:
             n *= p
         return n
-
-    def __mul__(self, other: "SquareClass") -> "SquareClass":
-        return sc_mul(self, other)
 
 
 def square_class(x: int | Rational) -> SquareClass:
@@ -277,12 +290,9 @@ class BitMatrix:
             raise IndexError("bit index out of range")
         return (self.rows[i] >> j) & 1
 
-    def rank(self) -> int:
-        return len(_eliminate(self.rows, self.cols)[0])
 
-
-def _eliminate(rows: list[int], cols: int) -> tuple[list[int], dict[int, int]]:
-    """Row-reduce; returns the nonzero reduced rows and {pivot column: row mask}."""
+def _eliminate(rows: list[int], cols: int) -> dict[int, int]:
+    """Row-reduce; returns {pivot column: reduced row mask}."""
     work = [r for r in rows if r]
     pivots: dict[int, int] = {}
     for col in range(cols):
@@ -299,7 +309,7 @@ def _eliminate(rows: list[int], cols: int) -> tuple[list[int], dict[int, int]]:
         pivots = {c: (r ^ prow if r & mask else r) for c, r in pivots.items()}
         pivots[col] = prow
         work = [r for r in work if r]
-    return list(pivots.values()), pivots
+    return pivots
 
 
 def f2_nullspace(matrix: BitMatrix) -> list[int]:
@@ -307,7 +317,7 @@ def f2_nullspace(matrix: BitMatrix) -> list[int]:
 
     The count always equals cols - rank.
     """
-    _, pivots = _eliminate(matrix.rows, matrix.cols)
+    pivots = _eliminate(matrix.rows, matrix.cols)
     pivot_cols = set(pivots)
     free_cols = [c for c in range(matrix.cols) if c not in pivot_cols]
     basis = []

@@ -13,6 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
+from .arith import FactorBudgetError
 from .curves import CurveLW, CurveRT2, frobenius_table
 from .gl2 import validate_surjectivity_criterion
 from .report import (
@@ -134,22 +135,29 @@ def _cmd_matrix(args) -> int:
         raise InputError(str(e)) from e
     ext = extend_residue_matrix(m)
     d, basis = kernel_dimension(m)
+    try:
+        ext_rows = ext.representative_rows()
+    except FactorBudgetError as e:
+        raise InputError("coefficients too large to display square classes; "
+                         "analyze does not need them") from e
+    # the extension appends its five columns to the four of m
+    rows = [row[:m.ncols] for row in ext_rows]
     if args.format == "text":
         sys.stdout.write(f"residue matrix for (a, b, a', b') = ({a}, {b}, {a2}, {b2})\n")
         sys.stdout.write("columns: " + ", ".join(m.columns) + "\n")
-        for label, row in zip(ALGEBRA_LABELS, m.representative_rows()):
+        for label, row in zip(ALGEBRA_LABELS, rows):
             sys.stdout.write(f"  {label:9s} " + " ".join(f"{v:6d}" for v in row) + "\n")
         sys.stdout.write("nine-line extension columns: " + ", ".join(ext.columns) + "\n")
-        for label, row in zip(ALGEBRA_LABELS, ext.representative_rows()):
+        for label, row in zip(ALGEBRA_LABELS, ext_rows):
             sys.stdout.write(f"  {label:9s} " + " ".join(f"{v:6d}" for v in row) + "\n")
         sys.stdout.write(f"d = {d}; kernel basis: {basis}\n")
     else:
         sys.stdout.write(json.dumps({
             "pair": [a, b, a2, b2],
             "columns": list(m.columns),
-            "rows": m.representative_rows(),
+            "rows": rows,
             "extended_columns": list(ext.columns),
-            "extended_rows": ext.representative_rows(),
+            "extended_rows": ext_rows,
             "d": d,
             "kernel_basis": [list(s) for s in basis],
         }, sort_keys=True, indent=2) + "\n")

@@ -321,9 +321,6 @@ class FrobeniusTable:
     bound: int
     entries: tuple[tuple[int, int], ...]
 
-    def get(self, p: int) -> int | None:
-        return dict(self.entries).get(p)
-
 
 def frobenius_table(curve: CurveLW, bound: int) -> FrobeniusTable:
     entries = []

@@ -18,7 +18,7 @@ from .curves import (
     on_curve,
     to_rt2,
 )
-from .homrank import rank_r, same_curve
+from .homrank import rank_r
 from .oddpart import (
     CertificateFailure,
     OddCertificate,
@@ -255,10 +255,11 @@ class BrauerReport:
     certificates: list[OddCertificate]
     witnesses: list[dict]
     evidence: list[dict]
-    twisted: bool
-    twisted_detail: str
-    conclusion: str
     caveats: list[str]
+    # analyze reads these back from the rendered report
+    conclusion: str = "inconclusive"
+    twisted: bool = False
+    twisted_detail: str = NO_TRANSFER
 
     def to_dict(self) -> dict:
         return {
@@ -303,159 +304,70 @@ def analyze(spec: CurvePairSpec) -> BrauerReport:
     Two-torsion: when both curves have fully rational 2-torsion the residue
     matrix gives d and the dimension formula d - r; otherwise the 2-part is
     handled through mod-2 Galois module evidence and flagged.  Odd torsion:
-    certificate strategies are tried in order j-valuation, CM isogeny
-    exclusion, six-torsion CM pair, then per-ell sampling.
+    the strategies run in order j-valuation, CM isogeny exclusion,
+    six-torsion CM pair, per-ell sampling.  The conclusion, the coverage
+    caveats and the twisted flag are read back from the rendered report by
+    the rules validate_report checks.
     """
     first, second = spec.first, spec.second
     e, e2 = first.lw, second.lw
     bound, ell_max = spec.bound, spec.ell_max
-    same = same_curve(e, e2)
     rank = rank_r(e, e2, bound)
     gate = rank.gate
+    same = rank.evidence.kind == "same-curve"
 
-    surface = pair_surface_equation(first, second)
     witnesses: list[dict] = []
     caveats: list[str] = [MODEL_CAVEAT]
     if rank.evidence.witness is not None:
-        witnesses.append({
-            "role": f"non-isogeny ({rank.evidence.kind})",
-            "prime": rank.evidence.witness,
-            "detail": rank.evidence.detail,
-        })
+        witnesses.append({"role": f"non-isogeny ({rank.evidence.kind})",
+                          "prime": rank.evidence.witness,
+                          "detail": rank.evidence.detail})
     if rank.confidence == "heuristic":
         caveats.append("r rests on the rational CM j-invariant list (heuristic)")
 
     # two-torsion part
     rt1, rt2_ = to_rt2(e), to_rt2(e2)
-    d = None
-    kernel_basis: list[list[str]] = []
-    dim2: int | None = None
-    two_resolved_zero = False
-    if isinstance(rt1, CurveRT2) and isinstance(rt2_, CurveRT2):
-        route = "residue-matrix"
-        m = residue_matrix(rt1.a, rt1.b, rt2_.a, rt2_.b)
-        d, basis = kernel_dimension(m)
+    residue_route = isinstance(rt1, CurveRT2) and isinstance(rt2_, CurveRT2)
+    d, kernel_basis, dim2 = None, [], None
+    if residue_route:
+        d, basis = kernel_dimension(residue_matrix(rt1.a, rt1.b, rt2_.a, rt2_.b))
         kernel_basis = [list(b) for b in basis]
-        result = two_torsion_dimension(d, rank.r, gate, tuple(basis))
-        dim2 = result.dim2
-        two_resolved_zero = dim2 == 0
-        if dim2 is not None and dim2 > 0:
-            witnesses.append({
-                "role": "two-torsion kernel",
-                "prime": None,
-                "detail": f"d = {d} residue-free combinations: {kernel_basis}",
-            })
+        dim2 = two_torsion_dimension(d, rank.r, gate)
+        if dim2:
+            witnesses.append({"role": "two-torsion kernel", "prime": None,
+                              "detail": f"d = {d} residue-free combinations: {kernel_basis}"})
     else:
-        route = "galois-module-evidence"
         caveats.append("a curve lacks fully rational 2-torsion; the 2-part is "
                        "handled through mod-2 Galois module evidence, not residues")
 
     # odd part
-    certificates: list[OddCertificate] = []
-    odd_all = False
-    covered: set[int] = set()
-    undecidable: set[int] = set()
-    odd_ells = [p for p in primes_up_to(ell_max) if p % 2]
-
     cert = j_valuation_certificate(e, e2)
     if isinstance(cert, CertificateFailure) and not same:
         cert = j_valuation_certificate(e2, e)
-    if isinstance(cert, OddCertificate):
-        certificates.append(cert)
-        odd_all = True
-
-    if not odd_all and same and rank.r == 2:
-        c = cm_isogeny_exclusion_certificate(e, odd_ells, max(bound, 200))
-        certificates.append(c)
-        covered.update(c.primes_covered)
-
-    pair_cert = None
-    if not odd_all and not same:
-        partner_input = None
-        big = None
-        if second.six_torsion is not None:
-            partner_input, big = second, e
-        elif first.six_torsion is not None:
-            partner_input, big = first, e2
-        if partner_input is not None:
-            c = six_torsion_cm_certificate(
-                big, partner_input.lw, partner_input.six_torsion, ell_max, bound)
-            if isinstance(c, OddCertificate):
-                certificates.append(c)
-                pair_cert = c
-                odd_all = True
-            else:
-                caveats.append(f"six-torsion route failed: {c.reason}")
-
-    if not odd_all and (same or rank.r == 0):
-        remaining = [ell for ell in odd_ells if ell not in covered]
-        s_witnesses = []
-        s_caveats = []
-        s_covered = []
-        for ell in remaining:
-            verdict = mod_ell_surjectivity(e, ell, bound)
-            if verdict.verdict != "surjective":
-                if ell == 3 and any(k == "unsatisfiable" for k, _ in verdict.witnesses):
-                    undecidable.add(3)
-                    s_caveats.append(ELL3_CAVEAT)
-                else:
-                    s_caveats.append(f"ell = {ell}: surjectivity not established "
-                                     f"up to {bound}")
-                continue
-            if same:
-                s_covered.append(ell)
-                s_witnesses.append((f"ell = {ell}",
-                                    "full mod-ell image forces scalar invariants"))
-            else:
-                w = congruence_evidence(e, e2, ell, bound)
-                if w is None:
-                    s_caveats.append(f"ell = {ell}: traces congruent for all "
-                                     f"p <= {bound}; modules may be isomorphic")
-                else:
-                    s_covered.append(ell)
-                    s_witnesses.append((f"ell = {ell}",
-                                        f"full image on E and a_{w} differs mod {ell}"))
-        if s_covered or s_caveats:
-            s_caveats.append(f"primes above {ell_max} unverified (sampling bound)")
-            certificates.append(OddCertificate(
-                "mod-ell-sampling", tuple(s_covered), tuple(s_witnesses),
-                tuple(s_caveats),
-                detail=f"per-ell sampling up to B = {bound}, ell <= {ell_max}"))
-            covered.update(s_covered)
+    if isinstance(cert, CertificateFailure) and not same:
+        partner, big = (second, e) if second.six_torsion is not None else (first, e2)
+        if partner.six_torsion is not None:
+            cert = six_torsion_cm_certificate(
+                big, partner.lw, partner.six_torsion, ell_max, bound)
+            if isinstance(cert, CertificateFailure):
+                caveats.append(f"six-torsion route failed: {cert.reason}")
+    certificates = [cert] if isinstance(cert, OddCertificate) else []
+    if not certificates:
+        odd_ells = _odd_ells(ell_max)
+        if same and rank.r == 2:
+            cert = cm_isogeny_exclusion_certificate(e, odd_ells, max(bound, 200))
+            certificates.append(cert)
+            odd_ells = [ell for ell in odd_ells if ell not in cert.primes_covered]
+        if odd_ells and (same or rank.r == 0):
+            certificates.append(
+                _sampling_certificate(e, e2, same, odd_ells, ell_max, bound))
 
     # two-torsion part via mod-2 evidence when residues are unavailable
-    if route == "galois-module-evidence":
-        if pair_cert is not None and gate.passes:
-            two_resolved_zero = True
+    if not residue_route and gate.passes:
+        two = _mod2_witness(e, e2, same, certificates, bound)
+        if two is not None:
             dim2 = 0
-            witnesses.append({
-                "role": "two-torsion via pair certificate",
-                "prime": None,
-                "detail": "the six-torsion CM pair certificate covers 2 as well",
-            })
-        elif gate.passes:
-            v2 = mod_ell_surjectivity(e, 2, bound)
-            v2b = v2 if v2.verdict == "surjective" else mod_ell_surjectivity(e2, 2, bound)
-            if same:
-                if v2.verdict == "surjective":
-                    two_resolved_zero = True
-                    dim2 = 0
-                    witnesses.append({
-                        "role": "two-torsion (same curve)",
-                        "prime": None,
-                        "detail": v2.witnesses[0][1],
-                    })
-            elif rank.r == 0 and v2b.verdict == "surjective":
-                w = congruence_evidence(e, e2, 2, bound)
-                if w is not None:
-                    two_resolved_zero = True
-                    dim2 = 0
-                    witnesses.append({
-                        "role": "two-torsion (pair)",
-                        "prime": w,
-                        "detail": "irreducible mod-2 module on one side and "
-                                  f"a_{w} parity mismatch",
-                    })
+            witnesses.append(two)
 
     # requested congruence evidence
     evidence = []
@@ -472,36 +384,12 @@ def analyze(spec: CurvePairSpec) -> BrauerReport:
                        f"a_{fail} differs mod {ell}"),
         })
 
-    odd_sampled_ok = (
-        not odd_all
-        and all(ell in covered or ell in undecidable for ell in odd_ells)
-        and bool(covered)
-    )
-    if odd_all or odd_sampled_ok:
-        if not odd_all:
-            caveats.append(f"odd coverage sampled for ell <= {ell_max} only")
-        if 3 in undecidable:
-            caveats.append(ELL3_CAVEAT)
-
-    # conclusion
-    if not gate.passes or not (two_resolved_zero or (dim2 is not None and dim2 > 0)):
-        conclusion = "inconclusive"
-    elif dim2 is not None and dim2 > 0:
-        conclusion = "two-part-nontrivial"
-    elif odd_all or odd_sampled_ok:
-        conclusion = "trivial"
-    else:
-        conclusion = "odd-part-open"
-
-    # deduplicate caveats, preserving first-seen order
-    seen = set()
-    caveats = [c for c in caveats if not (c in seen or seen.add(c))]
-
     report = BrauerReport(
         input_echo=spec.echo(),
         labels=[first.label, second.label],
-        surface=surface,
-        route=route if (route == "residue-matrix" or two_resolved_zero) else "unresolved",
+        surface=pair_surface_equation(first, second),
+        route=("residue-matrix" if residue_route else
+               "galois-module-evidence" if dim2 == 0 else "unresolved"),
         d=d,
         kernel_basis=kernel_basis,
         r=rank.r,
@@ -511,16 +399,122 @@ def analyze(spec: CurvePairSpec) -> BrauerReport:
         certificates=certificates,
         witnesses=witnesses,
         evidence=evidence,
-        twisted=False,
-        twisted_detail=NO_TRANSFER,
-        conclusion=conclusion,
         caveats=caveats,
     )
-    # the flag is read back from the report, by the rule validate_report uses
-    detail = _twisted_transfer(report.to_dict())
+    # the rest is read back from the report by the rules validate_report uses
+    data = report.to_dict()
+    report.conclusion = _conclusion(data)
+    report.caveats += _coverage_caveats(data)
+    detail = _twisted_transfer(data)
     if detail is not None:
         report.twisted, report.twisted_detail = True, detail
     return report
+
+
+def _sampling_certificate(
+    e: CurveLW, e2: CurveLW, same: bool, ells: list[int], ell_max: int, bound: int
+) -> OddCertificate:
+    """Per-ell sampling over the odd ell no other certificate covers.  A full
+    mod-ell image on E covers ell for E paired with itself, and for a pair
+    together with a trace mismatch mod ell."""
+    covered, witnesses, caveats = [], [], []
+    for ell in ells:
+        verdict = mod_ell_surjectivity(e, ell, bound)
+        if verdict.verdict != "surjective":
+            if ell == 3 and any(k == "unsatisfiable" for k, _ in verdict.witnesses):
+                caveats.append(ELL3_CAVEAT)
+            else:
+                caveats.append(f"ell = {ell}: surjectivity not established "
+                               f"up to {bound}")
+            continue
+        if same:
+            covered.append(ell)
+            witnesses.append((f"ell = {ell}",
+                              "full mod-ell image forces scalar invariants"))
+            continue
+        w = congruence_evidence(e, e2, ell, bound)
+        if w is None:
+            caveats.append(f"ell = {ell}: traces congruent for all "
+                           f"p <= {bound}; modules may be isomorphic")
+        else:
+            covered.append(ell)
+            witnesses.append((f"ell = {ell}",
+                              f"full image on E and a_{w} differs mod {ell}"))
+    caveats.append(f"primes above {ell_max} unverified (sampling bound)")
+    return OddCertificate(
+        "mod-ell-sampling", tuple(covered), tuple(witnesses), tuple(caveats),
+        detail=f"per-ell sampling up to B = {bound}, ell <= {ell_max}")
+
+
+def _mod2_witness(
+    e: CurveLW, e2: CurveLW, same: bool, certificates: list[OddCertificate], bound: int
+) -> dict | None:
+    """The witness that dim2 = 0 from mod-2 Galois module evidence, for a
+    passing gate without residues; None when there is none.  Two curves that
+    are not the same pass the gate only with r = 0."""
+    if any(c.kind == "six-torsion-cm-pair" for c in certificates):
+        return {"role": "two-torsion via pair certificate", "prime": None,
+                "detail": "the six-torsion CM pair certificate covers 2 as well"}
+    if same:
+        v2 = mod_ell_surjectivity(e, 2, bound)
+        if v2.verdict == "surjective":
+            return {"role": "two-torsion (same curve)", "prime": None,
+                    "detail": v2.witnesses[0][1]}
+    elif any(mod_ell_surjectivity(c, 2, bound).verdict == "surjective" for c in (e, e2)):
+        w = congruence_evidence(e, e2, 2, bound)
+        if w is not None:
+            return {"role": "two-torsion (pair)", "prime": w, "detail":
+                    f"irreducible mod-2 module on one side and a_{w} parity mismatch"}
+    return None
+
+
+# -- the rules a rendered report must satisfy -----------------------------------
+
+
+def _odd_ells(ell_max: int) -> list[int]:
+    return [p for p in primes_up_to(ell_max) if p % 2]
+
+
+def _ell_max(data: dict) -> int:
+    return data.get("input", {}).get("ell_max", 37)
+
+
+def _odd_coverage(data: dict) -> str:
+    """Which odd ell a rendered report's certificates cover: "all" when one
+    of them covers every odd ell; "sampled" when they list at least one ell
+    and every odd ell <= ell_max is listed or undecidable (3, when a
+    certificate carries ELL3_CAVEAT); otherwise "none"."""
+    certs = data.get("certificates", [])
+    if any(c["primes_covered"] in ("all-odd", "all") for c in certs):
+        return "all"
+    listed = {ell for c in certs if isinstance(c["primes_covered"], list)
+              for ell in c["primes_covered"]}
+    if not listed:
+        return "none"
+    if any(ELL3_CAVEAT in c["caveats"] for c in certs):
+        listed.add(3)
+    return "sampled" if listed.issuperset(_odd_ells(_ell_max(data))) else "none"
+
+
+def _coverage_caveats(data: dict) -> list[str]:
+    """The report-level caveats that sampled odd coverage requires."""
+    if _odd_coverage(data) != "sampled":
+        return []
+    out = [f"odd coverage sampled for ell <= {_ell_max(data)} only"]
+    if any(ELL3_CAVEAT in c["caveats"] for c in data["certificates"]):
+        out.append(ELL3_CAVEAT)
+    return out
+
+
+def _conclusion(data: dict) -> str:
+    """The conclusion a rendered report's own gate, dim2 and odd coverage
+    support."""
+    dim2 = data.get("dim2")
+    if not data.get("gate", {}).get("passes") or not isinstance(dim2, int) or dim2 < 0:
+        return "inconclusive"
+    if dim2 > 0:
+        return "two-part-nontrivial"
+    return "odd-part-open" if _odd_coverage(data) == "none" else "trivial"
 
 
 def _twisted_transfer(data: dict) -> str | None:
@@ -531,28 +525,19 @@ def _twisted_transfer(data: dict) -> str | None:
     exactly when the report's own certificates imply that all geometric
     Brauer invariants vanish at the sampled primes: either a six-torsion CM
     pair certificate, or a certified non-isogenous pair with module-vanishing
-    evidence at 2 and at every decidable sampled odd prime.  Same-curve
-    routes never qualify: the invariant 2-part survives.
+    evidence at 2 and sampled odd coverage (at least one odd ell, and every
+    decidable odd ell).  Same-curve routes never qualify: the invariant
+    2-part survives.
     """
-    certs = data.get("certificates", [])
-    if any(c["kind"] == "six-torsion-cm-pair" for c in certs):
+    if any(c["kind"] == "six-torsion-cm-pair" for c in data.get("certificates", [])):
         return ("six-torsion CM pair certificate: conclusions transfer "
                 "to all twists (conditional on the sampled-ell caveats)")
-    if data.get("gate", {}).get("case") != "not-isogenous":
-        return None
-    if not any(w["role"] == "two-torsion (pair)" for w in data.get("witnesses", [])):
-        return None
-    sampled = set()
-    for c in certs:
-        if c["kind"] == "mod-ell-sampling" and isinstance(c["primes_covered"], list):
-            sampled.update(c["primes_covered"])
-    ell_max = data.get("input", {}).get("ell_max", 37)
-    odd_ells = [p for p in primes_up_to(ell_max) if p % 2]
-    undecidable = {3} if ELL3_CAVEAT in data.get("caveats", []) else set()
-    if all(l in sampled or l in undecidable for l in odd_ells):
+    if (data.get("gate", {}).get("case") == "not-isogenous"
+            and any(w["role"] == "two-torsion (pair)" for w in data.get("witnesses", []))
+            and _odd_coverage(data) == "sampled"):
         return ("non-isogenous pair with module-vanishing evidence at "
-                f"2 and every decidable odd ell <= {ell_max}; transfers "
-                "to all twists (conditional on the sampled-ell caveats)")
+                f"2 and every decidable odd ell <= {_ell_max(data)}; "
+                "transfers to all twists (conditional on the sampled-ell caveats)")
     return None
 
 
@@ -598,41 +583,26 @@ def validate_report(data: dict) -> list[str]:
     """Independent consistency checks over a rendered report dict.
 
     Returns a list of violations (empty means the report's conclusion is
-    supported by the premises it itself records)."""
+    supported by the premises it itself records).  The conclusion, the
+    coverage caveats and the twisted flag must be what analyze's own rules
+    give on the report's gate, dim2 and certificates."""
     out = []
-    gate = data.get("gate", {})
-    dim2 = data.get("dim2")
-    certs = data.get("certificates", [])
     conclusion = data.get("conclusion")
-    if conclusion == "trivial":
-        if not gate.get("passes"):
-            out.append("trivial conclusion without a passing gate")
-        if dim2 != 0:
-            out.append("trivial conclusion without dim2 = 0")
-        all_odd = any(c["primes_covered"] in ("all-odd", "all") for c in certs)
-        sampled = set()
-        for c in certs:
-            if isinstance(c["primes_covered"], list):
-                sampled.update(c["primes_covered"])
-        ell_max = data.get("input", {}).get("ell_max", 37)
-        odd_ells = [p for p in primes_up_to(ell_max) if p % 2]
-        gaps = [l for l in odd_ells if l not in sampled]
-        if not all_odd:
-            if gaps and gaps != [3]:
-                out.append(f"trivial conclusion with uncovered odd primes {gaps}")
-            if gaps == [3] and ELL3_CAVEAT not in data.get("caveats", []):
-                out.append("mod-3 gap without its caveat")
-            if not data.get("caveats"):
-                out.append("sampled coverage requires caveats")
-    if conclusion == "two-part-nontrivial":
-        if not isinstance(dim2, int) or dim2 <= 0:
-            out.append("two-part-nontrivial without positive dim2")
+    caveats = data.get("caveats", [])
+    expected = _conclusion(data)
+    if conclusion != expected:
+        out.append(f"conclusion {conclusion!r} where the gate, dim2 and odd "
+                   f"coverage give {expected!r}")
+    missing = [c for c in _coverage_caveats(data) if c not in caveats]
+    if missing:
+        out.append(f"sampled odd coverage without its caveats {missing}")
+    dim2 = data.get("dim2")
     if isinstance(dim2, int) and isinstance(data.get("d"), int) \
             and isinstance(data.get("r"), int):
         if data["two_torsion_route"] == "residue-matrix" and dim2 != data["d"] - data["r"]:
             out.append("dim2 != d - r on the residue route")
     if data.get("r_confidence") == "heuristic" and conclusion == "trivial":
-        if not any("CM j-invariant list" in c for c in data.get("caveats", [])):
+        if not any("CM j-invariant list" in c for c in caveats):
             out.append("heuristic r without its caveat")
     recorded = data.get("twisted", {}).get("flag")
     if recorded is not None and recorded != twisted_flag(data):

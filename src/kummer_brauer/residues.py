@@ -51,10 +51,29 @@ class ResidueMatrix:
     values: tuple[tuple[int, ...], ...]
 
     @cached_property
+    def base(self) -> list[int]:
+        """The non-square elements of the coprime base of a, b, a-b, a', b',
+        a'-b': every residue is +-1 times a product of their powers and a
+        square."""
+        a, b, a2, b2 = self.pair
+        return [c for c in coprime_base((a, b, a - b, a2, b2, a2 - b2))
+                if not is_square(c)]
+
+    @cached_property
     def entries(self) -> tuple[tuple[SquareClass, ...], ...]:
-        """The residues as square classes.  This factors every value, so it
-        serves display and tests; the kernel never reads it."""
-        return tuple(tuple(square_class(v) for v in row) for row in self.values)
+        """The residues as square classes, read over the coprime base: the
+        class is the sign times the classes of the base elements of odd
+        exponent, so each base element is factored once and no product of
+        them is.  This serves display and tests; the kernel never reads it,
+        and a base element beyond factor()'s budget raises FactorBudgetError."""
+        supports = [square_class(c).support for c in self.base]
+
+        def entry(v: int) -> SquareClass:
+            bits = square_class_bits(v, self.base)
+            support = sorted(p for k in bits_of(bits >> 1) for p in supports[k])
+            return SquareClass(-1 if bits & 1 else 1, tuple(support))
+
+        return tuple(tuple(entry(v) for v in row) for row in self.values)
 
     @property
     def nrows(self) -> int:
@@ -139,8 +158,7 @@ def kernel_dimension(m: ResidueMatrix) -> tuple[int, list[tuple[str, ...]]]:
     (line, base element) and one column per algebra; its nullspace, and the
     reduced-echelon basis read from it, do not depend on the row encoding.
     """
-    a, b, a2, b2 = m.pair
-    base = [c for c in coprime_base((a, b, a - b, a2, b2, a2 - b2)) if not is_square(c)]
+    base = m.base
     width = 1 + len(base)
     rows = [0] * (m.ncols * width)
     for alg, row in enumerate(m.values):
@@ -172,23 +190,12 @@ class Gate:
     detail: str
 
 
-@dataclass(frozen=True)
-class Brauer2Result:
-    d: int
-    r: int | None
-    dim2: int | None  # None encodes "not determined"
-    gate: Gate
-    kernel_basis: tuple[tuple[str, ...], ...]
-
-
-def two_torsion_dimension(
-    d: int, r: int | None, gate: Gate,
-    kernel_basis: tuple[tuple[str, ...], ...] = (),
-) -> Brauer2Result:
-    """dim Br(X)_2/Br(k)_2 = d - r, guarded by the applicability gate."""
+def two_torsion_dimension(d: int, r: int | None, gate: Gate) -> int | None:
+    """dim Br(X)_2/Br(k)_2 = d - r, guarded by the applicability gate; None
+    encodes "not determined"."""
     if not gate.passes or r is None:
-        return Brauer2Result(d, r, None, gate, kernel_basis)
+        return None
     if d < r:
         raise DimensionContradictionError(
             f"d = {d} < r = {r} with a passing gate; r or the matrix is wrong")
-    return Brauer2Result(d, r, d - r, gate, kernel_basis)
+    return d - r

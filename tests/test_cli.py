@@ -179,6 +179,31 @@ def test_matrix_subcommand(capsys):
     assert len(data["extended_columns"]) == 9
 
 
+def test_matrix_factors_each_base_element_once(capsys):
+    # a*b is a product of two 13-digit primes; only a and b are factored
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "matrix", "--pair", "1000000000039,1000000000061,3,5")
+    assert time.perf_counter() - t0 < 2
+    assert code == 0
+    assert json.loads(out)["rows"][0] == [1, 1000000000039 * 1000000000061, 15,
+                                          -3000000000117]
+
+
+def test_matrix_beyond_the_factoring_budget_exits_2():
+    semiprime = 400000000000000013 * 7000000000000000013
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    t0 = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "kummer_brauer.cli", "matrix", "--pair",
+         f"{semiprime},7,1,2"],
+        env=env, capture_output=True, text=True, timeout=20)
+    assert time.perf_counter() - t0 < 5
+    assert out.returncode == 2
+    assert "coefficients too large to display square classes" in out.stderr
+
+
 def test_matrix_bad_pair(capsys):
     code, _, err = run(capsys, "matrix", "--pair", "5,7")
     assert code == 2

@@ -5,6 +5,7 @@ import pytest
 
 from kummer_brauer.arith import is_prime
 from kummer_brauer.report import (
+    ELL3_CAVEAT,
     MAX_BOUND,
     MAX_ELL,
     NO_TRANSFER,
@@ -149,21 +150,31 @@ def test_twisted_flag_is_the_validator_rule_at_every_ell_max():
             ({"weierstrass": [0, 0, 0, 6, -2]},
              {"weierstrass": [0, 0, 0, 0, 1], "six_torsion": [2, 3]}),
             ({"weierstrass": [0, 0, 1, -1, 0]}, {"weierstrass": [0, 1, 1, 0, 0]}),
-            ({"weierstrass": [0, 0, 0, -7, -6]}, {"weierstrass": [0, 0, 0, -7, -6]}))
+            ({"weierstrass": [0, 0, 0, -7, -6]}, {"weierstrass": [0, 0, 0, -7, -6]}),
+            ({"weierstrass": [0, 0, 0, -1, 0]}, {"weierstrass": [0, 0, 0, -1, 0]}),
+            ({"rt2": {"a": 5, "b": 7}}, {"rt2": {"a": 1, "b": 2}}))
+    kinds = set()
     for first, second in raws:
         for ell_max in (2, 3, 4, 5, 37):
             d = analyze(pair(first, second, ell_max=ell_max)).to_dict()
             assert validate_report(d) == [], (first, second, ell_max)
             assert d["twisted"]["flag"] is twisted_flag(d), (first, second, ell_max)
+            kinds.update(c["kind"] for c in d["certificates"])
+    # every certificate route passes the shared rule
+    assert kinds == {"j-valuation", "cm-isogeny-exclusion", "six-torsion-cm-pair",
+                     "mod-ell-sampling"}
 
 
 def test_no_twist_transfer_without_odd_coverage():
-    # at ell_max = 3 the only odd ell is undecidable, so nothing covers the
-    # odd part and the conclusion stays open: no transfer to twists
-    d = analyze(pair(E_11A1, E_37A1, ell_max=3)).to_dict()
-    assert d["conclusion"] == "odd-part-open"
-    assert d["twisted"] == {"flag": False, "detail": NO_TRANSFER}
-    assert validate_report(d) == []
+    # at ell_max = 3 the only odd ell is undecidable, and at ell_max = 2 there
+    # is none, so nothing covers the odd part and the conclusion stays open:
+    # no transfer to twists
+    for spec in (pair(E_11A1, E_37A1, ell_max=3),
+                 pair(E_11A1, E_37A1, ell_max=2, bound=1000)):
+        d = analyze(spec).to_dict()
+        assert d["conclusion"] == "odd-part-open"
+        assert d["twisted"] == {"flag": False, "detail": NO_TRANSFER}
+        assert validate_report(d) == []
 
 
 def test_rescaled_model_pair_is_the_self_pair():
@@ -231,6 +242,13 @@ def test_validator_rejects_tampering():
     bad3 = json.loads(json.dumps(d))
     bad3["certificates"] = []
     assert validate_report(bad3)
+    # an open odd part edited into a trivial, transferring report, with the
+    # mod-3 caveat that the sampling certificate carries copied to the report
+    bad4 = analyze(pair(E_11A1, E_37A1, ell_max=3)).to_dict()
+    bad4["conclusion"] = "trivial"
+    bad4["caveats"].append(ELL3_CAVEAT)
+    bad4["twisted"]["flag"] = True
+    assert validate_report(bad4)
 
 
 def test_search_family_base_case():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from kummer_brauer.arith import SquareClass, sc_mul
+from kummer_brauer.arith import SquareClass, sc_mul, square_class
 from kummer_brauer.residues import (
     ALGEBRA_LABELS,
     DegenerateCurveError,
@@ -157,14 +157,10 @@ def test_kernel_membership_exhaustive():
 
 
 def test_two_torsion_dimension():
-    r = two_torsion_dimension(0, 0, GATE_NONISO)
-    assert r.dim2 == 0
-    r = two_torsion_dimension(1, 1, GATE_SAME)
-    assert r.dim2 == 0
-    r = two_torsion_dimension(1, 0, GATE_NONISO)
-    assert r.dim2 == 1
-    r = two_torsion_dimension(2, 1, GATE_NONE)
-    assert r.dim2 is None
+    assert two_torsion_dimension(0, 0, GATE_NONISO) == 0
+    assert two_torsion_dimension(1, 1, GATE_SAME) == 0
+    assert two_torsion_dimension(1, 0, GATE_NONISO) == 1
+    assert two_torsion_dimension(2, 1, GATE_NONE) is None
     with pytest.raises(DimensionContradictionError):
         two_torsion_dimension(0, 1, GATE_NONISO)
 
@@ -178,7 +174,7 @@ def factor_based_kernel(m):
     basis.  Independent of the coprime base; the reference for
     kernel_dimension."""
     from kummer_brauer.arith import BitMatrix, bits_of, f2_nullspace
-    entries = m.entries
+    entries = [[square_class(v) for v in row] for row in m.values]
     primes = sorted({p for row in entries for c in row for p in c.support})
     rows = []
     for col in range(m.ncols):
@@ -247,3 +243,9 @@ def test_entries_are_the_classes_of_values():
     assert m.entries[0][:4] == (SquareClass.identity(), SquareClass(1, (3,)),
                                 SquareClass(-1, (5,)), SquareClass.identity())
     assert m.entries is m.entries  # built once per matrix
+    # read over the coprime base, they equal the classes from factoring
+    rng = random.Random(2006)
+    for _ in range(300):
+        mm = extend_residue_matrix(residue_matrix(*structured_pair(rng)))
+        assert mm.entries == tuple(tuple(square_class(v) for v in row)
+                                   for row in mm.values)
