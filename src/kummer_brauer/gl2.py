@@ -135,16 +135,18 @@ def witness_classes(ell: int) -> tuple[set, set, set]:
     conditions.  Any empty class means that witness can never be sampled."""
     squares = {x * x % ell for x in range(ell)}
     nonsplit, split, generic = set(), set(), set()
-    bad_u = {0 % ell, 1 % ell, 2 % ell, 4 % ell}
+    good_u = {u for u in range(ell)
+              if u not in {0 % ell, 1 % ell, 2 % ell, 4 % ell} and (u * u - 3 * u + 1) % ell}
+    inverse = [0] + [pow(d, -1, ell) for d in range(1, ell)]
     for t in range(ell):
+        tt = t * t
         for d in range(1, ell):
-            disc = (t * t - 4 * d) % ell
+            disc = (tt - 4 * d) % ell
             if t != 0 and disc not in squares:
                 nonsplit.add((t, d))
             if t != 0 and disc != 0 and disc in squares:
                 split.add((t, d))
-            u = t * t * pow(d, -1, ell) % ell
-            if u not in bad_u and (u * u - 3 * u + 1) % ell != 0:
+            if tt * inverse[d] % ell in good_u:
                 generic.add((t, d))
     return nonsplit, split, generic
 

@@ -4,18 +4,21 @@ dimension formula.
 
 Certificates are one-sided: r = 0 is only ever asserted with an explicit
 witness, r = 1 and r = 2 only for a pair of equal curves, and everything
-else is reported as inconclusive.
+else is reported as inconclusive.  A certified Q-isogeny (isogenous) proves
+only that no non-isogeny witness exists; r stays undecided.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
 from .arith import is_rational_square, is_square, valuation
 from .curves import (
     CM_J_INVARIANTS,
+    EXHAUSTIVE_MAX_PRIME,
     CurveLW,
     _integer_roots_monic_cubic,
     ap,
@@ -24,7 +27,12 @@ from .curves import (
     is_good_prime,
     primes_up_to,
 )
+from .isogeny import isogenies, short_model
 from .residues import Gate
+
+# An isogeny class over Q has at most 8 curves (Kenku, J. Number Theory 15,
+# 1982; Cremona, Algorithms for Modular Elliptic Curves, 3.8).
+CLASS_SIZE_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -32,6 +40,9 @@ class IsogenyEvidence:
     kind: str  # "trace-square-mismatch" | "reduction-type-mismatch" | "same-curve" | "none-found"
     witness: int | None = None
     detail: str = ""
+    # E and E' certified isogenous over Q (isogenous); never rendered, and
+    # not part of the verdict
+    isogenous: bool = field(default=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -67,12 +78,25 @@ def nonisogeny_certificate(e: CurveLW, e2: CurveLW, bound: int) -> IsogenyEviden
         are CM (quartic/sextic twists then break the sign argument).
       - reduction-type-mismatch: p with val_p(j) < 0 for one curve (potential
         multiplicative reduction) while the other has good reduction at p.
+
+    A Q-isogeny found by `isogenous`, checked once at the first prime above
+    EXHAUSTIVE_MAX_PRIME, ends the scan with "none-found" early, because no
+    witness can exist; the evidence then records it.
     """
     if bound < 10:
         raise ValueError("bound must be at least 10")
+    none_found = f"no witness among p <= {bound}"
     je, je2 = e.j(), e2.j()
     traces_usable = not (je in CM_J_INVARIANTS and je2 in CM_J_INVARIANTS)
-    for p in primes_up_to(bound):
+    primes = primes_up_to(bound)
+    # pairs with an early witness never pay for the walk
+    walk_at = bisect_right(primes, EXHAUSTIVE_MAX_PRIME)
+    for i, p in enumerate(primes):
+        if i == walk_at:
+            # a Q-isogeny gives equal a_p at every common good prime and the
+            # same potentially multiplicative primes: no witness exists
+            if isogenous(e, e2):
+                return IsogenyEvidence("none-found", None, none_found, True)
         ok1, ok2 = is_good_prime(e, p), is_good_prime(e2, p)
         if traces_usable and ok1 and ok2:
             t1, t2 = ap(e, p), ap(e2, p)
@@ -92,7 +116,34 @@ def nonisogeny_certificate(e: CurveLW, e2: CurveLW, bound: int) -> IsogenyEviden
             return IsogenyEvidence(
                 "reduction-type-mismatch", p,
                 f"val_{p}(j(E')) = {valuation(je2, p)} < 0 but E has good reduction at {p}")
-    return IsogenyEvidence("none-found", None, f"no witness among p <= {bound}")
+    return IsogenyEvidence("none-found", None, none_found)
+
+
+def _isogeny_walk(curve: CurveLW):
+    """Yield the curves reached from the curve by isogenies of degree 2, 3,
+    5 or 7 over x-rational kernels, as integral short models, breadth first
+    and each once up to isomorphism over Q (same_curve), at most
+    CLASS_SIZE_MAX of them; the first is the curve itself."""
+    reached = [CurveLW(0, 0, 0, *short_model(curve))]
+    yield reached[0]
+    for model in reached:  # grows while it is walked
+        for _, codomain in isogenies(int(model.a4), int(model.a6)):
+            image = CurveLW(0, 0, 0, *codomain)
+            if any(same_curve(image, seen) for seen in reached):
+                continue
+            reached.append(image)
+            yield image
+            if len(reached) == CLASS_SIZE_MAX:
+                return
+
+
+def isogenous(e: CurveLW, e2: CurveLW) -> bool:
+    """True when the walks from E and from E' meet, which certifies a chain
+    of Q-isogenies from E to E'; False proves nothing (a kernel that is not
+    x-rational, or of degree above 7, is not walked)."""
+    from_e = list(_isogeny_walk(e))
+    return any(same_curve(model, model2)
+               for model2 in _isogeny_walk(e2) for model in from_e)
 
 
 def _integer_root(n: int, k: int) -> int | None:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .arith import is_prime, primes_up_to, valuation
 from .curves import (
+    EXHAUSTIVE_MAX_PRIME,
     CurveLW,
     CurveRT2,
     Point,
@@ -26,6 +27,7 @@ from .curves import (
 )
 from .gl2 import CriterionValidation, validate_surjectivity_criterion, witness_classes
 from .homrank import same_curve
+from .isogeny import KERNEL_DEGREES, kernels, short_model
 from ._cubic import two_division_cubic_is_s3
 
 DET_ASSUMPTION = ("determinant surjectivity assumed: the mod-ell determinant "
@@ -75,7 +77,10 @@ def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVe
     All three found means the image is full (given determinant surjectivity);
     anything else is reported as inconclusive, never as "not surjective".
     At ell = 3 the witness classes (ii) and (iii) are empty, so the verdict
-    there is always inconclusive.
+    there is always inconclusive.  At ell = 5 and 7, once the scan passes
+    EXHAUSTIVE_MAX_PRIME, an x-rational ell-kernel ends it: a rational
+    ell-isogeny puts the image in a Borel subgroup, which shows no nonsplit
+    witness, so the verdict could only be inconclusive.
     """
     if ell == 2:
         full, detail = two_division_cubic_is_s3(curve)
@@ -94,9 +99,22 @@ def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVe
             bound)
     found: dict[str, str] = {}
     names = ("nonsplit", "split", "generic")
+    kernel_checked = ell not in KERNEL_DEGREES
     for p in good_primes(curve, bound):
         if p == ell:
             continue
+        if not kernel_checked and p > EXHAUSTIVE_MAX_PRIME:
+            kernel_checked = True
+            found_kernels = kernels(*short_model(curve), ell)
+            if found_kernels:
+                xs = ", ".join(map(str, found_kernels[0]))
+                reducible = ("reducible", f"rational {ell}-isogeny: kernel x-coordinates "
+                                          f"{xs} on the integral short model")
+                return SurjectivityVerdict(
+                    ell, "inconclusive",
+                    tuple((n, found.get(n, f"not found for p <= {EXHAUSTIVE_MAX_PRIME}; larger p not sampled"))
+                          for n in names) + (reducible,),
+                    bound)
         t = ap(curve, p) % ell
         d = p % ell
         td = (t, d)
@@ -208,9 +226,9 @@ def six_torsion_cm_certificate(
                "mod-3 surjectivity is not decidable from trace sampling and "
                "is carried as an assumption"]
     for ell in primes_up_to(ell_max):
-        verdict = mod_ell_surjectivity(e, ell, bound)
         if ell == 3:
             continue
+        verdict = mod_ell_surjectivity(e, ell, bound)
         if verdict.verdict != "surjective":
             return CertificateFailure(f"mod-{ell} surjectivity not established")
         witnesses.append((f"mod-{ell} image", "full" if ell > 2 else "full (exact)"))

@@ -100,6 +100,32 @@ def test_subgroup_enumeration_structural_checks():
                 assert (m >> g.mult[a][b]) & 1
 
 
+def witness_classes_by_formula(ell):
+    """The three witness classes straight from their definitions, with one
+    modular inverse per (t, d)."""
+    squares = {x * x % ell for x in range(ell)}
+    nonsplit, split, generic = set(), set(), set()
+    bad_u = {0 % ell, 1 % ell, 2 % ell, 4 % ell}
+    for t in range(ell):
+        for d in range(1, ell):
+            disc = (t * t - 4 * d) % ell
+            if t != 0 and disc not in squares:
+                nonsplit.add((t, d))
+            if t != 0 and disc != 0 and disc in squares:
+                split.add((t, d))
+            u = t * t * pow(d, -1, ell) % ell
+            if u not in bad_u and (u * u - 3 * u + 1) % ell != 0:
+                generic.add((t, d))
+    return nonsplit, split, generic
+
+
+def test_witness_classes_equal_the_formula_up_to_max_ell():
+    from kummer_brauer.arith import primes_up_to
+    from kummer_brauer.report import MAX_ELL
+    for ell in primes_up_to(MAX_ELL):
+        assert witness_classes(ell) == witness_classes_by_formula(ell), ell
+
+
 def test_witness_classes_mod_3_degenerate():
     w1, w2, w3 = witness_classes(3)
     assert w1  # nonsplit witnesses exist

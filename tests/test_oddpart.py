@@ -146,6 +146,19 @@ def test_six_torsion_certificate():
     assert any("ell <= 13" in c for c in cert.caveats)
 
 
+def test_six_torsion_certificate_samples_only_the_ells_it_reads(monkeypatch):
+    # ell = 3 is skipped as undecidable, so its verdict is never computed
+    from kummer_brauer import oddpart
+    calls = []
+    real = oddpart.mod_ell_surjectivity
+    monkeypatch.setattr(oddpart, "mod_ell_surjectivity",
+                        lambda curve, ell, bound: calls.append(ell) or real(curve, ell, bound))
+    cert = six_torsion_cm_certificate(
+        E_A1, E_SEXTIC, (Fraction(2), Fraction(3)), 37, 10_000)
+    assert isinstance(cert, OddCertificate)
+    assert calls == [ell for ell in primes_up_to(37) if ell != 3]
+
+
 def test_six_torsion_wrong_order():
     res = six_torsion_cm_certificate(
         E_A1, E_SEXTIC, (Fraction(0), Fraction(1)), 13, 100)

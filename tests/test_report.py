@@ -309,6 +309,30 @@ def test_200_digit_pair_at_small_bound_is_fast():
     assert summary == ("trivial", 0, 0, 0, [])
 
 
+def test_200_digit_isogeny_walk_is_fast():
+    # both curves have full rational 2-torsion, so each walk takes 2-isogenies
+    from kummer_brauer.homrank import isogenous
+    p, q, r, s = (_next_prime(k * 10**99) for k in (2, 5, 3, 7))
+    e = parse_curve_record({"rt2": {"a": p * q, "b": 3 * p}}).lw
+    e2 = parse_curve_record({"rt2": {"a": r * s, "b": 5 * r}}).lw
+    t0 = time.perf_counter()
+    assert not isogenous(e, e2)
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_isogenous_pair_at_max_bound_within_budget():
+    # a certified isogeny ends the non-isogeny scan after the primes up to
+    # 229 and answers the congruence evidence without a scan
+    spec = pair(E_11A1, {"weierstrass": [0, -1, 1, 0, 0]},
+                bound=MAX_BOUND, odd_primes=[5, 7])
+    t0 = time.perf_counter()
+    data = analyze(spec).to_dict()
+    assert time.perf_counter() - t0 < 5.0
+    assert validate_report(data) == []
+    assert data["conclusion"] == "inconclusive"
+    assert [(ev["ell"], ev["result"]) for ev in data["evidence"]] == [(5, "pass"), (7, "pass")]
+
+
 def _shifted(a, b, s):
     """[a1..a6] of y^2 = (x+s)(x+s-a)(x+s-b), the rt2 curve (a, b) moved by s."""
     r0, r1, r2 = -s, a - s, b - s
