@@ -2,8 +2,10 @@
 square classes in Q*/Q*^2 (by factorization, and as exponent parities over a
 coprime base), and nullspace computation over F2.
 
-All values are immutable and all operations are deterministic, so everything
-here is safe to share between concurrent tasks.
+All operations are deterministic.  The one piece of module state, the prime
+sieve behind primes_up_to, is a (limit, primes) pair published whole after
+sieving and never changed in place, so it is safe to share between
+concurrent tasks: a caller always reads a limit together with its primes.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ TRIAL_DIVISION_BOUND = 10**6
 # sample of ten products of two primes each, all split at 11 digits, 7 at 12.
 RHO_STEP_BUDGET = 300_000
 
-_SMALL_PRIMES: list[int] = []
-_SIEVED_TO = 0
+# (limit, primes <= limit), replaced whole after a larger sieve, so a caller
+# reads a limit together with its own primes; the list is never changed or
+# handed out (callers get slices)
+_SIEVED: tuple[int, list[int]] = (0, [])
 
 
 def _sieve(limit: int) -> list[int]:
@@ -35,12 +39,16 @@ def _sieve(limit: int) -> list[int]:
 
 
 def primes_up_to(limit: int) -> list[int]:
-    """Primes <= limit, cached and extended on demand."""
-    global _SMALL_PRIMES, _SIEVED_TO
-    if _SIEVED_TO < limit:
-        _SIEVED_TO = max(limit, 1000)
-        _SMALL_PRIMES = _sieve(_SIEVED_TO)
-    return _SMALL_PRIMES[: bisect_right(_SMALL_PRIMES, limit)]
+    """Primes <= limit, from a sieve kept for the process and extended on
+    demand."""
+    global _SIEVED
+    sieved_to, primes = _SIEVED
+    if sieved_to < limit:
+        sieved_to = max(limit, 1000)
+        primes = _sieve(sieved_to)
+        if sieved_to > _SIEVED[0]:
+            _SIEVED = (sieved_to, primes)
+    return primes[: bisect_right(primes, limit)]
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -7,7 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import cached_property
+from math import gcd, isqrt, lcm
 
 from .arith import Rational, is_prime, primes_up_to
 
@@ -39,16 +40,38 @@ class CurveRT2:
             raise SingularCurveError(f"x(x-{self.a})(x-{self.b}) is not separable")
 
     def to_lw(self) -> "CurveLW":
+        """The long model, carrying its rt2 form: the integer roots 0, a, b
+        with the smallest moved to 0, as to_rt2 would find them."""
         a, b = self.a, self.b
-        return CurveLW(0, -(a + b), 0, a * b, 0)
+        curve = CurveLW(0, -(a + b), 0, a * b, 0)
+        r0, r1, r2 = sorted((0, a, b))
+        object.__setattr__(curve, "_rt2", CurveRT2(r1 - r0, r2 - r0))
+        return curve
 
     def j(self) -> Rational:
         return j_invariant_rt2(self)
 
 
+def _b_invariants(a1, a2, a3, a4, a6):
+    """b2, b4, b6, b8 of a long model, in the coefficients' own type."""
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    return b2, b4, b6, b8
+
+
 @dataclass(frozen=True)
 class CurveLW:
-    """Long Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6."""
+    """Long Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
+
+    Construction computes c4, c6 and the discriminant in integers on the
+    integral model u^i a_i (u the lcm of the denominators of a1..a6, the
+    substitution x -> x / u^2, y -> y / u^3) and divides once by u^4, u^6
+    and u^12.  j, the rt2 form and the a_p are memos of the model kept on
+    the curve object; equality and hashing read a1..a6 only, so equal
+    models held as distinct objects share no memo.
+    """
 
     a1: Rational
     a2: Rational
@@ -57,39 +80,50 @@ class CurveLW:
     a6: Rational
 
     # computed once from a1..a6; equality and hashing ignore them
+    _u: int = field(init=False, repr=False, compare=False)
     _c4: Rational = field(init=False, repr=False, compare=False)
     _c6: Rational = field(init=False, repr=False, compare=False)
     _disc: Rational = field(init=False, repr=False, compare=False)
+    # a_p by good prime p, filled by ap()
+    _ap: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, a1, a2, a3, a4, a6):
-        for name, v in zip(("a1", "a2", "a3", "a4", "a6"), (a1, a2, a3, a4, a6)):
-            object.__setattr__(self, name, Fraction(v))
-        b2, b4, b6, b8 = self.b_invariants()
-        object.__setattr__(self, "_c4", b2 * b2 - 24 * b4)
-        object.__setattr__(self, "_c6", -b2**3 + 36 * b2 * b4 - 216 * b6)
-        object.__setattr__(
-            self, "_disc", -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6)
-        if self._disc == 0:
+        coeffs = [Fraction(v) for v in (a1, a2, a3, a4, a6)]
+        for name, c in zip(("a1", "a2", "a3", "a4", "a6"), coeffs):
+            object.__setattr__(self, name, c)
+        u = lcm(*(c.denominator for c in coeffs))
+        a1, a2, a3, a4, a6 = (
+            c.numerator * (u**i // c.denominator) for c, i in zip(coeffs, (1, 2, 3, 4, 6)))
+        b2, b4, b6, b8 = _b_invariants(a1, a2, a3, a4, a6)
+        disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        if disc == 0:
             raise SingularCurveError("zero discriminant")
+        object.__setattr__(self, "_u", u)
+        object.__setattr__(self, "_c4", Fraction(b2 * b2 - 24 * b4, u**4))
+        object.__setattr__(self, "_c6", Fraction(-b2**3 + 36 * b2 * b4 - 216 * b6, u**6))
+        object.__setattr__(self, "_disc", Fraction(disc, u**12))
+        object.__setattr__(self, "_ap", {})
 
     def b_invariants(self) -> tuple[Rational, Rational, Rational, Rational]:
-        a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
-        b2 = a1 * a1 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3 * a3 + 4 * a6
-        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-        return b2, b4, b6, b8
+        return _b_invariants(*self.key())
 
     def discriminant(self) -> Rational:
         return self._disc
 
     def j(self) -> Rational:
+        return self._j
+
+    @cached_property
+    def _j(self) -> Rational:
         return self._c4**3 / self._disc
 
+    @cached_property
+    def _rt2(self) -> CurveRT2 | str:
+        return _rt2_form(self)
+
     def is_p_integral(self, p: int) -> bool:
-        return all(
-            c.denominator % p != 0 for c in (self.a1, self.a2, self.a3, self.a4, self.a6)
-        )
+        """Whether no coefficient has the prime p in its denominator."""
+        return self._u % p != 0
 
     def key(self) -> tuple:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
@@ -295,15 +329,17 @@ def count_points(curve: CurveLW, p: int) -> int:
     return count_points_exhaustive(curve, p)
 
 
-_AP_CACHE: dict[tuple, dict[int, int]] = {}
-
-
 def ap(curve: CurveLW, p: int) -> int:
-    """Frobenius trace a_p = p + 1 - #E(F_p) at a good prime, cached."""
-    cache = _AP_CACHE.setdefault(curve.key(), {})
-    if p not in cache:
-        cache[p] = p + 1 - count_points(curve, p)
-    return cache[p]
+    """Frobenius trace a_p = p + 1 - #E(F_p) at a good prime.
+
+    Memoized on the curve object, so one object counts points at p once.
+    Nothing is kept between objects: a batch that wants its analyses to
+    share a_p passes the same curve object to each of them.
+    """
+    known = curve._ap
+    if p not in known:
+        known[p] = p + 1 - count_points(curve, p)
+    return known[p]
 
 
 def good_primes(curve: CurveLW, bound: int):
@@ -396,8 +432,13 @@ def to_rt2(curve: CurveLW) -> CurveRT2 | str:
     The smallest root goes to 0 and the remaining roots, sorted ascending,
     give (a, b).  Models with a1 or a3 nonzero are not handled (completing the
     square is left to the caller), and a cubic with fewer than three rational
-    roots has no fully rational 2-torsion.
+    roots has no fully rational 2-torsion.  Computed once per curve object;
+    a model built by CurveRT2.to_lw carries its form from the start.
     """
+    return curve._rt2
+
+
+def _rt2_form(curve: CurveLW) -> CurveRT2 | str:
     if curve.a1 != 0 or curve.a3 != 0:
         return UNSUPPORTED_MODEL
     roots = _rational_roots_monic_cubic(curve.a2, curve.a4, curve.a6)

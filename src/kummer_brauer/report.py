@@ -311,6 +311,8 @@ def analyze(spec: CurvePairSpec) -> BrauerReport:
     """
     first, second = spec.first, spec.second
     e, e2 = first.lw, second.lw
+    if e2 == e:  # one object for equal models, so each a_p is counted once
+        e2 = e
     bound, ell_max = spec.bound, spec.ell_max
     rank = rank_r(e, e2, bound)
     gate = rank.gate
@@ -632,12 +634,20 @@ def search_family(count: int, seed: int = 0) -> list[CurvePairSpec]:
     """Deterministically generate curve pairs (a, b) = (5 + 35m, 7 + 35n),
     (a', b') = (1 + 35m', 2 + 35n') with m != 2 mod 5 and n != 4 mod 7,
     validated against the family conditions; seed offsets the start of the
-    enumeration."""
+    enumeration.  Pairs with a curve (a, b) in common hold the same
+    CurveInput object, so analyses of the batch share its memos."""
     if count < 1:
         raise InputError("count must be >= 1")
     if seed < 0:
         raise InputError("seed must be >= 0")
     out: list[CurvePairSpec] = []
+    inputs: dict[tuple[int, int], CurveInput] = {}
+
+    def rt2_input(a: int, b: int) -> CurveInput:
+        if (a, b) not in inputs:
+            inputs[a, b] = CurveInput("rt2", CurveRT2(a, b).to_lw(), (a, b))
+        return inputs[a, b]
+
     skipped = 0
     for m, n, mp, np_ in _lattice_tuples():
         if m % 5 == 2 or n % 7 == 4:
@@ -653,10 +663,7 @@ def search_family(count: int, seed: int = 0) -> list[CurvePairSpec]:
         if skipped < seed:
             skipped += 1
             continue
-        out.append(CurvePairSpec(
-            CurveInput("rt2", CurveRT2(a, b).to_lw(), (a, b)),
-            CurveInput("rt2", CurveRT2(a2, b2).to_lw(), (a2, b2)),
-        ))
+        out.append(CurvePairSpec(rt2_input(a, b), rt2_input(a2, b2)))
         if len(out) == count:
             return out
     raise AssertionError("unreachable: the family is infinite")

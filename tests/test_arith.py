@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from kummer_brauer import arith
 from kummer_brauer.arith import (
     BitMatrix,
     SquareClass,
@@ -98,6 +99,24 @@ def test_primes_up_to_matches_sieve():
     # a large limit first, so the smaller ones are cut from the grown sieve
     for limit in (5000, 0, 1, 2, 10, 997, 1000, 1009, 6000):
         assert primes_up_to(limit) == [n for n in range(limit + 1) if flags[n]]
+
+
+def test_primes_up_to_is_whole_while_a_larger_sieve_runs(monkeypatch):
+    """A caller that asks while a larger sieve is still being built (here
+    re-entrantly, from inside that sieve) gets every prime up to its limit,
+    never a cut from the smaller sieve that is being replaced."""
+    monkeypatch.setattr(arith, "_SIEVED", (0, []))
+    sieve, inner = arith._sieve, []
+
+    def interrupted(limit):
+        if limit > 50_000:
+            inner.append(primes_up_to(50_000))
+        return sieve(limit)
+
+    monkeypatch.setattr(arith, "_sieve", interrupted)
+    assert len(primes_up_to(200_000)) == 17984
+    assert len(inner[0]) == 5133 and inner[0][-1] == 49999
+    assert len(primes_up_to(50_000)) == 5133
 
 
 def test_valuation_examples():

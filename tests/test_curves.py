@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from kummer_brauer import curves
-from kummer_brauer.arith import factor, primes_up_to
+from kummer_brauer.arith import factor, is_prime, primes_up_to
 from kummer_brauer.curves import (
     CM_J_INVARIANTS,
     EXHAUSTIVE_MAX_PRIME,
@@ -165,6 +165,84 @@ def test_rt2_discriminant_formula():
         assert c.to_lw().discriminant() == 16 * a * a * b * b * (a - b) ** 2
 
 
+def reference_invariants(c):
+    """c4, c6 and the discriminant by the Fraction formulas on a1..a6 (the
+    computation the integral model replaced)."""
+    a1, a2, a3, a4, a6 = c.key()
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    return (b2 * b2 - 24 * b4,
+            -b2**3 + 36 * b2 * b4 - 216 * b6,
+            -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6)
+
+
+# 2, 3, their powers and products, and powers of 5, 7 and 11
+DENOMINATORS = (1, 1, 2, 3, 4, 6, 8, 9, 12, 27, 32, 72, 25, 49, 343, 121)
+
+
+def random_rational_lw(rng):
+    while True:
+        try:
+            return CurveLW(*(Fraction(rng.randint(-40, 40), rng.choice(DENOMINATORS))
+                             for _ in range(5)))
+        except SingularCurveError:
+            continue
+
+
+def next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def big_coeff_shifted_models():
+    """y^2 = (x+s)(x+s-a)(x+s-b) for (a, b) = (p q1, p q2) with p a 6-digit
+    and q1, q2 8-digit primes, shifted by s = p^2 and by s = p^2 / 6."""
+    models = []
+    for p, q1, q2 in ((999_983, 99_999_989, 99_999_971),
+                      (900_001, 50_000_017, 77_777_777)):
+        p, q1, q2 = next_prime(p), next_prime(q1), next_prime(q2)
+        a, b = p * q1, p * q2
+        for s in (Fraction(p * p), Fraction(p * p, 6)):
+            r0, r1, r2 = -s, a - s, b - s
+            models.append(CurveLW(0, -(r0 + r1 + r2), 0,
+                                  r0 * r1 + r0 * r2 + r1 * r2, -r0 * r1 * r2))
+    return models
+
+
+def test_integral_invariants_equal_the_fraction_formulas():
+    rng = random.Random(83)
+    models = [random_rational_lw(rng) for _ in range(200)] + big_coeff_shifted_models()
+    assert any(c.key()[4].denominator % 343 == 0 for c in models)
+    for c in models:
+        c4, c6, disc = reference_invariants(c)
+        assert (c._c4, c._c6, c.discriminant()) == (c4, c6, disc)
+        assert c.j() == c4**3 / disc
+        for p in primes_up_to(60):
+            integral = all(a.denominator % p for a in c.key())
+            assert c.is_p_integral(p) == integral
+            if integral:
+                assert good_reduction_at(c, p) == (disc.numerator % p != 0)
+            else:
+                with pytest.raises(NonIntegralModelError):
+                    good_reduction_at(c, p)
+
+
+def test_rt2_form_carried_by_to_lw_equals_the_bisection():
+    rng = random.Random(89)
+    pairs = [(3, 5), (5, 3), (-3, 5), (3, -5), (-3, -5), (-5, -3), (7, -7)]
+    pairs += [(c.a, c.b) for c in (random_rt2(rng, -10**6, 10**6) for _ in range(50))]
+    for a, b in pairs:
+        carried = CurveRT2(a, b).to_lw()
+        found = CurveLW(0, -(a + b), 0, a * b, 0)  # no carried form: bisection
+        assert carried == found and carried is not found
+        assert to_rt2(carried) == to_rt2(found) == curves._rt2_form(found)
+        if a < 0 or b < 0:
+            assert to_rt2(carried) != CurveRT2(a, b)
+
+
 def test_good_reduction():
     c = CurveRT2(1, 2).to_lw()  # disc 64
     assert good_reduction_at(c, 5)
@@ -252,18 +330,16 @@ def test_count_points_is_exhaustive_only_when_bsgs_is_undecided(monkeypatch):
     monkeypatch.setattr(curves, "count_points_exhaustive", spy)
     c = CurveLW(0, -1, 1, -10, -20)
     primes = (223, 233, 1009, 2999)
-    monkeypatch.setattr(curves, "_AP_CACHE", {})
     traces = [ap(c, p) for p in primes]
     assert counted == [223]
-    monkeypatch.setattr(curves, "_AP_CACHE", {})
+    c._ap.clear()
     monkeypatch.setattr(curves, "bsgs_count", lambda curve, p: None)
     assert [ap(c, p) for p in primes] == traces
     assert counted == [223, *primes]
     assert traces[1] == 233 + 1 - double_loop_count(c, 233)
 
 
-def test_errors_above_threshold(monkeypatch):
-    monkeypatch.setattr(curves, "_AP_CACHE", {})
+def test_errors_above_threshold():
     bad = CurveRT2(1, 233).to_lw()
     point_counts = (ap, count_points, count_points_exhaustive, bsgs_count)
     for f in point_counts:

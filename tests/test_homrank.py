@@ -5,7 +5,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from kummer_brauer import curves
 from kummer_brauer.curves import CurveLW, CurveRT2, j_invariant_rt2
 from kummer_brauer.homrank import (
     WitnessVerificationError,
@@ -180,16 +179,24 @@ def test_determinism_smallest_witness():
 
 def poisoned_certificate_outcome():
     """Fake a trace-square mismatch at p = 2 (a_2 = -2 for both curves) by
-    poisoning the a_p cache, and report what the certificate does."""
-    saved = curves._AP_CACHE
-    curves._AP_CACHE = {E_37.key(): {2: 0}}
+    poisoning the a_p memo of a fresh 37a1 object, and report what the
+    certificate does."""
+    poisoned = CurveLW(0, 0, 1, -1, 0)
+    poisoned._ap[2] = 0
     try:
-        ev = nonisogeny_certificate(E_37, E_43, 10)
+        ev = nonisogeny_certificate(poisoned, E_43, 10)
     except WitnessVerificationError:
         return "raised"
-    finally:
-        curves._AP_CACHE = saved
     return f"certified {ev.kind} at {ev.witness}"
+
+
+def test_equal_models_share_no_a_p():
+    poisoned, clean = CurveLW(0, 0, 1, -1, 0), CurveLW(0, 0, 1, -1, 0)
+    assert poisoned == clean and hash(poisoned) == hash(clean) and poisoned is not clean
+    poisoned._ap[2] = 0
+    ev = nonisogeny_certificate(clean, E_43, 10)
+    assert (ev.kind, ev.witness) == ("trace-square-mismatch", 3)
+    assert clean._ap[2] == -2 and poisoned._ap[2] == 0
 
 
 def test_poisoned_trace_is_not_certified():

@@ -1,8 +1,11 @@
 import json
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from kummer_brauer import curves
 from kummer_brauer.arith import is_prime
 from kummer_brauer.report import (
     ELL3_CAVEAT,
@@ -35,6 +38,7 @@ CONDUCTOR_37_43 = pair({"weierstrass": [0, 0, 1, -1, 0]},
 SELF_A1 = pair({"weierstrass": [0, 0, 0, 6, -2]}, {"weierstrass": [0, 0, 0, 6, -2]})
 SELF_CM = pair({"weierstrass": [0, 0, 0, -1, 0]}, {"weierstrass": [0, 0, 0, -1, 0]},
                bound=200)
+GOLDEN_DIR = Path(__file__).parent / "golden"
 E_11A1 = {"weierstrass": [0, -1, 1, -10, -20]}
 E_37A1 = {"weierstrass": [0, 0, 1, -1, 0]}
 
@@ -274,6 +278,41 @@ def test_search_family_validity_and_determinism():
     # the seed offsets the enumeration
     offset = search_family(3, 2)
     assert offset[0].echo() == search_family(5, 0)[2].echo()
+
+
+def test_search_family_holds_one_input_per_curve():
+    specs = search_family(300, 5)
+    inputs = [ci for spec in specs for ci in (spec.first, spec.second)]
+    by_curve = {}
+    for ci in inputs:
+        assert by_curve.setdefault(ci.rt2_raw, ci) is ci
+    assert len(by_curve) == 38 and len(inputs) == 600
+
+
+SELF_PAIR_GOLDENS = ("golden_big_image_square.json", "golden_rt2_1_5_square.json",
+                     "golden_rt2_3_4_square.json")
+
+
+def test_self_pair_analysis_counts_points_once_per_prime(monkeypatch):
+    """The two sides of a self pair are parsed into distinct equal models;
+    analyze runs them as one curve object, so the requested congruence
+    scans read the a_p the rest of the analysis computed."""
+    counted = Counter()
+    count_points = curves.count_points
+
+    def spy(curve, p):
+        counted[curve.key(), p] += 1
+        return count_points(curve, p)
+
+    monkeypatch.setattr(curves, "count_points", spy)
+    for name in SELF_PAIR_GOLDENS:
+        data = json.loads((GOLDEN_DIR / name).read_text(encoding="utf-8"))["input"]
+        spec = parse_pair_spec({**data, "odd_primes": [3, 5, 7]})
+        assert spec.first.lw == spec.second.lw and spec.first.lw is not spec.second.lw
+        counted.clear()
+        evidence = analyze(spec).evidence
+        assert [ev["result"] for ev in evidence] == ["pass"] * 3
+        assert counted and max(counted.values()) == 1, name
 
 
 def test_search_family_rejects_bad_args():

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "kummer_brauer"
@@ -13,4 +14,16 @@ def test_no_assert_statements_in_the_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert sorted(SRC.glob("*.py")), SRC
+    assert found == []
+
+
+def test_no_mutable_containers_in_module_state():
+    # memos live on the objects they describe (a curve's a_p), never in
+    # module state that every caller of the process shares
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "kummer_brauer" + ("" if path.stem == "__init__" else "." + path.stem)
+        for key, value in vars(importlib.import_module(name)).items():
+            if not key.startswith("__") and isinstance(value, (dict, list, set, bytearray)):
+                found.append(f"{name}.{key}")
     assert found == []
