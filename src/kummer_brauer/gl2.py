@@ -130,25 +130,59 @@ class CriterionValidation:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
+class WitnessPredicate:
+    """The three witness conditions mod an odd prime ell, for one sample
+    (t, d) = (a_p mod ell, p mod ell) with d != 0:
+
+      nonsplit: t != 0 and t^2 - 4d a nonsquare;
+      split:    t != 0 and t^2 - 4d a nonzero square;
+      generic:  u = t^2/d outside {0, 1, 2, 4} with u^2 - 3u + 1 != 0.
+
+    Set-up tabulates the squares mod ell, O(ell); each call is O(1)."""
+
+    def __init__(self, ell: int):
+        self.ell = ell
+        self.square = [False] * ell
+        for x in range(ell):
+            self.square[x * x % ell] = True
+
+    def __call__(self, t: int, d: int) -> tuple[bool, bool, bool]:
+        """(nonsplit, split, generic) for 0 <= t < ell and 0 < d < ell."""
+        ell = self.ell
+        tt = t * t % ell
+        disc = (tt - 4 * d) % ell
+        square = self.square[disc]
+        # u = t^2/d: u in {0, 1, 2, 4} iff t^2 in {0, d, 2d, 4d}, and
+        # u^2 - 3u + 1 = 0 iff t^4 - 3 t^2 d + d^2 = 0, so d is never inverted
+        generic = (tt not in (0, d, 2 * d % ell, 4 * d % ell)
+                   and (tt * tt - 3 * tt * d + d * d) % ell != 0)
+        return t != 0 and not square, t != 0 and disc != 0 and square, generic
+
+    def satisfiable(self) -> bool:
+        """Whether every witness class has a member mod ell.  The walk over
+        F_ell x F_ell^* stops once each class has shown one, which at
+        ell >= 5 takes a few samples; only ell = 3 walks all six."""
+        seen = (False, False, False)
+        for t in range(self.ell):
+            for d in range(1, self.ell):
+                seen = tuple(a or b for a, b in zip(seen, self(t, d)))
+                if all(seen):
+                    return True
+        return False
+
+
 def witness_classes(ell: int) -> tuple[set, set, set]:
     """The (t, d) pairs in F_ell satisfying each of the three witness
-    conditions.  Any empty class means that witness can never be sampled."""
-    squares = {x * x % ell for x in range(ell)}
-    nonsplit, split, generic = set(), set(), set()
-    good_u = {u for u in range(ell)
-              if u not in {0 % ell, 1 % ell, 2 % ell, 4 % ell} and (u * u - 3 * u + 1) % ell}
-    inverse = [0] + [pow(d, -1, ell) for d in range(1, ell)]
+    conditions of `WitnessPredicate`, which is what sampling runs.  Any empty
+    class means that witness can never be sampled."""
+    classify = WitnessPredicate(ell)
+    classes = (set(), set(), set())
     for t in range(ell):
-        tt = t * t
         for d in range(1, ell):
-            disc = (tt - 4 * d) % ell
-            if t != 0 and disc not in squares:
-                nonsplit.add((t, d))
-            if t != 0 and disc != 0 and disc in squares:
-                split.add((t, d))
-            if tt * inverse[d] % ell in good_u:
-                generic.add((t, d))
-    return nonsplit, split, generic
+            for cls, hit in zip(classes, classify(t, d)):
+                if hit:
+                    cls.add((t, d))
+    return classes
 
 
 def enumerate_subgroups(group: GL2) -> list[int]:

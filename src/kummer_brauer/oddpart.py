@@ -25,7 +25,7 @@ from .curves import (
     point_order,
     to_rt2,
 )
-from .gl2 import CriterionValidation, validate_surjectivity_criterion, witness_classes
+from .gl2 import CriterionValidation, WitnessPredicate, validate_surjectivity_criterion
 from .homrank import same_curve
 from .isogeny import KERNEL_DEGREES, kernels, short_model
 from ._cubic import two_division_cubic_is_s3
@@ -69,8 +69,8 @@ def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVe
 
     ell >= 3: witness sampling over good primes p <= bound, p != ell, with
     (t, d) = (a_p mod ell, p mod ell).  Three witnesses are required, one
-    from each class of `witness_classes`, the predicate the exhaustive oracle
-    validates:
+    from each class of `WitnessPredicate`, the predicate whose classes the
+    exhaustive oracle validates:
       (i)   t != 0 and t^2 - 4d a nonsquare mod ell;
       (ii)  t != 0 and t^2 - 4d a nonzero square mod ell;
       (iii) u = t^2/d outside {0, 1, 2, 4} with u^2 - 3u + 1 != 0 mod ell.
@@ -89,8 +89,8 @@ def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVe
         return SurjectivityVerdict(2, "inconclusive", (("exact", detail),), 0)
     if not is_prime(ell):
         raise ValueError("ell must be prime")
-    w1, w2, w3 = witness_classes(ell)
-    if not (w1 and w2 and w3):
+    classify = WitnessPredicate(ell)
+    if not classify.satisfiable():
         return SurjectivityVerdict(
             ell, "inconclusive",
             (("unsatisfiable",
@@ -117,13 +117,13 @@ def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVe
                     bound)
         t = ap(curve, p) % ell
         d = p % ell
-        td = (t, d)
+        nonsplit, split, generic = classify(t, d)
         disc = (t * t - 4 * d) % ell
-        if "nonsplit" not in found and td in w1:
+        if "nonsplit" not in found and nonsplit:
             found["nonsplit"] = f"p = {p}: t = {t}, t^2-4d = {disc} nonsquare mod {ell}"
-        if "split" not in found and td in w2:
+        if "split" not in found and split:
             found["split"] = f"p = {p}: t = {t}, t^2-4d = {disc} nonzero square mod {ell}"
-        if "generic" not in found and td in w3:
+        if "generic" not in found and generic:
             u = t * t * pow(d, -1, ell) % ell
             found["generic"] = f"p = {p}: u = t^2/d = {u} mod {ell}"
         if len(found) == 3:

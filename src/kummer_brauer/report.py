@@ -44,7 +44,8 @@ ELL3_CAVEAT = ("mod-3 surjectivity is not decidable from trace/determinant "
 NO_TRANSFER = "no evidence that the geometric invariants vanish"
 
 # Upper limits on the options: the prime sieve allocates one byte per
-# integer up to bound, and witness_classes(ell) costs O(ell^2) per sampled ell.
+# integer up to bound, and mod-ell sampling, O(ell) set-up and O(1) per
+# sample, may read every a_p up to bound once for each sampled ell.
 MAX_BOUND = 10**6
 MAX_ELL = 100
 

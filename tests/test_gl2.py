@@ -3,6 +3,7 @@ import pytest
 from kummer_brauer.arith import bits_of, factor
 from kummer_brauer.gl2 import (
     GL2,
+    WitnessPredicate,
     _cyclic_extension,
     _prime_power_base,
     enumerate_subgroups,
@@ -124,6 +125,24 @@ def test_witness_classes_equal_the_formula_up_to_max_ell():
     from kummer_brauer.report import MAX_ELL
     for ell in primes_up_to(MAX_ELL):
         assert witness_classes(ell) == witness_classes_by_formula(ell), ell
+
+
+def test_witness_predicate_equals_the_formula_up_to_max_ell():
+    from kummer_brauer.arith import primes_up_to
+    from kummer_brauer.report import MAX_ELL
+    for ell in primes_up_to(MAX_ELL)[1:]:
+        classify = WitnessPredicate(ell)
+        classes = witness_classes_by_formula(ell)
+        for t in range(ell):
+            for d in range(1, ell):
+                assert classify(t, d) == tuple((t, d) in c for c in classes), (ell, t, d)
+
+
+def test_witness_satisfiable_equals_the_formula_up_to_max_ell():
+    from kummer_brauer.arith import primes_up_to
+    from kummer_brauer.report import MAX_ELL
+    for ell in primes_up_to(MAX_ELL)[1:]:
+        assert WitnessPredicate(ell).satisfiable() == all(witness_classes_by_formula(ell)), ell
 
 
 def test_witness_classes_mod_3_degenerate():

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +159,24 @@ def test_six_torsion_certificate_samples_only_the_ells_it_reads(monkeypatch):
         E_A1, E_SEXTIC, (Fraction(2), Fraction(3)), 37, 10_000)
     assert isinstance(cert, OddCertificate)
     assert calls == [ell for ell in primes_up_to(37) if ell != 3]
+
+
+def test_analysis_builds_no_witness_sets(monkeypatch):
+    # sampling classifies each (t, d) with WitnessPredicate; the exhaustive
+    # witness sets are built for the criterion oracle only
+    from kummer_brauer import gl2, oddpart
+    from kummer_brauer.report import analyze, parse_pair_spec, render_report
+
+    def no_sets(ell):
+        raise AssertionError(f"witness_classes({ell}) built during an analysis")
+
+    monkeypatch.setattr(gl2, "witness_classes", no_sets)
+    monkeypatch.setattr(oddpart, "witness_classes", no_sets, raising=False)
+    goldens = sorted((Path(__file__).parent / "golden").glob("golden_*.json"))
+    assert len(goldens) == 5
+    for path in goldens:
+        spec = parse_pair_spec(json.loads(path.read_text(encoding="utf-8"))["input"])
+        assert render_report(analyze(spec), "json").encode() == path.read_bytes(), path.name
 
 
 def test_six_torsion_wrong_order():

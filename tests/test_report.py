@@ -359,6 +359,18 @@ def test_200_digit_isogeny_walk_is_fast():
     assert time.perf_counter() - t0 < 2.0
 
 
+def test_big_image_golden_at_max_ell_within_budget():
+    # sampling sets up O(ell) per ell and classifies each sample in O(1);
+    # every ell from 5 to 97 ends at its first three witnesses (about
+    # 0.01 s measured on a 2-vCPU Xeon)
+    data = json.loads((GOLDEN_DIR / "golden_big_image_square.json").read_text(encoding="utf-8"))
+    spec = parse_pair_spec({**data["input"], "ell_max": MAX_ELL})
+    t0 = time.perf_counter()
+    result = analyze(spec)
+    assert time.perf_counter() - t0 < 0.25
+    assert result.conclusion == data["conclusion"] == "trivial"
+
+
 def test_isogenous_pair_at_max_bound_within_budget():
     # a certified isogeny ends the non-isogeny scan after the primes up to
     # 229 and answers the congruence evidence without a scan
