@@ -11,18 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .arith import FactorBudgetError
-from .curves import CurveLW, CurveRT2, frobenius_table
+from .curves import frobenius_table
 from .gl2 import validate_surjectivity_criterion
 from .report import (
     MAX_BOUND,
-    CurveInput,
-    CurvePairSpec,
     InputError,
     analyze,
-    check_options,
+    parse_curve_record,
     parse_pair_spec,
     render_report,
     search_family,
@@ -36,58 +33,47 @@ from .residues import (
 )
 
 
-def _parse_curve_flag(text: str, six_torsion: str | None = None) -> CurveInput:
-    """Inline curve syntax: 'rt2:a,b' or 'w:a1,a2,a3,a4,a6' ('num/den' ok)."""
-    try:
-        kind, _, rest = text.partition(":")
-        parts = [p.strip() for p in rest.split(",")]
-        point = None
-        if six_torsion:
-            x, y = (Fraction(v) for v in six_torsion.split(","))
-            point = (x, y)
-        if kind == "rt2":
-            a, b = (int(p) for p in parts)
-            return CurveInput("rt2", CurveRT2(a, b).to_lw(), (a, b), point)
-        if kind == "w":
-            coeffs = [Fraction(p) for p in parts]
-            if len(coeffs) != 5:
-                raise ValueError("weierstrass needs 5 coefficients")
-            return CurveInput("weierstrass", CurveLW(*coeffs), None, point)
-        raise ValueError(f"unknown curve syntax {text!r}; use rt2:a,b or w:a1,..,a6")
-    except (ValueError, ZeroDivisionError, TypeError) as e:
-        raise InputError(str(e)) from e
+def _parse_curve_flag(text: str, six_torsion: str | None = None) -> dict:
+    """The curve record a pair file holds, from the inline syntax 'rt2:a,b'
+    or 'w:a1,a2,a3,a4,a6' ('num/den' ok) and a six-torsion point 'x,y'."""
+    kind, _, rest = text.partition(":")
+    parts = [p.strip() for p in rest.split(",")]
+    if kind == "rt2" and len(parts) == 2:
+        rec: dict = {"rt2": {"a": parts[0], "b": parts[1]}}
+    elif kind == "w":
+        rec = {"weierstrass": parts}
+    else:
+        raise InputError(f"unknown curve syntax {text!r}; use rt2:a,b or w:a1,..,a6")
+    if six_torsion:
+        rec["six_torsion"] = six_torsion.split(",")
+    return rec
 
 
 def _cmd_analyze(args) -> int:
+    inline = (args.first, args.second, args.six_torsion_first, args.six_torsion_second)
     if args.pair:
+        if any(inline):
+            raise InputError("--pair takes no --first, --second or --six-torsion-* flags")
         try:
             with open(args.pair, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         except UnicodeDecodeError as e:
             raise InputError(f"{args.pair} is not UTF-8 text: {e}") from e
-        spec = parse_pair_spec(data)
-        # explicit flags override the file, absent flags leave it alone
-        if args.bound_B is not None or args.ell_max is not None:
-            spec = CurvePairSpec(
-                spec.first, spec.second,
-                spec.bound if args.bound_B is None else args.bound_B,
-                spec.ell_max if args.ell_max is None else args.ell_max,
-                spec.odd_primes)
+    elif args.first and args.second:
+        data = {"first": _parse_curve_flag(args.first, args.six_torsion_first),
+                "second": _parse_curve_flag(args.second, args.six_torsion_second)}
     else:
-        if not (args.first and args.second):
-            raise InputError("give --pair FILE or both --first and --second")
-        first = _parse_curve_flag(args.first, args.six_torsion_first)
-        second = _parse_curve_flag(args.second, args.six_torsion_second)
+        raise InputError("give --pair FILE or both --first and --second")
+    # explicit flags override the file, absent flags leave it alone
+    options = {"bound": args.bound_B, "ell_max": args.ell_max}
+    if args.odd_primes is not None:
         try:
-            odd = tuple(int(x) for x in args.odd_primes.split(",")) if args.odd_primes else ()
+            options["odd_primes"] = [int(x) for x in args.odd_primes.split(",") if x]
         except ValueError as e:
             raise InputError(f"--odd-primes needs comma-separated integers: {e}") from e
-        spec = CurvePairSpec(first, second,
-                             10_000 if args.bound_B is None else args.bound_B,
-                             37 if args.ell_max is None else args.ell_max,
-                             odd)
-    check_options(spec)
-    report = analyze(spec)
+    if isinstance(data, dict):  # parse_pair_spec rejects anything else
+        data.update((k, v) for k, v in options.items() if v is not None)
+    report = analyze(parse_pair_spec(data))
     sys.stdout.write(render_report(report, args.format))
     return 0
 
@@ -106,11 +92,10 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_frobenius(args) -> int:
-    curve = _parse_curve_flag(args.curve)
-    bound = 10_000 if args.bound_B is None else args.bound_B
-    if bound > MAX_BOUND:
-        raise InputError(f"bound must be at most {MAX_BOUND}")
-    table = frobenius_table(curve.lw, bound)
+    if not 1 <= args.bound_B <= MAX_BOUND:
+        raise InputError(f"bound must be an integer in [1, {MAX_BOUND}]")
+    curve = parse_curve_record(_parse_curve_flag(args.curve))
+    table = frobenius_table(curve.lw, args.bound_B)
     if args.format == "text":
         sys.stdout.write(f"curve {table.curve}, good primes up to {table.bound}\n")
         for p, t in table.entries:
@@ -197,45 +182,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Brauer group reports for Kummer surfaces of E x E' over Q")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--bound-B", type=int, default=None,
-                       help="prime bound for trace sampling (default 10000)")
-        p.add_argument("--ell-max", type=int, default=None,
-                       help="largest ell for surjectivity sampling (default 37)")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--seed", type=int, default=0,
-                       help="enumeration offset for deterministic generators")
-
     p = sub.add_parser("analyze", help="analyze a curve pair")
     p.add_argument("--pair", help="JSON file with a pair spec")
     p.add_argument("--first", help="inline curve, rt2:a,b or w:a1,a2,a3,a4,a6")
     p.add_argument("--second", help="inline curve")
     p.add_argument("--six-torsion-first", help="x,y point of order 6 on the first curve")
     p.add_argument("--six-torsion-second", help="x,y point of order 6 on the second curve")
-    p.add_argument("--odd-primes", help="comma-separated odd primes for congruence evidence")
-    common(p)
+    p.add_argument("--odd-primes", help="comma-separated odd primes for congruence "
+                                        "evidence; overrides the pair file's")
+    p.add_argument("--bound-B", type=int,
+                   help="prime bound for trace sampling; overrides the pair "
+                        "file's (default 10000)")
+    p.add_argument("--ell-max", type=int,
+                   help="largest ell for surjectivity sampling; overrides the "
+                        "pair file's (default 37)")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("search", help="generate family curve pairs")
     p.add_argument("--count", type=int, default=1)
-    common(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="number of family pairs skipped before the first")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("frobenius", help="dump a Frobenius trace table")
     p.add_argument("--curve", required=True, help="rt2:a,b or w:a1,a2,a3,a4,a6")
-    common(p)
+    p.add_argument("--bound-B", type=int, default=10_000,
+                   help="largest prime in the table (default 10000)")
     p.set_defaults(func=_cmd_frobenius)
 
     p = sub.add_parser("matrix", help="print the residue matrix and its extension")
     p.add_argument("--pair", required=True, help="a,b,a',b'")
-    common(p)
     p.set_defaults(func=_cmd_matrix)
 
     p = sub.add_parser("validate-criterion", help="run the GL2 subgroup oracle")
     p.add_argument("--ell", type=int, required=True, choices=(3, 5))
-    common(p)
     p.set_defaults(func=_cmd_validate_criterion)
 
+    for p in sub.choices.values():  # every subcommand writes json or text
+        p.add_argument("--format", choices=("json", "text"), default="json")
     return parser
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import is_prime, primes_up_to, valuation
+from .arith import is_prime, is_rational_square, primes_up_to, valuation
 from .curves import (
     EXHAUSTIVE_MAX_PRIME,
     CurveLW,
@@ -28,7 +28,6 @@ from .curves import (
 from .gl2 import CriterionValidation, WitnessPredicate, validate_surjectivity_criterion
 from .homrank import same_curve
 from .isogeny import KERNEL_DEGREES, kernels, short_model
-from ._cubic import two_division_cubic_is_s3
 
 DET_ASSUMPTION = ("determinant surjectivity assumed: the mod-ell determinant "
                   "of the Galois action is the cyclotomic character")
@@ -83,8 +82,18 @@ def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVe
     witness, so the verdict could only be inconclusive.
     """
     if ell == 2:
-        full, detail = two_division_cubic_is_s3(curve)
-        if full:
+        # 256 Delta is the discriminant of the monic 2-division cubic
+        # y^3 + b2 y^2 + 8 b4 y + 16 b6 (y = 4x)
+        disc = 256 * curve.discriminant()
+        roots = kernels(*short_model(curve), 2)
+        if roots:
+            detail = (f"2-division cubic has a rational root (x = {roots[0][0]} "
+                      "on the integral short model)")
+        elif is_rational_square(disc):
+            detail = "2-division cubic has square discriminant (group inside A3)"
+        else:
+            detail = ("2-division cubic irreducible with non-square discriminant "
+                      f"(class of {disc})")
             return SurjectivityVerdict(2, "surjective", (("exact", detail),), 0)
         return SurjectivityVerdict(2, "inconclusive", (("exact", detail),), 0)
     if not is_prime(ell):

@@ -48,6 +48,9 @@ NO_TRANSFER = "no evidence that the geometric invariants vanish"
 # sample, may read every a_p up to bound once for each sampled ell.
 MAX_BOUND = 10**6
 MAX_ELL = 100
+# search_family's work is linear in count + seed: 10^4 pairs printed as
+# JSON take about 1 s and 53 MB (Python 3.11, 2-vCPU Xeon)
+MAX_SEARCH = 10**4
 
 
 class InputError(ValueError):
@@ -56,7 +59,6 @@ class InputError(ValueError):
 
 @dataclass(frozen=True)
 class CurveInput:
-    kind: str  # "rt2" | "weierstrass"
     lw: CurveLW
     rt2_raw: tuple[int, int] | None = None
     six_torsion: Point = None
@@ -68,7 +70,7 @@ class CurveInput:
 
     def echo(self) -> dict:
         out: dict = {}
-        if self.kind == "rt2":
+        if self.rt2_raw is not None:
             out["rt2"] = {"a": self.rt2_raw[0], "b": self.rt2_raw[1]}
         else:
             out["weierstrass"] = [str(c) for c in self.lw.key()]
@@ -84,7 +86,8 @@ def _parse_rational(v) -> Fraction:
         raise InputError(f"not a rational: {v!r}")
     if isinstance(v, int):
         return Fraction(v)
-    if isinstance(v, str):
+    # an exponent ("1e999999999") would make Fraction build a huge integer
+    if isinstance(v, str) and "e" not in v.lower():
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as e:
@@ -108,14 +111,17 @@ def parse_curve_record(rec: dict) -> CurveInput:
     if "rt2" in rec:
         ab = rec["rt2"]
         try:
-            a, b = int(ab["a"]), int(ab["b"])
-        except (KeyError, TypeError, ValueError) as e:
+            a, b = _parse_rational(ab["a"]), _parse_rational(ab["b"])
+        except (KeyError, TypeError) as e:
             raise InputError("rt2 record needs integer fields a, b") from e
+        if a.denominator != 1 or b.denominator != 1:
+            raise InputError("rt2 record needs integer fields a, b")
+        a, b = int(a), int(b)
         try:
             curve = CurveRT2(a, b)
         except ValueError as e:
             raise InputError(str(e)) from e
-        return CurveInput("rt2", curve.to_lw(), (a, b), point, label)
+        return CurveInput(curve.to_lw(), (a, b), point, label)
     if "weierstrass" in rec:
         coeffs = rec["weierstrass"]
         if not (isinstance(coeffs, (list, tuple)) and len(coeffs) == 5):
@@ -124,7 +130,7 @@ def parse_curve_record(rec: dict) -> CurveInput:
             curve = CurveLW(*(_parse_rational(c) for c in coeffs))
         except ValueError as e:
             raise InputError(str(e)) from e
-        return CurveInput("weierstrass", curve, None, point, label)
+        return CurveInput(curve, None, point, label)
     raise InputError("curve record needs an 'rt2' or 'weierstrass' field")
 
 
@@ -157,8 +163,9 @@ def parse_pair_spec(data: dict) -> CurvePairSpec:
     odd = data.get("odd_primes", [])
     if not isinstance(odd, (list, tuple)):
         raise InputError("odd_primes must be a list of odd primes")
-    spec = CurvePairSpec(first, second, data.get("bound", 10_000),
-                         data.get("ell_max", 37), tuple(odd))
+    # absent keys take CurvePairSpec's defaults
+    options = {k: data[k] for k in ("bound", "ell_max") if k in data}
+    spec = CurvePairSpec(first, second, odd_primes=tuple(odd), **options)
     check_options(spec)
     return spec
 
@@ -215,7 +222,7 @@ def _root_factor(var: str, root: Fraction) -> str:
 
 def _curve_rhs(ci: CurveInput, var: str) -> tuple[str, bool]:
     """(right-hand side text, already-factored flag) for one curve."""
-    if ci.kind == "rt2":
+    if ci.rt2_raw is not None:
         a, b = ci.rt2_raw
         return "".join(_root_factor(var, Fraction(r)) for r in (0, a, b)), True
     c = ci.lw
@@ -481,7 +488,7 @@ def _odd_ells(ell_max: int) -> list[int]:
 
 
 def _ell_max(data: dict) -> int:
-    return data.get("input", {}).get("ell_max", 37)
+    return data.get("input", {}).get("ell_max", CurvePairSpec.ell_max)
 
 
 def _odd_coverage(data: dict) -> str:
@@ -641,12 +648,14 @@ def search_family(count: int, seed: int = 0) -> list[CurvePairSpec]:
         raise InputError("count must be >= 1")
     if seed < 0:
         raise InputError("seed must be >= 0")
+    if count + seed > MAX_SEARCH:
+        raise InputError(f"count + seed must be at most {MAX_SEARCH}")
     out: list[CurvePairSpec] = []
     inputs: dict[tuple[int, int], CurveInput] = {}
 
     def rt2_input(a: int, b: int) -> CurveInput:
         if (a, b) not in inputs:
-            inputs[a, b] = CurveInput("rt2", CurveRT2(a, b).to_lw(), (a, b))
+            inputs[a, b] = CurveInput(CurveRT2(a, b).to_lw(), (a, b))
         return inputs[a, b]
 
     skipped = 0

@@ -1,15 +1,25 @@
+import argparse
+import ast
+import inspect
 import json
 import os
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
 import pytest
 
-from kummer_brauer import report
-from kummer_brauer.cli import main
+from kummer_brauer import cli, report
+from kummer_brauer.cli import build_parser, main
 from test_acceptance import GOLDEN_DIR, GOLDEN_SPECS
+
+
+def _module_env():
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
 
 
 def run(capsys, *argv):
@@ -63,6 +73,47 @@ def test_analyze_pair_file_keeps_its_bounds(tmp_path, capsys):
     # an explicit flag still wins
     code, out, _ = run(capsys, "analyze", "--pair", str(f), "--ell-max", "7")
     assert json.loads(out)["input"]["ell_max"] == 7
+
+
+def test_override_flags_replace_the_pair_file_keys(tmp_path, capsys, monkeypatch):
+    spec = {
+        "first": {"rt2": {"a": 5, "b": 7}},
+        "second": {"rt2": {"a": 1, "b": 2}},
+        "bound": 5,
+        "odd_primes": [7],
+    }
+    f = tmp_path / "pair.json"
+    f.write_text(json.dumps(spec), encoding="utf-8")
+    checked = []
+    check = report.check_options
+    monkeypatch.setattr(report, "check_options",
+                        lambda s: checked.append(s) or check(s))
+    monkeypatch.setattr(cli, "check_options", report.check_options, raising=False)
+    # the file's bound 5 is out of range, but the flag replaces it unread
+    code, out, err = run(capsys, "analyze", "--pair", str(f), "--bound-B", "500",
+                         "--odd-primes", "5")
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["input"]["bound"] == 500
+    assert data["input"]["odd_primes"] == [5]
+    assert [ev["ell"] for ev in data["evidence"]] == [5]
+    assert len(checked) == 1
+
+
+def test_pair_file_with_inline_curve_flags_exits_2(tmp_path, capsys):
+    f = tmp_path / "pair.json"
+    f.write_text(json.dumps({"first": {"rt2": {"a": 5, "b": 7}},
+                             "second": {"rt2": {"a": 1, "b": 2}}}), encoding="utf-8")
+    for extra in (["--first", "rt2:11,13"], ["--second", "rt2:11,13"],
+                  ["--six-torsion-first", "2,3"], ["--six-torsion-second", "2,3"]):
+        code, out, err = run(capsys, "analyze", "--pair", str(f), *extra)
+        assert code == 2 and "input error" in err and out == "", extra
+
+
+def test_inline_rt2_rejects_non_integers(capsys):
+    for curve in ("rt2:5.5,7", "rt2:5/2,7", "rt2:5", "rt2:5,7,9", "rt2:1e3,7", "x:5,7"):
+        code, _, err = run(capsys, "analyze", "--first", curve, "--second", "rt2:1,2")
+        assert code == 2 and "input error" in err, curve
 
 
 def test_analyze_weierstrass_inline_with_fractions(capsys):
@@ -123,6 +174,38 @@ def test_option_upper_limits_exit_2_at_once(tmp_path, capsys):
         assert time.perf_counter() - t0 < 1, argv
 
 
+def test_search_and_frobenius_limits_exit_2_at_once():
+    # search_family is linear in count + seed, so 10^9 of them ran for hours
+    big = str(10**9)
+    for argv in (
+        ["search", "--count", big],
+        ["search", "--seed", big],
+        ["search", "--count", str(report.MAX_SEARCH), "--seed", "1"],
+        ["frobenius", "--curve", "rt2:5,7", "--bound-B", "-5"],
+        ["frobenius", "--curve", "rt2:5,7", "--bound-B", "0"],
+    ):
+        t0 = time.perf_counter()
+        out = subprocess.run([sys.executable, "-m", "kummer_brauer.cli", *argv],
+                             env=_module_env(), capture_output=True, text=True,
+                             timeout=10)
+        assert out.returncode == 2 and "input error" in out.stderr, argv
+        assert out.stdout == "", argv
+        assert time.perf_counter() - t0 < 1, argv
+
+
+def test_each_subcommand_declares_exactly_the_flags_it_reads():
+    (sub,) = (a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction))
+    for name, p in sub.choices.items():
+        declared = {a.dest for a in p._actions if a.dest != "help"}
+        handler = p.get_default("func")
+        tree = ast.parse(textwrap.dedent(inspect.getsource(handler)))
+        read = {n.attr for n in ast.walk(tree)
+                if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                and n.value.id == "args"}
+        assert read == declared, name
+
+
 def test_internal_value_error_is_not_an_input_error(monkeypatch, capsys):
     def broken(*args):
         raise ValueError("internal fault")
@@ -143,9 +226,7 @@ def test_j_zero_partner_with_bad_reduction_first(capsys):
 
 def test_37_digit_semiprime_coefficient_finishes():
     semiprime = 400000000000000013 * 7000000000000000013
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = [str(src), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env = _module_env()
     out = subprocess.run(
         [sys.executable, "-m", "kummer_brauer.cli", "analyze", "--first",
          f"rt2:{semiprime},7", "--second", "rt2:1,2", "--bound-B", "100"],
@@ -191,9 +272,7 @@ def test_matrix_factors_each_base_element_once(capsys):
 
 def test_matrix_beyond_the_factoring_budget_exits_2():
     semiprime = 400000000000000013 * 7000000000000000013
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = [str(src), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env = _module_env()
     t0 = time.perf_counter()
     out = subprocess.run(
         [sys.executable, "-m", "kummer_brauer.cli", "matrix", "--pair",
@@ -224,9 +303,7 @@ def test_validate_criterion_mod_5(capsys):
 
 
 def test_golden_reports_under_python_O(tmp_path):
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = [str(src), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env = _module_env()
     for name, raw in GOLDEN_SPECS.items():
         spec = tmp_path / name
         spec.write_text(json.dumps(raw), encoding="utf-8")

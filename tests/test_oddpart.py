@@ -1,11 +1,19 @@
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from kummer_brauer.arith import primes_up_to
-from kummer_brauer.curves import CurveLW, CurveRT2, ap, good_primes, is_good_prime
+from kummer_brauer.arith import is_rational_square, primes_up_to
+from kummer_brauer.curves import (
+    CurveLW,
+    CurveRT2,
+    _rational_roots_monic_cubic,
+    ap,
+    good_primes,
+    is_good_prime,
+)
 from kummer_brauer.oddpart import (
     CertificateFailure,
     OddCertificate,
@@ -36,6 +44,51 @@ def test_mod2_exact():
     assert mod_ell_surjectivity(E_A1, 2, 0).verdict == "surjective"
     # fully rational 2-torsion: reducible cubic, image is a proper subgroup
     assert mod_ell_surjectivity(CurveRT2(5, 7).to_lw(), 2, 0).verdict == "inconclusive"
+
+
+def mod2_by_b_invariants(curve):
+    """The oracle for the mod-2 verdict: the 2-division cubic
+    y^3 + b2 y^2 + 8 b4 y + 16 b6 (y = 4x) built from the b-invariants, with
+    its rational roots and its discriminant.  Returns the case and, when the
+    image is S3, the witness text."""
+    b2, b4, b6, _ = curve.b_invariants()
+    p, q, r = b2, 8 * b4, 16 * b6
+    if _rational_roots_monic_cubic(p, q, r):
+        return "rational root", None
+    disc = 18 * p * q * r - 4 * p**3 * r + p * p * q * q - 4 * q**3 - 27 * r * r
+    if is_rational_square(disc):
+        return "square discriminant", None
+    return "surjective", ("2-division cubic irreducible with non-square "
+                          f"discriminant (class of {disc})")
+
+
+def test_mod2_verdict_equals_the_b_invariant_cubic():
+    rng = random.Random(20)
+    # Shanks' simplest cubics x^3 - n x^2 - (n + 3) x - 1 have square
+    # discriminant (n^2 + 3n + 9)^2; (x - s)(x^2 + t x + u) has a rational root
+    panel = [CurveLW(0, -n, 0, -n - 3, -1) for n in range(12)]
+    while len(panel) < 400:
+        c = [Fraction(rng.randint(-40, 40), rng.choice((1, 1, 1, 2, 3, 6)))
+             for _ in range(5)]
+        if len(panel) % 4 == 0:
+            s, t, u = c[2:]
+            c = [0, t - s, 0, u - s * t, -s * u]
+        try:
+            panel.append(CurveLW(*c))
+        except ValueError:  # singular
+            continue
+    cases = []
+    for e in panel:
+        case, text = mod2_by_b_invariants(e)
+        v = mod_ell_surjectivity(e, 2, 0)
+        assert (v.verdict == "surjective") == (case == "surjective"), e.key()
+        if text is not None:
+            assert v.witnesses == (("exact", text),), e.key()
+        else:
+            assert case in v.witnesses[0][1], e.key()
+        cases.append(case)
+    assert min(cases.count(k) for k in
+               ("rational root", "square discriminant", "surjective")) >= 12
 
 
 def test_sampling_verdicts():

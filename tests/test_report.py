@@ -11,6 +11,7 @@ from kummer_brauer.report import (
     ELL3_CAVEAT,
     MAX_BOUND,
     MAX_ELL,
+    MAX_SEARCH,
     NO_TRANSFER,
     InputError,
     analyze,
@@ -62,6 +63,26 @@ def test_parse_errors():
         pair({"rt2": {"a": 1, "b": 2}}, {"weierstrass": [0, 0, 0, 0, 1], "six_torsion": [1, 1]})
     with pytest.raises(InputError):
         pair({"rt2": {"a": 1, "b": 2}}, {"rt2": {"a": 1, "b": 2}}, bound=1)
+
+
+def test_rt2_record_reads_integers_only():
+    # a float or a bool used to be truncated by int(): 5.9 was analysed as 5
+    for bad in (5.9, 5.0, True, "5/2", "5.5", None, [5]):
+        with pytest.raises(InputError):
+            parse_curve_record({"rt2": {"a": bad, "b": 7}})
+    ci = parse_curve_record({"rt2": {"a": " 5", "b": "14/2"}})
+    assert ci.rt2_raw == (5, 7)
+    assert ci.echo() == {"rt2": {"a": 5, "b": 7}}
+
+
+def test_exponent_strings_are_rejected():
+    # Fraction("1e999999999") would build a billion-digit integer
+    with pytest.raises(InputError):
+        parse_curve_record({"weierstrass": [0, 0, 0, "1e99", 0]})
+    with pytest.raises(InputError):
+        parse_curve_record({"rt2": {"a": "5E0", "b": 7}})
+    with pytest.raises(InputError):
+        parse_curve_record({"weierstrass": [0, 0, 0, 0, 1], "six_torsion": ["2e0", 3]})
 
 
 def test_rational_weierstrass_coefficients():
@@ -320,6 +341,11 @@ def test_search_family_rejects_bad_args():
         search_family(0)
     with pytest.raises(InputError):
         search_family(1, -1)
+    with pytest.raises(InputError):
+        search_family(MAX_SEARCH + 1)
+    with pytest.raises(InputError):
+        search_family(1, MAX_SEARCH)
+    assert len(search_family(1, MAX_SEARCH - 1)) == 1
 
 
 # -- inputs whose factorization is out of reach ---------------------------------
