@@ -3,11 +3,9 @@ residue matrices for the 2-torsion part and Galois-theoretic certificates
 for the odd-torsion part, with a report-producing CLI."""
 
 from .arith import (
-    BitMatrix,
     Factorization,
     Rational,
     SquareClass,
-    f2_nullspace,
     factor,
     sc_mul,
     square_class,

@@ -1,6 +1,7 @@
 """Exact integer/rational arithmetic: factorization, p-adic valuations,
-square classes in Q*/Q*^2 (by factorization, and as exponent parities over a
-coprime base), and nullspace computation over F2.
+perfect-square tests, and square classes in Q*/Q*^2, by factorization and as
+exponent parities over a coprime base (which serves only the displayed
+residue classes; the residue kernel needs square tests alone).
 
 All operations are deterministic.  The one piece of module state, the prime
 sieve behind primes_up_to, is a (limit, primes) pair published whole after
@@ -277,66 +278,6 @@ def square_class_bits(n: int, base: list[int]) -> int:
     if not is_square(n):
         raise ValueError(f"cofactor {n} is not a square over the base")
     return bits
-
-
-class BitMatrix:
-    """A matrix over F2; each row is stored as an int bitmask (bit j = column j)."""
-
-    def __init__(self, rows: list[int], cols: int):
-        self.rows = list(rows)
-        self.cols = cols
-        for r in self.rows:
-            if r < 0 or r >> cols:
-                raise ValueError("row mask exceeds column count")
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def bit(self, i: int, j: int) -> int:
-        if not (0 <= i < self.nrows and 0 <= j < self.cols):
-            raise IndexError("bit index out of range")
-        return (self.rows[i] >> j) & 1
-
-
-def _eliminate(rows: list[int], cols: int) -> dict[int, int]:
-    """Row-reduce; returns {pivot column: reduced row mask}."""
-    work = [r for r in rows if r]
-    pivots: dict[int, int] = {}
-    for col in range(cols):
-        mask = 1 << col
-        pivot_row = None
-        for idx, r in enumerate(work):
-            if r & mask:
-                pivot_row = idx
-                break
-        if pivot_row is None:
-            continue
-        prow = work.pop(pivot_row)
-        work = [r ^ prow if r & mask else r for r in work]
-        pivots = {c: (r ^ prow if r & mask else r) for c, r in pivots.items()}
-        pivots[col] = prow
-        work = [r for r in work if r]
-    return pivots
-
-
-def f2_nullspace(matrix: BitMatrix) -> list[int]:
-    """Basis of {v : M v = 0} over F2, each vector an int bitmask over columns.
-
-    The count always equals cols - rank.
-    """
-    pivots = _eliminate(matrix.rows, matrix.cols)
-    pivot_cols = set(pivots)
-    free_cols = [c for c in range(matrix.cols) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        v = 1 << fc
-        # pivot rows are fully reduced, so each pivot coordinate reads off directly
-        for pc, row in pivots.items():
-            if (row >> fc) & 1:
-                v |= 1 << pc
-        basis.append(v)
-    return basis
 
 
 def bits_of(mask: int) -> list[int]:

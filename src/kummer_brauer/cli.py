@@ -23,6 +23,7 @@ from .report import (
     parse_pair_spec,
     render_report,
     search_family,
+    stable_json,
 )
 from .residues import (
     ALGEBRA_LABELS,
@@ -86,8 +87,7 @@ def _cmd_search(args) -> int:
             a2, b2 = p.second.rt2_raw
             sys.stdout.write(f"(a, b, a', b') = ({a}, {b}, {a2}, {b2})\n")
     else:
-        sys.stdout.write(json.dumps(
-            [p.echo() for p in pairs], sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(stable_json([p.echo() for p in pairs]) + "\n")
     return 0
 
 
@@ -101,11 +101,11 @@ def _cmd_frobenius(args) -> int:
         for p, t in table.entries:
             sys.stdout.write(f"  a_{p} = {t}\n")
     else:
-        sys.stdout.write(json.dumps({
+        sys.stdout.write(stable_json({
             "curve": table.curve,
             "bound": table.bound,
             "entries": {str(p): t for p, t in table.entries},
-        }, sort_keys=True, indent=2) + "\n")
+        }) + "\n")
     return 0
 
 
@@ -137,7 +137,7 @@ def _cmd_matrix(args) -> int:
             sys.stdout.write(f"  {label:9s} " + " ".join(f"{v:6d}" for v in row) + "\n")
         sys.stdout.write(f"d = {d}; kernel basis: {basis}\n")
     else:
-        sys.stdout.write(json.dumps({
+        sys.stdout.write(stable_json({
             "pair": [a, b, a2, b2],
             "columns": list(m.columns),
             "rows": rows,
@@ -145,7 +145,7 @@ def _cmd_matrix(args) -> int:
             "extended_rows": ext_rows,
             "d": d,
             "kernel_basis": [list(s) for s in basis],
-        }, sort_keys=True, indent=2) + "\n")
+        }) + "\n")
     return 0
 
 
@@ -172,7 +172,7 @@ def _cmd_validate_criterion(args) -> int:
         for n in result.notes:
             sys.stdout.write(f"  note: {n}\n")
     else:
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(stable_json(payload) + "\n")
     return 0 if result.passed else 1
 
 

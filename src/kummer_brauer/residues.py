@@ -4,7 +4,9 @@ formula dim Br(X)_2/Br(k)_2 = d - r.
 
 The surface is z^2 = x(x-a)(x-b) y(y-a')(y-b') for curves with rational
 2-torsion, and the four symbol algebras are
-((x-mu)(x-b), (y-nu)(y-b')) with mu in {0, a}, nu in {0, a'}.
+((x-mu)(x-b), (y-nu)(y-b')) with mu in {0, a}, nu in {0, a'}.  d comes from
+perfect-square tests on integer products of residues; the coprime base of a,
+b, a-b, a', b', a'-b' serves only the displayed square classes (entries).
 """
 
 from __future__ import annotations
@@ -13,13 +15,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .arith import (
-    BitMatrix,
     SquareClass,
     bits_of,
     coprime_base,
-    f2_nullspace,
     is_square,
-    sc_mul,
     square_class,
     square_class_bits,
 )
@@ -54,7 +53,7 @@ class ResidueMatrix:
     def base(self) -> list[int]:
         """The non-square elements of the coprime base of a, b, a-b, a', b',
         a'-b': every residue is +-1 times a product of their powers and a
-        square."""
+        square.  Only entries reads it; kernel_dimension needs no base."""
         a, b, a2, b2 = self.pair
         return [c for c in coprime_base((a, b, a - b, a2, b2, a2 - b2))
                 if not is_square(c)]
@@ -152,33 +151,25 @@ def kernel_dimension(m: ResidueMatrix) -> tuple[int, list[tuple[str, ...]]]:
     ALGEBRA_LABELS whose entrywise product is the identity class in every
     column of m.
 
-    Every residue is a signed product of a, b, a-b, a', b', a'-b', so its
-    class is read as exponent parities over -1 and the non-square elements
-    of their coprime base, with no factoring.  The F2 system has one row per
-    (line, base element) and one column per algebra; its nullspace, and the
-    reduced-echelon basis read from it, do not depend on the row encoding.
+    A subset is in the kernel exactly when, in every column, the integer
+    product of its entries is a positive perfect square, so the 2^nrows - 1
+    subsets are tested directly, each product built from a smaller subset's
+    by one more row: no coprime base, square-class encoding or factoring.
+    The basis is the kernel's reduced echelon basis with each pivot at the
+    highest set bit: the members whose highest bit is their only pivot bit.
     """
-    base = m.base
-    width = 1 + len(base)
-    rows = [0] * (m.ncols * width)
-    for alg, row in enumerate(m.values):
-        for col, v in enumerate(row):
-            for k in bits_of(square_class_bits(v, base)):
-                rows[col * width + k] |= 1 << alg
-    basis_vectors = f2_nullspace(BitMatrix(rows, m.nrows))
-    basis = [tuple(ALGEBRA_LABELS[i] for i in bits_of(v)) for v in basis_vectors]
-    return len(basis_vectors), basis
-
-
-def subset_residue_product(m: ResidueMatrix, subset: set[int] | list[int]) -> list[SquareClass]:
-    """Entrywise product over the given algebra rows, one class per column."""
-    out = []
-    for col in range(m.ncols):
-        acc = SquareClass.identity()
-        for i in subset:
-            acc = sc_mul(acc, m.entries[i][col])
-        out.append(acc)
-    return out
+    prods = [[1] * m.ncols]
+    kernel = []
+    for mask in range(1, 1 << m.nrows):
+        row = m.values[(mask & -mask).bit_length() - 1]
+        prod = [x * y for x, y in zip(prods[mask & (mask - 1)], row)]
+        prods.append(prod)
+        if all(is_square(v) for v in prod):
+            kernel.append(mask)
+    pivots = sum({1 << (v.bit_length() - 1) for v in kernel})  # OR of highest bits
+    basis = [tuple(ALGEBRA_LABELS[i] for i in bits_of(v)) for v in kernel
+             if v & pivots == 1 << (v.bit_length() - 1)]
+    return len(basis), basis
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,9 @@ import pytest
 
 from kummer_brauer import arith
 from kummer_brauer.arith import (
-    BitMatrix,
     SquareClass,
     bits_of,
     coprime_base,
-    f2_nullspace,
     factor,
     is_prime,
     is_rational_square,
@@ -241,54 +239,6 @@ def test_square_class_bits_matches_square_class():
     with pytest.raises(ValueError):
         square_class_bits(12, [6])  # 12 = 6 * 2 is outside the span of {6}
     assert square_class_bits(-24, [6]) == 0b11
-
-
-def naive_rank(rows_bits, cols):
-    """Independent F2 rank via list-of-lists elimination."""
-    rows = [[(r >> j) & 1 for j in range(cols)] for r in rows_bits]
-    rank = 0
-    for col in range(cols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                rows[i] = [(x + y) % 2 for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
-def test_f2_nullspace_trivial_cases():
-    assert len(f2_nullspace(BitMatrix([0, 0, 0, 0], 4))) == 4
-    assert f2_nullspace(BitMatrix([1, 2, 4, 8], 4)) == []
-
-
-def test_f2_nullspace_random():
-    rng = random.Random(2024)
-    for _ in range(100):
-        rows = [rng.getrandbits(8) for _ in range(8)]
-        m = BitMatrix(rows, 8)
-        basis = f2_nullspace(m)
-        assert len(basis) == 8 - naive_rank(rows, 8)
-        for v in basis:
-            for r in rows:
-                assert bin(r & v).count("1") % 2 == 0
-        # independence: the basis itself has full rank
-        assert naive_rank(basis, 8) == len(basis)
-
-
-def test_bitmatrix_bounds():
-    m = BitMatrix([1, 2], 2)
-    assert m.bit(0, 0) == 1 and m.bit(1, 1) == 1
-    with pytest.raises(IndexError):
-        m.bit(2, 0)
-    with pytest.raises(ValueError):
-        BitMatrix([4], 2)
 
 
 def test_bits_of():

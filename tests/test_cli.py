@@ -302,6 +302,27 @@ def test_validate_criterion_mod_5(capsys):
     assert out == "ell = 5: PASS (466 subgroups of a group of order 480)\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--first", "rt2:5,7", "--second", "w:0,0,0,1/4,-1/8"),
+    ("search", "--count", "3", "--seed", "5"),
+    ("frobenius", "--curve", "w:0,0,0,1/4,-1/8", "--bound-B", "60"),
+    ("matrix", "--pair", "36,27,-4,5"),
+    ("validate-criterion", "--ell", "3"),
+], ids=lambda argv: argv[0])
+def test_json_output_equals_json_dumps_of_its_payload(argv, capsys, monkeypatch):
+    payloads, write = [], report.stable_json
+
+    def recording(obj):
+        payloads.append(obj)
+        return write(obj)
+
+    monkeypatch.setattr(cli, "stable_json", recording)
+    monkeypatch.setattr(report, "stable_json", recording)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(payloads) == 1
+    assert out == json.dumps(payloads[0], sort_keys=True, indent=2) + "\n"
+
+
 def test_golden_reports_under_python_O(tmp_path):
     env = _module_env()
     for name, raw in GOLDEN_SPECS.items():

@@ -1,6 +1,7 @@
 import json
 import time
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from kummer_brauer.report import (
     parse_pair_spec,
     render_report,
     search_family,
+    stable_json,
     twisted_flag,
     validate_report,
 )
@@ -274,6 +276,54 @@ def test_validator_rejects_tampering():
     bad4["caveats"].append(ELL3_CAVEAT)
     bad4["twisted"]["flag"] = True
     assert validate_report(bad4)
+
+
+def test_validator_reports_malformed_reports():
+    d = analyze(RT2_57_12).to_dict()
+    assert validate_report(d) == [] and d["certificates"] and d["dim2"] == 0
+    no_route = json.loads(json.dumps(d))
+    del no_route["two_torsion_route"]
+    assert any("two_torsion_route" in v for v in validate_report(no_route))
+    no_cover = json.loads(json.dumps(d))
+    del no_cover["certificates"][0]["primes_covered"]
+    assert any("primes_covered" in v for v in validate_report(no_cover))
+    # true is no integer: it must not pass for dim2 = 1
+    bool_dim2 = {"dim2": True, "gate": {"passes": True}, "conclusion": "two-part-nontrivial"}
+    assert any("dim2" in v for v in validate_report(bool_dim2))
+    full = json.loads(json.dumps(d))
+    full.update(dim2=True, conclusion="two-part-nontrivial")
+    assert any("dim2" in v for v in validate_report(full))
+    for bad in ([], {**d, "certificates": 5}, {**d, "witnesses": [{}]}, {**d, "gate": 1}):
+        assert validate_report(bad)
+
+
+def _dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_stable_json_equals_json_dumps_on_goldens_and_family_reports():
+    for path in sorted(GOLDEN_DIR.glob("*.json")):
+        text = path.read_text(encoding="utf-8")
+        assert stable_json(json.loads(text)) + "\n" == text, path.name
+    for offset in (0, 13, 37, 63):
+        for spec in search_family(60, offset):
+            data = analyze(spec).to_dict()
+            assert stable_json(data) == _dumps(data)
+            assert render_report(analyze(spec)) == _dumps(data) + "\n"
+
+
+def test_stable_json_edge_cases():
+    cases = [
+        [], {}, [[]], [{}], {"a": []}, {"a": {}, "b": [[], {}]}, (), ("x", (1, 2)),
+        '"', "\\", "\n", "\x01", "\x7f", "é", "\U0001F600", "", "a\u2028b",
+        True, False, 1, 0, None, [True, 1, False, 0, None],
+        -7, 10**40, -(10**40), {"z": 1, "a": {"y": [1, "é"], "b": None}, "é": True},
+    ]
+    for obj in cases:
+        assert stable_json(obj) == _dumps(obj), obj
+    for bad in (1.5, Fraction(1, 2), {1, 2}, {1: "a"}, [0.0], {"a": {2: 3}}, b"x"):
+        with pytest.raises(TypeError):
+            stable_json(bad)
 
 
 def test_search_family_base_case():

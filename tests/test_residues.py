@@ -1,9 +1,12 @@
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
-from kummer_brauer.arith import SquareClass, sc_mul, square_class
+from kummer_brauer import arith, residues
+from kummer_brauer.arith import SquareClass, bits_of, sc_mul, square_class
 from kummer_brauer.residues import (
     ALGEBRA_LABELS,
     DegenerateCurveError,
@@ -12,7 +15,6 @@ from kummer_brauer.residues import (
     extend_residue_matrix,
     kernel_dimension,
     residue_matrix,
-    subset_residue_product,
     two_torsion_dimension,
 )
 
@@ -138,6 +140,17 @@ def test_translation_invariance():
         assert len(ds) == 1
 
 
+def subset_residue_product(m, subset):
+    """Entrywise product over the given algebra rows, one class per column."""
+    out = []
+    for col in range(m.ncols):
+        acc = SquareClass.identity()
+        for i in subset:
+            acc = sc_mul(acc, m.entries[i][col])
+        out.append(acc)
+    return out
+
+
 def test_kernel_membership_exhaustive():
     rng = random.Random(113)
     for _ in range(50):
@@ -165,16 +178,128 @@ def test_two_torsion_dimension():
         two_torsion_dimension(0, 1, GATE_NONISO)
 
 
-# -- coprime-base kernel against the factor-based encoding --------------------
+# -- F2 elimination: the nullspace behind the factor-based oracle -------------
 
 
-def factor_based_kernel(m):
+class BitMatrix:
+    """A matrix over F2; each row is stored as an int bitmask (bit j = column j)."""
+
+    def __init__(self, rows: list[int], cols: int):
+        self.rows = list(rows)
+        self.cols = cols
+        for r in self.rows:
+            if r < 0 or r >> cols:
+                raise ValueError("row mask exceeds column count")
+
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
+
+    def bit(self, i: int, j: int) -> int:
+        if not (0 <= i < self.nrows and 0 <= j < self.cols):
+            raise IndexError("bit index out of range")
+        return (self.rows[i] >> j) & 1
+
+
+def _eliminate(rows: list[int], cols: int) -> dict[int, int]:
+    """Row-reduce; returns {pivot column: reduced row mask}."""
+    work = [r for r in rows if r]
+    pivots: dict[int, int] = {}
+    for col in range(cols):
+        mask = 1 << col
+        pivot_row = None
+        for idx, r in enumerate(work):
+            if r & mask:
+                pivot_row = idx
+                break
+        if pivot_row is None:
+            continue
+        prow = work.pop(pivot_row)
+        work = [r ^ prow if r & mask else r for r in work]
+        pivots = {c: (r ^ prow if r & mask else r) for c, r in pivots.items()}
+        pivots[col] = prow
+        work = [r for r in work if r]
+    return pivots
+
+
+def f2_nullspace(matrix: BitMatrix) -> list[int]:
+    """Basis of {v : M v = 0} over F2, each vector an int bitmask over columns.
+
+    The count always equals cols - rank.
+    """
+    pivots = _eliminate(matrix.rows, matrix.cols)
+    pivot_cols = set(pivots)
+    free_cols = [c for c in range(matrix.cols) if c not in pivot_cols]
+    basis = []
+    for fc in free_cols:
+        v = 1 << fc
+        # pivot rows are fully reduced, so each pivot coordinate reads off directly
+        for pc, row in pivots.items():
+            if (row >> fc) & 1:
+                v |= 1 << pc
+        basis.append(v)
+    return basis
+
+
+def naive_rank(rows_bits, cols):
+    """Independent F2 rank via list-of-lists elimination."""
+    rows = [[(r >> j) & 1 for j in range(cols)] for r in rows_bits]
+    rank = 0
+    for col in range(cols):
+        piv = None
+        for i in range(rank, len(rows)):
+            if rows[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                rows[i] = [(x + y) % 2 for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_f2_nullspace_trivial_cases():
+    assert len(f2_nullspace(BitMatrix([0, 0, 0, 0], 4))) == 4
+    assert f2_nullspace(BitMatrix([1, 2, 4, 8], 4)) == []
+
+
+def test_f2_nullspace_random():
+    rng = random.Random(2024)
+    for _ in range(100):
+        rows = [rng.getrandbits(8) for _ in range(8)]
+        m = BitMatrix(rows, 8)
+        basis = f2_nullspace(m)
+        assert len(basis) == 8 - naive_rank(rows, 8)
+        for v in basis:
+            for r in rows:
+                assert bin(r & v).count("1") % 2 == 0
+        # independence: the basis itself has full rank
+        assert naive_rank(basis, 8) == len(basis)
+
+
+def test_bitmatrix_bounds():
+    m = BitMatrix([1, 2], 2)
+    assert m.bit(0, 0) == 1 and m.bit(1, 1) == 1
+    with pytest.raises(IndexError):
+        m.bit(2, 0)
+    with pytest.raises(ValueError):
+        BitMatrix([4], 2)
+
+
+# -- square-test kernel against the factor-based encoding ---------------------
+
+
+def factor_based_kernel(m, entries=None):
     """The kernel computed from prime factorizations: one F2 row per (line,
     basis element), with -1 and every prime in some entry's support as the
-    basis.  Independent of the coprime base; the reference for
-    kernel_dimension."""
-    from kummer_brauer.arith import BitMatrix, bits_of, f2_nullspace
-    entries = [[square_class(v) for v in row] for row in m.values]
+    basis, and its nullspace by elimination.  Independent of the perfect-square
+    tests; the reference for kernel_dimension.  entries are the square classes
+    of m's values, by default each value factored on its own."""
+    if entries is None:
+        entries = [[square_class(v) for v in row] for row in m.values]
     primes = sorted({p for row in entries for c in row for p in c.support})
     rows = []
     for col in range(m.ncols):
@@ -249,3 +374,73 @@ def test_entries_are_the_classes_of_values():
         mm = extend_residue_matrix(residue_matrix(*structured_pair(rng)))
         assert mm.entries == tuple(tuple(square_class(v) for v in row)
                                    for row in mm.values)
+
+
+def _square_class_panel(rng, count):
+    """Pairs with entries +-k^2 * {1, 2, 3, 6}, k <= 12: a, b and a - b are
+    often +-squares up to a small class, which reaches d = 2; about half
+    the pairs repeat the first curve scaled by a square."""
+    vals = [s * k * k * c for k in range(1, 13) for c in (1, 2, 3, 6) for s in (1, -1)]
+    pairs = []
+    while len(pairs) < count:
+        a, b = rng.sample(vals, 2)
+        k = rng.randint(1, 3)
+        second = (k * k * a, k * k * b) if rng.random() < 0.5 else tuple(rng.sample(vals, 2))
+        pairs.append((a, b) + second)
+    return pairs
+
+
+def test_square_test_kernel_matches_factor_oracle_up_to_d2():
+    pairs = _square_class_panel(random.Random(2011), 3000)
+    pairs += [(9, -16, 9, -16), (9, -16, 36, -64), (-16, 9, 25, 16)]
+    ds = []
+    for pair in pairs:
+        m = residue_matrix(*pair)
+        for mm in (m, extend_residue_matrix(m)):
+            assert kernel_dimension(mm) == factor_based_kernel(mm), pair
+        ds.append(kernel_dimension(m)[0])
+    assert kernel_dimension(residue_matrix(9, -16, 9, -16))[0] == 2
+    assert ds.count(2) >= 10 and ds.count(1) >= 500 and ds.count(0) >= 500
+
+
+def _big_coeff_pool():
+    """The benchmark's fixed pool of big-coefficient pairs (a = p q1,
+    b = p q2 with p of 6 and q of 8 digits), read from perfbench."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [tuple(int(x) for x in e["key"].split(",")) for e in module.big_coeff_pool()]
+
+
+def test_square_test_kernel_matches_factor_oracle_on_big_coeff_pool():
+    pool = _big_coeff_pool()
+    assert len(pool) == 32
+    for pair in pool:
+        m = residue_matrix(*pair)
+        for mm in (m, extend_residue_matrix(m)):
+            # factoring each 30-digit value on its own takes seconds; the
+            # entries factor each coprime-base element once and equal those
+            # classes (test_entries_are_the_classes_of_values)
+            assert kernel_dimension(mm) == factor_based_kernel(mm, mm.entries), pair
+
+
+def test_kernel_needs_no_coprime_base_or_factoring(monkeypatch):
+    pairs = [(5, 7, 1, 2), (1, -3, 1, -3), (9, -16, 9, -16), (36, 27, -4, 5)]
+    pairs += _big_coeff_pool()[:4]
+    expected = [factor_based_kernel(residue_matrix(*p), residue_matrix(*p).entries)
+                for p in pairs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kernel must not call this")
+
+    for module in (arith, residues):
+        for name in ("coprime_base", "square_class_bits", "square_class", "factor"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for pair, want in zip(pairs, expected):
+        m = residue_matrix(*pair)
+        assert kernel_dimension(m) == want
+        assert kernel_dimension(extend_residue_matrix(m))[0] == want[0]
+    with pytest.raises(AssertionError):
+        residue_matrix(5, 7, 1, 2).entries  # the patch is live

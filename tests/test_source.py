@@ -31,3 +31,18 @@ def test_no_mutable_containers_in_module_state():
             if isinstance(value, (dict, list, set, bytearray)) or hasattr(value, "cache_info"):
                 found.append(f"{name}.{key}")
     assert found == []
+
+
+def test_no_json_dumps_in_the_package():
+    # stable JSON is written in one place, report.stable_json, whose bytes
+    # the golden reports pin; a json.dumps call would be a second writer
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "dumps"
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                found.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and node.module == "json" \
+                    and any(alias.name == "dumps" for alias in node.names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
