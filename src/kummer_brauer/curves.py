@@ -508,19 +508,6 @@ def cm_status(curve: CurveLW, bound: int) -> CMStatus:
         f"a_p = 0 for {frac[0]} of {frac[1]} good p <= {bound}", frac)
 
 
-def curve_with_j(j: int | Rational) -> CurveLW:
-    """Some elliptic curve over Q with the given j-invariant (integral model)."""
-    j = Fraction(j)
-    if j == 0:
-        return CurveLW(0, 0, 0, 0, 1)
-    if j == 1728:
-        return CurveLW(0, 0, 0, -1, 0)
-    s = j / (1728 - j)
-    p, q = 3 * s, 2 * s
-    u = p.denominator * q.denominator // gcd(p.denominator, q.denominator)
-    return CurveLW(0, 0, 0, p * u**4, q * u**6)
-
-
 # -- rational points and the chord-tangent group law ------------------------
 
 Point = tuple[Rational, Rational] | None  # None is the point at infinity

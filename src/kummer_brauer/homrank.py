@@ -27,7 +27,7 @@ from .curves import (
     is_good_prime,
     primes_up_to,
 )
-from .isogeny import isogenies, short_model
+from .isogeny import codomains, short_model
 from .residues import Gate
 
 # An isogeny class over Q has at most 8 curves (Kenku, J. Number Theory 15,
@@ -74,31 +74,41 @@ def nonisogeny_certificate(e: CurveLW, e2: CurveLW, bound: int) -> IsogenyEviden
       - trace-square-mismatch: p good for both with a_p(E)^2 != a_p(E')^2.
         Curves isogenous over Q-bar with at least one of them non-CM are
         quadratic twists of each other, so their traces agree up to sign at
-        every common good prime.  The test is skipped when both j-invariants
-        are CM (quartic/sextic twists then break the sign argument).
+        every common good prime.
       - reduction-type-mismatch: p with val_p(j) < 0 for one curve (potential
         multiplicative reduction) while the other has good reduction at p.
 
-    A Q-isogeny found by `isogenous`, checked once at the first prime above
-    EXHAUSTIVE_MAX_PRIME, ends the scan with "none-found" early, because no
-    witness can exist; the evidence then records it.
+    Where no witness can exist the answer is "none-found" at once: for equal
+    j (twists of each other, or the same curve), and when both j are CM
+    (quartic and sextic twists break the sign argument, so traces are not
+    compared, and CM j are integers).  So it is when a walk from E, at the
+    first prime above EXHAUSTIVE_MAX_PRIME, reaches a curve with the j of
+    E' (E' or a twist of it).  The evidence records a Q-isogeny to E'
+    itself (isogenous); a twist meeting records none.
     """
     if bound < 10:
         raise ValueError("bound must be at least 10")
     none_found = f"no witness among p <= {bound}"
     je, je2 = e.j(), e2.j()
-    traces_usable = not (je in CM_J_INVARIANTS and je2 in CM_J_INVARIANTS)
+    if je == je2:
+        return IsogenyEvidence("none-found", None, none_found, same_curve(e, e2))
+    if je in CM_J_INVARIANTS and je2 in CM_J_INVARIANTS:
+        return IsogenyEvidence("none-found", None, none_found, isogenous(e, e2))
     primes = primes_up_to(bound)
     # pairs with an early witness never pay for the walk
     walk_at = bisect_right(primes, EXHAUSTIVE_MAX_PRIME)
     for i, p in enumerate(primes):
         if i == walk_at:
-            # a Q-isogeny gives equal a_p at every common good prime and the
-            # same potentially multiplicative primes: no witness exists
-            if isogenous(e, e2):
-                return IsogenyEvidence("none-found", None, none_found, True)
+            # a Q-isogeny to E' or to a twist of E' gives equal a_p^2 at
+            # every common good prime and the same potentially
+            # multiplicative primes: no witness exists.  Unless both curves
+            # are CM, the walk reaches at most one curve with the j of E'
+            # (two would be isogenous twists, which have CM)
+            meeting = next((model for model in _isogeny_walk(e) if model.j() == je2), None)
+            if meeting is not None:
+                return IsogenyEvidence("none-found", None, none_found, same_curve(meeting, e2))
         ok1, ok2 = is_good_prime(e, p), is_good_prime(e2, p)
-        if traces_usable and ok1 and ok2:
+        if ok1 and ok2:
             t1, t2 = ap(e, p), ap(e2, p)
             if t1 * t1 != t2 * t2:
                 # re-verify both cited traces before certifying
@@ -120,14 +130,15 @@ def nonisogeny_certificate(e: CurveLW, e2: CurveLW, bound: int) -> IsogenyEviden
 
 
 def _isogeny_walk(curve: CurveLW):
-    """Yield the curves reached from the curve by isogenies of degree 2, 3,
-    5 or 7 over x-rational kernels, as integral short models, breadth first
-    and each once up to isomorphism over Q (same_curve), at most
-    CLASS_SIZE_MAX of them; the first is the curve itself."""
+    """Yield the curves reached from the curve by rational isogenies of
+    degree 2, 3, 5, 7 and 13 (isogeny.codomains, which skips every edge at
+    j = 0 or 1728), as integral short models, breadth first and each once up
+    to isomorphism over Q (same_curve), at most CLASS_SIZE_MAX of them; the
+    first is the curve itself."""
     reached = [CurveLW(0, 0, 0, *short_model(curve))]
     yield reached[0]
     for model in reached:  # grows while it is walked
-        for _, codomain in isogenies(int(model.a4), int(model.a6)):
+        for _, codomain in codomains(int(model.a4), int(model.a6)):
             image = CurveLW(0, 0, 0, *codomain)
             if any(same_curve(image, seen) for seen in reached):
                 continue
@@ -138,12 +149,11 @@ def _isogeny_walk(curve: CurveLW):
 
 
 def isogenous(e: CurveLW, e2: CurveLW) -> bool:
-    """True when the walks from E and from E' meet, which certifies a chain
-    of Q-isogenies from E to E'; False proves nothing (a kernel that is not
-    x-rational, or of degree above 7, is not walked)."""
-    from_e = list(_isogeny_walk(e))
-    return any(same_curve(model, model2)
-               for model2 in _isogeny_walk(e2) for model in from_e)
+    """True when the walk from E reaches E', which certifies a chain of
+    Q-isogenies from E to E' (prime-degree chains run both ways, through
+    the dual isogenies); False proves nothing (an isogeny of degree 11, 17,
+    19, 37, 43, 67 or 163, or through j = 0 or 1728, is not walked)."""
+    return any(same_curve(model, e2) for model in _isogeny_walk(e))
 
 
 def _integer_root(n: int, k: int) -> int | None:

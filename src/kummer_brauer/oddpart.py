@@ -17,6 +17,7 @@ from .curves import (
     CurveLW,
     CurveRT2,
     Point,
+    _integer_roots_monic_cubic,
     ap,
     cm_status,
     good_primes,
@@ -27,7 +28,7 @@ from .curves import (
 )
 from .gl2 import CriterionValidation, WitnessPredicate, validate_surjectivity_criterion
 from .homrank import same_curve
-from .isogeny import KERNEL_DEGREES, kernels, short_model
+from .isogeny import X0_DEGREES, short_model, x0_roots
 
 DET_ASSUMPTION = ("determinant surjectivity assumed: the mod-ell determinant "
                   "of the Galois action is the cyclotomic character")
@@ -76,18 +77,19 @@ def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVe
     All three found means the image is full (given determinant surjectivity);
     anything else is reported as inconclusive, never as "not surjective".
     At ell = 3 the witness classes (ii) and (iii) are empty, so the verdict
-    there is always inconclusive.  At ell = 5 and 7, once the scan passes
-    EXHAUSTIVE_MAX_PRIME, an x-rational ell-kernel ends it: a rational
-    ell-isogeny puts the image in a Borel subgroup, which shows no nonsplit
-    witness, so the verdict could only be inconclusive.
+    there is always inconclusive.  At ell = 5, 7 and 13, once the scan
+    passes EXHAUSTIVE_MAX_PRIME, a rational root t of N(t) - j t on X_0(ell)
+    (isogeny.x0_roots) ends it: a rational ell-isogeny puts the image in a
+    Borel subgroup, which shows no nonsplit witness, so the verdict could
+    only be inconclusive.  Curves with j = 0 or 1728 sample to the bound.
     """
     if ell == 2:
         # 256 Delta is the discriminant of the monic 2-division cubic
         # y^3 + b2 y^2 + 8 b4 y + 16 b6 (y = 4x)
         disc = 256 * curve.discriminant()
-        roots = kernels(*short_model(curve), 2)
+        roots = _integer_roots_monic_cubic(0, *short_model(curve))
         if roots:
-            detail = (f"2-division cubic has a rational root (x = {roots[0][0]} "
+            detail = (f"2-division cubic has a rational root (x = {min(roots)} "
                       "on the integral short model)")
         elif is_rational_square(disc):
             detail = "2-division cubic has square discriminant (group inside A3)"
@@ -108,17 +110,16 @@ def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVe
             bound)
     found: dict[str, str] = {}
     names = ("nonsplit", "split", "generic")
-    kernel_checked = ell not in KERNEL_DEGREES
+    isogeny_checked = ell not in X0_DEGREES
     for p in good_primes(curve, bound):
         if p == ell:
             continue
-        if not kernel_checked and p > EXHAUSTIVE_MAX_PRIME:
-            kernel_checked = True
-            found_kernels = kernels(*short_model(curve), ell)
-            if found_kernels:
-                xs = ", ".join(map(str, found_kernels[0]))
-                reducible = ("reducible", f"rational {ell}-isogeny: kernel x-coordinates "
-                                          f"{xs} on the integral short model")
+        if not isogeny_checked and p > EXHAUSTIVE_MAX_PRIME:
+            isogeny_checked = True
+            roots = x0_roots(curve.j(), ell)
+            if roots:
+                reducible = ("reducible", f"rational {ell}-isogeny: t = {roots[0]} "
+                                          f"on X_0({ell})")
                 return SurjectivityVerdict(
                     ell, "inconclusive",
                     tuple((n, found.get(n, f"not found for p <= {EXHAUSTIVE_MAX_PRIME}; larger p not sampled"))

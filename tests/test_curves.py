@@ -21,7 +21,6 @@ from kummer_brauer.curves import (
     cm_status,
     count_points,
     count_points_exhaustive,
-    curve_with_j,
     frobenius_table,
     good_primes,
     good_reduction_at,
@@ -37,6 +36,19 @@ E_XCUBE_MINUS_X = CurveLW(0, 0, 0, -1, 0)
 E_37 = CurveLW(0, 0, 1, -1, 0)  # y^2 + y = x^3 - x
 E_43 = CurveLW(0, 1, 1, 0, 0)  # y^2 + y = x^3 + x^2
 E_SEXTIC = CurveLW(0, 0, 0, 0, 1)  # y^2 = x^3 + 1
+
+
+def curve_with_j(j) -> CurveLW:
+    """Some elliptic curve over Q with the given j-invariant (integral model)."""
+    j = Fraction(j)
+    if j == 0:
+        return CurveLW(0, 0, 0, 0, 1)
+    if j == 1728:
+        return CurveLW(0, 0, 0, -1, 0)
+    s = j / (1728 - j)
+    p, q = 3 * s, 2 * s
+    u = p.denominator * q.denominator // math.gcd(p.denominator, q.denominator)
+    return CurveLW(0, 0, 0, p * u**4, q * u**6)
 
 
 # -- independent oracles ------------------------------------------------------

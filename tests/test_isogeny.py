@@ -1,7 +1,9 @@
-"""Isogenies over x-rational kernels, and the three scans they shorten.
+"""Isogenies through X_0(ell), and the three scans they shorten.
 
 The reference scans below are the full loops that the isogeny shortcuts
-replace: every shortcut must give the result the loop gives."""
+replace: every shortcut must give the result the loop gives.  The Velu walk
+over x-rational kernels below is the reference for the X_0(ell) walk: it
+must find every one of its edges again."""
 
 import random
 from fractions import Fraction
@@ -14,6 +16,7 @@ from kummer_brauer.curves import (
     CM_J_INVARIANTS,
     CurveLW,
     _ec_mul,
+    _integer_roots_monic_cubic,
     add_points,
     ap,
     count_points_exhaustive,
@@ -30,14 +33,16 @@ from kummer_brauer.homrank import (
     same_curve,
 )
 from kummer_brauer.isogeny import (
-    division_polynomials,
-    isogenies,
-    kernels,
+    X0_TABLE,
+    _eval,
+    _integral,
+    codomains,
     rational_roots,
     short_model,
-    velu_codomain,
+    x0_roots,
 )
 from kummer_brauer.oddpart import mod_ell_surjectivity
+from test_curves import curve_with_j
 
 # Cremona's isogeny classes 11a, 14a, 15a and 37b, in label order
 CLASSES = {
@@ -117,6 +122,121 @@ def reference_congruence(e, e2, ell, bound):
     return None
 
 
+# -- reference: division polynomials, x-rational kernels and Velu's formulas ------
+# (Velu, C. R. Acad. Sci. Paris 273, 1971, in Kohel's kernel-polynomial form)
+
+KERNEL_DEGREES = (2, 3, 5, 7)
+
+Poly = list[int]  # integer coefficients, constant term first
+
+
+def _add(f: Poly, g: Poly) -> Poly:
+    if len(f) < len(g):
+        f, g = g, f
+    return [a + (g[i] if i < len(g) else 0) for i, a in enumerate(f)]
+
+
+def _sub(f: Poly, g: Poly) -> Poly:
+    return _add(f, [-c for c in g])
+
+
+def _mul(f: Poly, g: Poly) -> Poly:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return out
+
+
+def division_polynomials(A: int, B: int) -> dict[int, Poly]:
+    """g_n for n = 1, ..., 5 and 7, where psi_n = g_n for odd n and
+    psi_n = 2y g_n for even n on y^2 = x^3 + A x + B; key 0 holds
+    F = 4(x^3 + A x + B) = (2y)^2.
+
+    g_1 = g_2 = 1, g_3 = 3x^4 + 6A x^2 + 12B x - A^2,
+    g_4 = 2(x^6 + 5A x^4 + 20B x^3 - 5A^2 x^2 - 4AB x - 8B^2 - A^3), and
+    psi_(2m+1) = psi_(m+2) psi_m^3 - psi_(m-1) psi_(m+1)^3 gives
+    g_5 = F^2 g_4 - g_3^3 (m = 2) and g_7 = g_5 g_3^3 - F^2 g_4^3 (m = 3).
+    """
+    F = [4 * B, 4 * A, 0, 4]
+    g3 = [-A * A, 12 * B, 6 * A, 0, 3]
+    g4 = [2 * c for c in (-8 * B * B - A**3, -4 * A * B, -5 * A * A, 20 * B, 5 * A, 0, 1)]
+    F2 = _mul(F, F)
+    g3_cubed = _mul(_mul(g3, g3), g3)
+    g5 = _sub(_mul(F2, g4), g3_cubed)
+    g7 = _sub(_mul(g5, g3_cubed), _mul(F2, _mul(_mul(g4, g4), g4)))
+    return {0: F, 1: [1], 2: [1], 3: g3, 4: g4, 5: g5, 7: g7}
+
+
+def _x_multiple(psi: dict[int, Poly], x: Fraction, k: int) -> Fraction:
+    """x(kP) = x(P) - psi_(k-1) psi_(k+1) / psi_k^2 for k = 2, 3 (the
+    doubling formula at k = 2), in the g_n of division_polynomials."""
+    F = _eval(psi[0], x)
+    below, above, mid = (_eval(psi[i], x) for i in (k - 1, k + 1, k))
+    if k % 2:
+        return x - F * below * above / (mid * mid)
+    return x - below * above / (F * mid * mid)
+
+
+def kernels(A: int, B: int, ell: int,
+            psi: dict[int, Poly] | None = None) -> list[tuple[Fraction, ...]]:
+    """Every ell-kernel of y^2 = x^3 + A x + B with rational x-coordinates,
+    for ell in KERNEL_DEGREES: (x(P),) at ell = 2 (an integer root of the
+    monic 2-division cubic, by curves' bisection), (x(P), ..., x((ell-1)/2 P))
+    for odd ell (roots of psi_ell).
+    psi, when given, is division_polynomials(A, B)."""
+    if ell not in KERNEL_DEGREES:
+        raise ValueError(f"kernels of degree {ell} are not searched")
+    if ell == 2:
+        return [(Fraction(x),) for x in sorted(_integer_roots_monic_cubic(0, A, B))]
+    psi = psi or division_polynomials(A, B)
+    out: list[tuple[Fraction, ...]] = []
+    seen: set[Fraction] = set()
+    for x in rational_roots(psi[ell]):
+        if x in seen:
+            continue
+        xs = (x,) + tuple(_x_multiple(psi, x, k) for k in range(2, (ell + 1) // 2))
+        seen.update(xs)
+        out.append(xs)
+    return out
+
+
+def velu_codomain(A: int, B: int, ell: int, xs: tuple[Fraction, ...]) -> tuple[int, int]:
+    """The integral short model of E/C for the kernel C given by xs as in
+    `kernels`: A' = A - 5t, B' = B - 7w with t = sum(6x^2 + 2A) and
+    w = sum(10x^3 + 6Ax + 4B) over the kernel pairs +-P of odd order, and
+    t = 3x^2 + A, w = x t for the point (x, 0) of order 2."""
+    if ell == 2:
+        (x,) = xs
+        t = 3 * x * x + A
+        w = x * t
+    else:
+        t = sum(6 * x * x + 2 * A for x in xs)
+        w = sum(10 * x**3 + 6 * A * x + 4 * B for x in xs)
+    return _integral(Fraction(A - 5 * t), Fraction(B - 7 * w))
+
+
+def isogenies(A: int, B: int) -> list[tuple[int, tuple[int, int]]]:
+    """(degree, codomain (A', B')) for every kernel of degree 2, 3, 5 or 7
+    with rational x-coordinates on y^2 = x^3 + A x + B."""
+    psi = division_polynomials(A, B)
+    return [(ell, velu_codomain(A, B, ell, xs))
+            for ell in KERNEL_DEGREES for xs in kernels(A, B, ell, psi)]
+
+
+def reference_walk(curve):
+    """The walk over the Velu edges, as homrank._isogeny_walk walks the
+    X_0(ell) edges."""
+    reached = [CurveLW(0, 0, 0, *short_model(curve))]
+    for model in reached:
+        for _, codomain in isogenies(int(model.a4), int(model.a6)):
+            image = CurveLW(0, 0, 0, *codomain)
+            if not any(same_curve(image, seen) for seen in reached):
+                reached.append(image)
+    return reached
+
+
 # -- division polynomials and rational roots --------------------------------------
 
 
@@ -150,19 +270,36 @@ def test_rational_roots_of_products_of_linear_factors():
                  for _ in range(rng.randint(0, 4))}
         f = [rng.choice((-1, 1)) * rng.randint(1, 5)]
         for r in roots:  # times (den x - num)
-            f = _poly_mul(f, [-r.numerator, r.denominator])
+            f = _mul(f, [-r.numerator, r.denominator])
         for extra in ([1, 0, 1], [-2, 0, 1], [3, 1, 0, 1]):  # no rational roots
             if rng.random() < 0.5:
-                f = _poly_mul(f, extra)
-        assert sorted(rational_roots(f, 1)) == sorted(roots), (f, roots)
+                f = _mul(f, extra)
+        assert rational_roots(f) == sorted(roots), (f, roots)
 
 
-def _poly_mul(f, g):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return out
+def test_rational_roots_raise_on_a_repeated_root():
+    # N(t) - j t at j = 0 on X_0(2) is (t + 16)^3: every prime has the
+    # triple root -16.  ((t^2 - 2)(t^2 - 3)(t^2 - 6))^2 has a double root
+    # mod every odd prime but no rational root
+    sextic = _mul(_mul([-2, 0, 1], [-3, 0, 1]), [-6, 0, 1])
+    for f in ([4096, 768, 48, 1], _mul(sextic, sextic)):
+        with pytest.raises(ValueError):
+            rational_roots(f)
+    # a repeated factor without a root mod some prime decides: no error
+    assert rational_roots(_mul([5, 10, 1], [5, 10, 1])) == []
+    assert rational_roots(_mul(_mul([-2, 0, 1], [-2, 0, 1]), [5, 3])) == [Fraction(-5, 3)]
+
+
+def test_cm_curves_sample_to_the_bound_at_x0_degrees():
+    # at j = 0 and 1728, N(t) - j t has repeated roots; no edge is sought,
+    # and the verdict is the full loop's
+    for e in (CurveLW(0, 0, 0, 0, 1), E_CM):
+        assert codomains(*short_model(e)) == []
+        assert x0_roots(e.j(), 5) == []
+        for ell in (5, 7, 13):
+            v = mod_ell_surjectivity(e, ell, 1000)
+            assert v.verdict == reference_surjectivity(e, ell, 1000) == "inconclusive"
+            assert all(k != "reducible" for k, _ in v.witnesses)
 
 
 # -- kernels, Velu and the walk ---------------------------------------------------
@@ -196,9 +333,9 @@ def test_velu_sends_11a3_to_11a1_and_11a1_to_11a2():
 
 
 def test_walk_sizes_by_class():
-    # 2- and 3-kernels are always x-rational; the 5-isogenies of 11a have a
-    # kernel Z/5 one way and mu_5 the other, so only 11a3 sees its class
-    sizes = {"11a": [2, 1, 3], "14a": [6] * 6, "15a": [8] * 8, "37b": [3] * 3}
+    # X_0(5) also finds the 5-isogenies whose kernel is mu_5, so every curve
+    # of 11a sees its class (the Velu walk over x-rational kernels does not)
+    sizes = {"11a": [3, 3, 3], "14a": [6] * 6, "15a": [8] * 8, "37b": [3] * 3}
     for cls, cs in CLASSES.items():
         for i, c in enumerate(cs):
             walk = list(_isogeny_walk(CurveLW(*c)))
@@ -216,9 +353,11 @@ def _exhaustive_traces(e, primes):
     return {p: p + 1 - count_points_exhaustive(e, p) for p in primes if is_good_prime(e, p)}
 
 
-def test_every_edge_of_every_walk_is_an_isogeny():
-    # an isogeny over Q gives equal a_p at every common good prime; checked
-    # by exhaustive point counts, independent of the BSGS a_p and the walk
+def _count_isogeny_edges(starts, edges_of):
+    """The edges_of(A, B) edges out of every curve the walks from starts
+    reach, each checked to be an isogeny: an isogeny over Q gives equal a_p
+    at every common good prime, here by exhaustive point counts,
+    independent of the BSGS a_p and the walk."""
     primes = primes_up_to(500)
     traces = {}
 
@@ -228,18 +367,46 @@ def test_every_edge_of_every_walk_is_an_isogeny():
         return traces[A, B]
 
     edges = 0
-    for cls, cs in CLASSES.items():
-        for c in cs:
-            for model in _isogeny_walk(CurveLW(*c)):
-                A, B = int(model.a4), int(model.a6)  # the walk's own model
-                here = traces_of(A, B)
-                for ell, codomain in isogenies(A, B):
-                    there = traces_of(*codomain)
-                    common = here.keys() & there.keys()
-                    assert len(common) > 80
-                    assert all(here[p] == there[p] for p in common), (cls, c, ell)
-                    edges += 1
-    assert edges > 100
+    for c in starts:
+        for model in _isogeny_walk(c):
+            A, B = int(model.a4), int(model.a6)  # the walk's own model
+            here = traces_of(A, B)
+            for ell, codomain in edges_of(A, B):
+                there = traces_of(*codomain)
+                common = here.keys() & there.keys()
+                assert len(common) > 80
+                assert all(here[p] == there[p] for p in common), (c, ell)
+                edges += 1
+    return edges
+
+
+def test_every_edge_of_every_walk_is_an_isogeny():
+    assert _count_isogeny_edges(CURVES.values(), isogenies) > 100
+
+
+def test_every_x0_edge_is_an_isogeny():
+    # the class walks, and a curve with a rational 13-isogeny: t = 3 on
+    # X_0(13) (no curve of the four classes has one)
+    e13 = _e13()
+    assert [ell for ell, _ in codomains(*short_model(e13))] == [13]
+    assert _count_isogeny_edges(list(CURVES.values()) + [e13], codomains) == 220 + 2
+
+
+def test_x0_walk_finds_every_reference_edge():
+    # every Velu edge out of every curve of the reference walks is an X_0
+    # edge of the same degree to the same curve; X_0 adds the mu_5 edges
+    # (on the X_0 walks, which reach all of 11a from each curve, 220 edges)
+    velu = x0 = 0
+    for c in CURVES.values():
+        for model in reference_walk(c):
+            A, B = int(model.a4), int(model.a6)
+            found = [(ell, CurveLW(0, 0, 0, *codomain)) for ell, codomain in codomains(A, B)]
+            for ell, codomain in isogenies(A, B):
+                image = CurveLW(0, 0, 0, *codomain)
+                assert any(ell == d and same_curve(image, e) for d, e in found), (c, ell)
+                velu += 1
+            x0 += len(found)
+    assert (velu, x0) == (211, 216)
 
 
 def test_walk_on_rational_and_cm_models():
@@ -329,9 +496,13 @@ def test_reports_equal_the_full_loops(name, name2, e, e2, monkeypatch):
     assert report.render_report(report.analyze(spec)) == _reference_report(spec, monkeypatch)
 
 
-def test_twists_are_not_certified_isogenous():
+def test_twists_are_not_certified_isogenous(monkeypatch):
     # a twist has the same j but other a_p, so the congruence scans may
-    # fail on it: the walks must not meet
+    # fail on it: it must not be flagged.  Equal j leaves no witness to
+    # find, so no a_p is read
+    calls = []
+    real = homrank.ap
+    monkeypatch.setattr(homrank, "ap", lambda c, p: calls.append(p) or real(c, p))
     for e, e2 in ((CURVES["11a1"], twist(CURVES["11a1"], -1)),
                   (twist(CURVES["11a1"], 5), CURVES["11a1"]),
                   (E_CM, E_CM_QUARTIC)):
@@ -339,23 +510,71 @@ def test_twists_are_not_certified_isogenous():
         ev = nonisogeny_certificate(e, e2, PANEL_B)
         assert ev.kind == "none-found" and not ev.isogenous
         assert ev == reference_nonisogeny(e, e2, PANEL_B)
+    assert calls == []
 
 
-def test_isogenous_pair_reads_only_the_small_primes(monkeypatch):
+def test_cm_pairs_end_at_once_with_the_walks_flag(monkeypatch):
+    # two CM j: traces are not compared and CM j are integers, so no
+    # witness exists; the flag is the walk's.  j = -3375 -> 16581375 is a
+    # 2-isogeny; j = 1728 -> 287496 is one too, but at j = 1728 no edge is
+    # walked; j = 1728 and 0 have different CM fields
     calls = []
     real = homrank.ap
     monkeypatch.setattr(homrank, "ap", lambda c, p: calls.append(p) or real(c, p))
-    ev = nonisogeny_certificate(CURVES["11a1"], CURVES["11a3"], 10**5)
-    assert ev.isogenous
+    e7 = curve_with_j(-3375)
+    e7b = next(e for e in (CurveLW(0, 0, 0, *c) for _, c in codomains(*short_model(e7)))
+               if e.j() == 16581375)
+    e4 = CurveLW(0, 0, 0, *next(c for _, c in isogenies(*short_model(E_CM))
+                                if CurveLW(0, 0, 0, *c).j() == 287496))
+    for e, e2, flag in ((e7, e7b, True), (e7b, e7, True), (E_CM, e4, False),
+                        (e4, E_CM, False), (E_CM_QUARTIC, e4, False),
+                        (E_CM, CurveLW(0, 0, 0, 0, 1), False)):
+        ev = nonisogeny_certificate(e, e2, PANEL_B)
+        assert ev == reference_nonisogeny(e, e2, PANEL_B)
+        assert ev.kind == "none-found" and ev.isogenous == flag
+    assert calls == []
+
+
+def test_isogenous_pair_reads_only_the_small_primes(monkeypatch):
+    # an isogeny to E' sets the flag; one to a twist of E' (11a3 -> 11a1,
+    # the twist of the -1 twist) ends the scan without it
+    calls = []
+    real = homrank.ap
+    monkeypatch.setattr(homrank, "ap", lambda c, p: calls.append(p) or real(c, p))
+    for e, e2, flag in ((CURVES["11a1"], CURVES["11a3"], True),
+                        (CURVES["11a3"], twist(CURVES["11a1"], -1), False)):
+        calls.clear()
+        ev = nonisogeny_certificate(e, e2, 10**5)
+        assert ev.kind == "none-found" and ev.isogenous == flag
+        assert calls and max(calls) <= 229
+
+
+def test_mu5_reducible_exit_reads_only_the_small_primes(monkeypatch):
+    # the 5-isogeny 11a2 -> 11a1 has kernel mu_5, which no x-rational
+    # kernel search sees; its root on X_0(5) ends the sampling at p = 233
+    calls = []
+    real = oddpart.ap
+    monkeypatch.setattr(oddpart, "ap", lambda c, p: calls.append(p) or real(c, p))
+    v = mod_ell_surjectivity(CURVES["11a2"], 5, 10**5)
+    assert v.verdict == "inconclusive" and v.witnesses[-1][0] == "reducible"
     assert calls and max(calls) <= 229
 
 
+def _e13():
+    """A curve with a rational 13-isogeny: j = N(3)/3 on X_0(13)."""
+    return curve_with_j(Fraction(_eval(X0_TABLE[-1][2], 3), 3))
+
+
 def test_reducible_shortcut_names_the_kernel():
-    for e, ell in ((CURVES["11a1"], 5), (E_26B1, 7)):
+    for e, ell in ((CURVES["11a1"], 5), (E_26B1, 7), (_e13(), 13)):
         v = mod_ell_surjectivity(e, ell, 1000)
-        assert v.verdict == "inconclusive"
+        assert v.verdict == "inconclusive" == reference_surjectivity(e, ell, 1000)
         assert [k for k, _ in v.witnesses] == ["nonsplit", "split", "generic", "reducible"]
         assert f"{ell}-isogeny" in v.witnesses[-1][1]
+        # the witness names a point t of X_0(ell) over j(E)
+        (N,) = (N for degree, _, N in X0_TABLE if degree == ell)
+        t = Fraction(v.witnesses[-1][1].split("t = ")[1].split()[0])
+        assert _eval(N, t) == e.j() * t
         # a Borel image has no nonsplit witness; a class not met by p = 229
         # is marked as not sampled beyond it, never as absent below B
         assert v.witnesses[0][1] == "not found for p <= 229; larger p not sampled"

@@ -460,6 +460,20 @@ def test_isogenous_pair_at_max_bound_within_budget():
     assert [(ev["ell"], ev["result"]) for ev in data["evidence"]] == [(5, "pass"), (7, "pass")]
 
 
+def test_equal_j_pair_at_max_bound_within_budget():
+    # 11a1 and its -1 twist have equal j: no non-isogeny witness exists, so
+    # the scan ends at once; the congruence scans find a_p differing mod 5
+    # and 7 early, and a rational 5-isogeny ends mod-5 sampling at p = 233
+    spec = pair(E_11A1, {"weierstrass": [0, 0, 0, -13392, 1080432]},
+                bound=MAX_BOUND, odd_primes=[5, 7])
+    t0 = time.perf_counter()
+    data = analyze(spec).to_dict()
+    assert time.perf_counter() - t0 < 5.0
+    assert validate_report(data) == []
+    assert data["conclusion"] == "inconclusive"
+    assert [(ev["ell"], ev["result"]) for ev in data["evidence"]] == [(5, "fail"), (7, "fail")]
+
+
 def _shifted(a, b, s):
     """[a1..a6] of y^2 = (x+s)(x+s-a)(x+s-b), the rt2 curve (a, b) moved by s."""
     r0, r1, r2 = -s, a - s, b - s

@@ -46,3 +46,34 @@ def test_no_json_dumps_in_the_package():
                     and any(alias.name == "dumps" for alias in node.names):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _names_used(node, skip):
+    """The names that node reads, imports or reads as attributes, outside
+    the subtree skip."""
+    if node is skip:
+        return
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.alias):
+        yield node.name
+    for child in ast.iter_child_nodes(node):
+        yield from _names_used(child, skip)
+
+
+def test_every_top_level_function_and_class_is_used_in_the_package():
+    # code that only tests call belongs in the tests; a reference from the
+    # same module, another module or an __init__ export counts, one from
+    # inside the definition itself does not
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    unused = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not any(node.name in _names_used(other, node) for other in trees.values()):
+                    unused.append(f"{name}:{node.name}")
+    assert len(trees) > 5
+    assert unused == []
