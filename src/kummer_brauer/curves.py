@@ -69,8 +69,9 @@ class CurveLW:
     integral model u^i a_i (u the lcm of the denominators of a1..a6, the
     substitution x -> x / u^2, y -> y / u^3) and divides once by u^4, u^6
     and u^12.  j, the rt2 form and the a_p are memos of the model kept on
-    the curve object; equality and hashing read a1..a6 only, so equal
-    models held as distinct objects share no memo.
+    the curve object, and so are the rational roots of the cubic; equality
+    and hashing read a1..a6 only, so equal models held as distinct objects
+    share no memo.
     """
 
     a1: Rational
@@ -120,6 +121,12 @@ class CurveLW:
     @cached_property
     def _rt2(self) -> CurveRT2 | str:
         return _rt2_form(self)
+
+    @cached_property
+    def cubic_roots(self) -> list[Rational]:
+        """The distinct rational roots of x^3 + a2 x^2 + a4 x + a6, in
+        increasing order: the x of the 2-torsion points when a1 = a3 = 0."""
+        return _rational_roots_monic_cubic(self.a2, self.a4, self.a6)
 
     def is_p_integral(self, p: int) -> bool:
         """Whether no coefficient has the prime p in its denominator."""
@@ -441,7 +448,7 @@ def to_rt2(curve: CurveLW) -> CurveRT2 | str:
 def _rt2_form(curve: CurveLW) -> CurveRT2 | str:
     if curve.a1 != 0 or curve.a3 != 0:
         return UNSUPPORTED_MODEL
-    roots = _rational_roots_monic_cubic(curve.a2, curve.a4, curve.a6)
+    roots = curve.cubic_roots
     if len(roots) < 3:
         return NO_TWO_TORSION
     # scaling x by u^2 (u = common denominator) keeps the curve isomorphic
@@ -492,20 +499,22 @@ def supersingular_fraction(curve: CurveLW, bound: int) -> tuple[int, int]:
     return zeros, total
 
 
-def cm_status(curve: CurveLW, bound: int) -> CMStatus:
+# 500 gives the supersingular statistic enough primes to be legible without
+# dragging in a large trace table
+CM_EVIDENCE_BOUND = 500
+
+
+def cm_status(curve: CurveLW) -> CMStatus:
     """Complex-multiplication verdict by j-membership in the rational CM list,
-    with the supersingular frequency attached as corroborating evidence."""
-    if bound < 50:
-        raise ValueError("bound must be at least 50")
+    with the supersingular frequency up to CM_EVIDENCE_BOUND attached as
+    corroborating evidence."""
     j = curve.j()
-    frac = supersingular_fraction(curve, bound)
-    if j in CM_J_INVARIANTS:
-        return CMStatus(
-            "cm", j, f"j = {j} is in the rational CM list; "
-            f"a_p = 0 for {frac[0]} of {frac[1]} good p <= {bound}", frac)
+    cm = j in CM_J_INVARIANTS
+    frac = supersingular_fraction(curve, CM_EVIDENCE_BOUND)
     return CMStatus(
-        "not_cm", j, f"j = {j} is not in the rational CM list; "
-        f"a_p = 0 for {frac[0]} of {frac[1]} good p <= {bound}", frac)
+        "cm" if cm else "not_cm", j,
+        f"j = {j} is {'' if cm else 'not '}in the rational CM list; "
+        f"a_p = 0 for {frac[0]} of {frac[1]} good p <= {CM_EVIDENCE_BOUND}", frac)
 
 
 # -- rational points and the chord-tangent group law ------------------------

@@ -158,18 +158,6 @@ class WitnessPredicate:
                    and (tt * tt - 3 * tt * d + d * d) % ell != 0)
         return t != 0 and not square, t != 0 and disc != 0 and square, generic
 
-    def satisfiable(self) -> bool:
-        """Whether every witness class has a member mod ell.  The walk over
-        F_ell x F_ell^* stops once each class has shown one, which at
-        ell >= 5 takes a few samples; only ell = 3 walks all six."""
-        seen = (False, False, False)
-        for t in range(self.ell):
-            for d in range(1, self.ell):
-                seen = tuple(a or b for a, b in zip(seen, self(t, d)))
-                if all(seen):
-                    return True
-        return False
-
 
 def witness_classes(ell: int) -> tuple[set, set, set]:
     """The (t, d) pairs in F_ell satisfying each of the three witness

@@ -203,9 +203,7 @@ def rank_r(e: CurveLW, e2: CurveLW, bound: int) -> RankVerdict:
     inconclusive.
     """
     if same_curve(e, e2):
-        # 500 gives the supersingular statistic enough primes to be legible
-        # without dragging in a large trace table
-        status = cm_status(e, 500)
+        status = cm_status(e)
         if status.verdict == "not_cm":
             gate = Gate("same-curve-no-cm", True,
                         f"E = E'; {status.evidence}")

@@ -77,7 +77,11 @@ def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVe
     All three found means the image is full (given determinant surjectivity);
     anything else is reported as inconclusive, never as "not surjective".
     At ell = 3 the witness classes (ii) and (iii) are empty, so the verdict
-    there is always inconclusive.  At ell = 5, 7 and 13, once the scan
+    there is always inconclusive.  At ell >= 5 none is: for t != 0, t^2 - 4d
+    runs over F_ell minus {t^2} as d runs over F_ell^*, which holds all
+    (ell-1)/2 nonsquares and (ell-1)/2 - 1 >= 1 other nonzero squares; and
+    u = t^2/d runs over F_ell^*, from which at most 5 values are excluded
+    (u = 3 is left at ell = 5).  At ell = 5, 7 and 13, once the scan
     passes EXHAUSTIVE_MAX_PRIME, a rational root t of N(t) - j t on X_0(ell)
     (isogeny.x0_roots) ends it: a rational ell-isogeny puts the image in a
     Borel subgroup, which shows no nonsplit witness, so the verdict could
@@ -100,14 +104,14 @@ def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVe
         return SurjectivityVerdict(2, "inconclusive", (("exact", detail),), 0)
     if not is_prime(ell):
         raise ValueError("ell must be prime")
-    classify = WitnessPredicate(ell)
-    if not classify.satisfiable():
+    if ell == 3:
         return SurjectivityVerdict(
-            ell, "inconclusive",
+            3, "inconclusive",
             (("unsatisfiable",
-              f"some witness class is empty mod {ell}; no trace/determinant "
+              "some witness class is empty mod 3; no trace/determinant "
               "sample can certify surjectivity at this ell"),),
             bound)
+    classify = WitnessPredicate(ell)
     found: dict[str, str] = {}
     names = ("nonsplit", "split", "generic")
     isogeny_checked = ell not in X0_DEGREES
@@ -153,7 +157,7 @@ def _is_minus_power_of_two(v: int) -> bool:
 
 
 def j_valuation_certificate(
-    e: CurveLW, partner: CurveLW | None
+    e: CurveLW, partner: CurveLW
 ) -> OddCertificate | CertificateFailure:
     """Odd-torsion exclusion from 5- and 7-adic valuations of j(E).
 
@@ -161,7 +165,7 @@ def j_valuation_certificate(
     (so E has potential multiplicative reduction at both primes with period
     valuation prime to every odd ell).  For a pair, the partner curve must
     have fully rational 2-torsion and good reduction at 5 and 7; for the
-    curve paired with itself (partner None or isomorphic) the valuation
+    curve paired with itself (partner isomorphic to E) the valuation
     conditions alone suffice.  Asserts: the odd part of the geometric Brauer
     invariants vanishes, i.e. Br(A-bar)^Gamma is a finite abelian 2-group.
     """
@@ -174,7 +178,7 @@ def j_valuation_certificate(
     if not _is_minus_power_of_two(v7):
         return CertificateFailure(f"val_7(j) = {v7} is not minus a power of two")
     witnesses = [("val_5(j)", str(v5)), ("val_7(j)", str(v7))]
-    if partner is None or same_curve(e, partner):
+    if same_curve(e, partner):
         return OddCertificate(
             "j-valuation", "all-odd", tuple(witnesses),
             detail="same-curve variant: scalar endomorphism rings mod every odd ell")
@@ -227,7 +231,7 @@ def six_torsion_cm_certificate(
     order = point_order(partner, point)
     if order != 6:
         return CertificateFailure(f"supplied point has order {order}, not 6")
-    status = cm_status(partner, 500)
+    status = cm_status(partner)
     if status.verdict != "cm":
         return CertificateFailure(f"partner curve is not CM: {status.evidence}")
     witnesses = [("six-torsion point", f"({point[0]}, {point[1]})"),
@@ -272,7 +276,7 @@ def cm_isogeny_exclusion_certificate(
 ) -> OddCertificate:
     """For a CM curve over Q, certify Br vanishing at exactly those odd ell
     where a no-rational-isogeny witness exists."""
-    status = cm_status(curve, 500)
+    status = cm_status(curve)
     if status.verdict != "cm":
         raise ValueError("the isogeny-exclusion certificate needs a CM curve")
     covered = []

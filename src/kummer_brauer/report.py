@@ -14,7 +14,6 @@ from .curves import (
     CurveLW,
     CurveRT2,
     Point,
-    _rational_roots_monic_cubic,
     on_curve,
     to_rt2,
 )
@@ -29,12 +28,7 @@ from .oddpart import (
     mod_ell_surjectivity,
     six_torsion_cm_certificate,
 )
-from .residues import (
-    Gate,
-    kernel_dimension,
-    residue_matrix,
-    two_torsion_dimension,
-)
+from .residues import kernel_dimension, residue_matrix, two_torsion_dimension
 
 MODEL_CAVEAT = ("reduction is tested on the supplied models without "
                 "minimalization; a non-minimal model can only weaken "
@@ -227,7 +221,7 @@ def _curve_rhs(ci: CurveInput, var: str) -> tuple[str, bool]:
         return "".join(_root_factor(var, Fraction(r)) for r in (0, a, b)), True
     c = ci.lw
     if c.a1 == 0 and c.a3 == 0:
-        roots = _rational_roots_monic_cubic(c.a2, c.a4, c.a6)
+        roots = c.cubic_roots
         if len(roots) == 3:
             return "".join(_root_factor(var, r) for r in roots), True
         return _fmt_cubic(Fraction(1), c.a2, c.a4, c.a6, var), False
@@ -248,62 +242,18 @@ def pair_surface_equation(first: CurveInput, second: CurveInput) -> str:
 # -- report ------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class BrauerReport:
-    input_echo: dict
-    labels: list[str | None]
-    surface: str
-    route: str  # "residue-matrix" | "galois-module-evidence" | "unresolved"
-    d: int | None
-    kernel_basis: list[list[str]]
-    r: int | None
-    r_confidence: str
-    gate: Gate
-    dim2: int | None  # None encodes "not determined"
-    certificates: list[OddCertificate]
-    witnesses: list[dict]
-    evidence: list[dict]
-    caveats: list[str]
-    # analyze reads these back from the rendered report
-    conclusion: str = "inconclusive"
-    twisted: bool = False
-    twisted_detail: str = NO_TRANSFER
+    """A finished report: the schema-1 dict render_report writes."""
+
+    data: dict
 
     def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "input": self.input_echo,
-            "labels": self.labels,
-            "surface": self.surface,
-            "two_torsion_route": self.route,
-            "d": self.d,
-            "kernel_basis": [list(b) for b in self.kernel_basis],
-            "r": self.r,
-            "r_confidence": self.r_confidence,
-            "gate": {
-                "case": self.gate.case,
-                "passes": self.gate.passes,
-                "detail": self.gate.detail,
-            },
-            "dim2": self.dim2 if self.dim2 is not None else "not determined",
-            "certificates": [
-                {
-                    "kind": c.kind,
-                    "primes_covered": (c.primes_covered
-                                       if isinstance(c.primes_covered, str)
-                                       else list(c.primes_covered)),
-                    "witnesses": [list(w) for w in c.witnesses],
-                    "caveats": list(c.caveats),
-                    "detail": c.detail,
-                }
-                for c in self.certificates
-            ],
-            "witnesses": self.witnesses,
-            "evidence": self.evidence,
-            "twisted": {"flag": self.twisted, "detail": self.twisted_detail},
-            "conclusion": self.conclusion,
-            "caveats": self.caveats,
-        }
+        return self.data
+
+    @property
+    def conclusion(self) -> str:
+        return self.data["conclusion"]
 
 
 def analyze(spec: CurvePairSpec) -> BrauerReport:
@@ -314,8 +264,8 @@ def analyze(spec: CurvePairSpec) -> BrauerReport:
     handled through mod-2 Galois module evidence and flagged.  Odd torsion:
     the strategies run in order j-valuation, CM isogeny exclusion,
     six-torsion CM pair, per-ell sampling.  The conclusion, the coverage
-    caveats and the twisted flag are read back from the rendered report by
-    the rules validate_report checks.
+    caveats and the twisted flag are read off the report's premises by the
+    rules validate_report checks.
     """
     first, second = spec.first, spec.second
     e, e2 = first.lw, second.lw
@@ -396,31 +346,39 @@ def analyze(spec: CurvePairSpec) -> BrauerReport:
                        f"a_{fail} differs mod {ell}"),
         })
 
-    report = BrauerReport(
-        input_echo=spec.echo(),
-        labels=[first.label, second.label],
-        surface=pair_surface_equation(first, second),
-        route=("residue-matrix" if residue_route else
-               "galois-module-evidence" if dim2 == 0 else "unresolved"),
-        d=d,
-        kernel_basis=kernel_basis,
-        r=rank.r,
-        r_confidence=rank.confidence,
-        gate=gate,
-        dim2=dim2,
-        certificates=certificates,
-        witnesses=witnesses,
-        evidence=evidence,
-        caveats=caveats,
-    )
-    # the rest is read back from the report by the rules validate_report uses
-    data = report.to_dict()
-    report.conclusion = _conclusion(data)
-    report.caveats += _coverage_caveats(data)
-    detail = _twisted_transfer(data)
-    if detail is not None:
-        report.twisted, report.twisted_detail = True, detail
-    return report
+    premises = {
+        "schema": 1,
+        "input": spec.echo(),
+        "labels": [first.label, second.label],
+        "surface": pair_surface_equation(first, second),
+        "two_torsion_route": ("residue-matrix" if residue_route else
+                              "galois-module-evidence" if dim2 == 0 else "unresolved"),
+        "d": d,
+        "kernel_basis": kernel_basis,
+        "r": rank.r,
+        "r_confidence": rank.confidence,
+        "gate": {"case": gate.case, "passes": gate.passes, "detail": gate.detail},
+        "dim2": "not determined" if dim2 is None else dim2,
+        "certificates": [_certificate_dict(c) for c in certificates],
+        "witnesses": witnesses,
+        "evidence": evidence,
+    }
+    transfer = _twisted_transfer(premises)
+    return BrauerReport({
+        **premises,
+        "twisted": {"flag": transfer is not None, "detail": transfer or NO_TRANSFER},
+        "conclusion": _conclusion(premises),
+        "caveats": caveats + _coverage_caveats(premises),
+    })
+
+
+def _certificate_dict(c: OddCertificate) -> dict:
+    covered = c.primes_covered
+    return {"kind": c.kind,
+            "primes_covered": covered if isinstance(covered, str) else list(covered),
+            "witnesses": [list(w) for w in c.witnesses],
+            "caveats": list(c.caveats),
+            "detail": c.detail}
 
 
 def _sampling_certificate(
@@ -597,11 +555,11 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
 
 def render_report(report: BrauerReport, fmt: str = "json") -> str:
     """Stable serialization: json (sorted keys, reproducible bytes) or text."""
+    d = report.to_dict()
     if fmt == "json":
-        return stable_json(report.to_dict()) + "\n"
+        return stable_json(d) + "\n"
     if fmt != "text":
         raise InputError(f"unknown format: {fmt}")
-    d = report.to_dict()
     lines = [
         f"surface: {d['surface']}",
         f"labels: {d['labels']}",

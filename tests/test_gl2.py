@@ -138,11 +138,11 @@ def test_witness_predicate_equals_the_formula_up_to_max_ell():
                 assert classify(t, d) == tuple((t, d) in c for c in classes), (ell, t, d)
 
 
-def test_witness_satisfiable_equals_the_formula_up_to_max_ell():
+def test_only_ell_3_has_an_empty_witness_class_up_to_max_ell():
     from kummer_brauer.arith import primes_up_to
     from kummer_brauer.report import MAX_ELL
     for ell in primes_up_to(MAX_ELL)[1:]:
-        assert WitnessPredicate(ell).satisfiable() == all(witness_classes_by_formula(ell)), ell
+        assert all(witness_classes_by_formula(ell)) == (ell != 3), ell
 
 
 def test_witness_classes_mod_3_degenerate():

@@ -105,6 +105,33 @@ def test_mod3_never_certifiable():
     assert v.witnesses[0][0] == "unsatisfiable"
 
 
+def test_surjectivity_classifies_each_sampled_prime_once(monkeypatch):
+    """No set-up walk over F_ell x F_ell^*: the witness predicate runs once
+    for each prime whose a_p is sampled, and never at ell = 3."""
+    import kummer_brauer.oddpart as oddpart
+    from kummer_brauer.gl2 import WitnessPredicate
+    classified, sampled = [], []
+    classify, read_ap = WitnessPredicate.__call__, oddpart.ap
+
+    def spy_classify(self, t, d):
+        classified.append((t, d))
+        return classify(self, t, d)
+
+    def spy_ap(curve, p):
+        sampled.append(p)
+        return read_ap(curve, p)
+
+    monkeypatch.setattr(WitnessPredicate, "__call__", spy_classify)
+    monkeypatch.setattr(oddpart, "ap", spy_ap)
+    for e in (E_37, E_A1, E_CM_I):
+        for ell in ODD_PRIMES_TO_37:
+            classified.clear()
+            sampled.clear()
+            mod_ell_surjectivity(e, ell, 1000)
+            assert len(classified) == len(sampled), (e, ell)
+            assert (len(sampled) == 0) == (ell == 3), (e, ell)
+
+
 def test_cm_curves_always_inconclusive():
     for e in (E_CM_I, E_CM_W):
         for ell in (3, 5, 7, 11, 13):
@@ -160,7 +187,8 @@ def test_j_valuation_partner_conditions():
 
 
 def test_j_valuation_same_curve_variant():
-    cert = j_valuation_certificate(CurveRT2(5, 7).to_lw(), None)
+    e = CurveRT2(5, 7).to_lw()
+    cert = j_valuation_certificate(e, e)
     assert isinstance(cert, OddCertificate)
     assert "same-curve" in cert.detail
 
@@ -333,4 +361,4 @@ def test_j_valuation_same_curve_variant_for_rescaled_partner():
     e = CurveRT2(5, 7).to_lw()
     cert = j_valuation_certificate(e, CurveRT2(20, 28).to_lw())
     assert isinstance(cert, OddCertificate)
-    assert cert == j_valuation_certificate(e, None)
+    assert cert == j_valuation_certificate(e, e)

@@ -1,4 +1,7 @@
+import hashlib
+import importlib.util
 import json
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -312,6 +315,58 @@ def test_stable_json_equals_json_dumps_on_goldens_and_family_reports():
             assert render_report(analyze(spec)) == _dumps(data) + "\n"
 
 
+# sha256 of the panel's JSON and text renderings, in order; a change to the
+# bytes of any report in the panel changes it
+PANEL_SHA256 = "bf60c5493d6249ee187c0b4e243598722c9c586ce73332dc3e4bf9155541c1b4"
+
+
+def _big_coeff_pool_specs():
+    """The benchmark's fixed pool of big-coefficient pairs, each as
+    {"rt2": spec, "shifted": spec}, read from perfbench by path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module.big_coeff_pool()
+
+
+def test_report_bytes_equal_the_pinned_panel_digest():
+    specs = [parse_pair_spec(json.loads(path.read_text(encoding="utf-8"))["input"])
+             for path in sorted(GOLDEN_DIR.glob("*.json"))]
+    specs += search_family(300, 13)
+    for entry in _big_coeff_pool_specs()[:2]:
+        specs += [parse_pair_spec(entry["rt2"]), parse_pair_spec(entry["shifted"])]
+    specs.append(pair(E_11A1, E_37A1, bound=1000))
+    digest = hashlib.sha256()
+    for spec in specs:
+        report = analyze(spec)
+        for fmt in ("json", "text"):
+            digest.update(render_report(report, fmt).encode("utf-8"))
+    assert digest.hexdigest() == PANEL_SHA256
+
+
+def test_shifted_pair_finds_each_curves_cubic_roots_once(monkeypatch):
+    """The rt2 form and the surface equation read one memo of the roots of
+    each curve's cubic: two root searches per analysis of a pair of shifted
+    models (four when each searched on its own)."""
+    searches = []
+    search = curves._rational_roots_monic_cubic
+
+    def spy(*coeffs):
+        searches.append(coeffs)
+        return search(*coeffs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kummer_brauer") and \
+                getattr(module, "_rational_roots_monic_cubic", None) is search:
+            monkeypatch.setattr(module, "_rational_roots_monic_cubic", spy)
+    for entry in _big_coeff_pool_specs()[:2]:
+        searches.clear()
+        data = analyze(parse_pair_spec(entry["shifted"])).to_dict()
+        assert data["two_torsion_route"] == "residue-matrix"
+        assert len(searches) == 2
+
+
 def test_stable_json_edge_cases():
     cases = [
         [], {}, [[]], [{}], {"a": []}, {"a": {}, "b": [[], {}]}, (), ("x", (1, 2)),
@@ -381,7 +436,7 @@ def test_self_pair_analysis_counts_points_once_per_prime(monkeypatch):
         spec = parse_pair_spec({**data, "odd_primes": [3, 5, 7]})
         assert spec.first.lw == spec.second.lw and spec.first.lw is not spec.second.lw
         counted.clear()
-        evidence = analyze(spec).evidence
+        evidence = analyze(spec).to_dict()["evidence"]
         assert [ev["result"] for ev in evidence] == ["pass"] * 3
         assert counted and max(counted.values()) == 1, name
 
