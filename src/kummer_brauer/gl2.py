@@ -7,8 +7,20 @@ Eick and O'Brien, Handbook of Computational Group Theory, 2005).  From a
 found subgroup H, one step takes a listed cyclic p-subgroup C = <g> (p prime)
 with C not inside H, g^p in H, and g normalizing H (g x g^-1 in H for each
 recorded generator x of H, which suffices for finite H).  Then H is normal of
-index p in K = <H, g> = H u Hg u ... u Hg^(p-1), so K is built directly in
-(p - 1)|H| table lookups.  The seeds are the trivial group and SL(2, ell).
+index p in K = <H, g> = H u gH u ... u g^(p-1)H, so K is built directly: each
+coset g^i H is one table row read at the elements of H.  The seeds are the
+trivial group and SL(2, ell).
+
+Each piece of work is done once:
+
+- The steps are indexed by g^p, so for H only the steps whose g^p lies in H
+  are tried, by walking H's elements.
+- A step whose g lies in H adds nothing, and one whose g lies in a K already
+  built from H (outside H) gives K again, so both are skipped: H < <H, g> <= K,
+  and H has prime index in K, so no subgroup lies strictly between them.
+- Each subgroup's element list is kept beside its mask.  K's list is H's
+  followed by its p - 1 cosets, which are disjoint because H is normal of
+  index p, so only the seeds' masks are ever read back into elements.
 
 Why this finds every subgroup:
 
@@ -173,6 +185,23 @@ def witness_classes(ell: int) -> tuple[set, set, set]:
     return classes
 
 
+def witness_masks(group: GL2, classes: tuple[set, set, set]) -> tuple[int, ...]:
+    """For each witness class, the mask of the elements whose (trace, det)
+    lies in it."""
+    masks = [0] * len(classes)
+    for i, td in enumerate(zip(group.trace, group.det)):
+        for k, cls in enumerate(classes):
+            if td in cls:
+                masks[k] |= 1 << i
+    return tuple(masks)
+
+
+def subgroup_witnesses(mask: int, class_masks: tuple[int, ...]) -> SubgroupWitnesses:
+    """The order of the subgroup `mask` and which witness classes meet it."""
+    nonsplit, split, generic = (bool(mask & m) for m in class_masks)
+    return SubgroupWitnesses(mask.bit_count(), nonsplit, split, generic)
+
+
 def enumerate_subgroups(group: GL2) -> list[int]:
     """Masks of all subgroups of the group, the full group excluded."""
     sl_mask = sum(1 << i for i, det in enumerate(group.det) if det == 1)
@@ -185,34 +214,42 @@ def _cyclic_extension(group: GL2, seeds: list[tuple[int, list[int]]]) -> list[in
     """Masks of the proper subgroups reached from the seeds (mask, generators)
     by normal prime-index steps; see the module docstring."""
     mult = group.mult
-    steps = []
-    for c_mask, g, p in group.cyclic_prime_power_subgroups():
+    # steps_at[y]: the steps (p, g, g^-1, [g, ..., g^(p-1)]) with g^p = y
+    steps_at = [[] for _ in range(group.order)]
+    for _, g, p in group.cyclic_prime_power_subgroups():
         pw = group.powers(g)
-        # (C, p, g^p, g^-1, [g, ..., g^(p-1)])
-        steps.append((c_mask, p, pw[p % len(pw)], pw[-1], pw[1:p]))
+        steps_at[pw[p % len(pw)]].append((p, g, pw[-1], pw[1:p]))
     gens_of = dict(seeds)
+    elems_of = {mask: bits_of(mask) for mask in gens_of}
     queue = list(gens_of)
     while queue:
         h_mask = queue.pop()
         h_gens = gens_of[h_mask]
-        h_size = bin(h_mask).count("1")
-        h_elems = None
-        for c_mask, p, g_p, g_inv, g_powers in steps:
-            if (c_mask & h_mask == c_mask or not (h_mask >> g_p) & 1
-                    or p * h_size == group.order):
-                continue
-            g_row = mult[g_powers[0]]
-            if not all((h_mask >> mult[g_row[x]][g_inv]) & 1 for x in h_gens):
-                continue
-            if h_elems is None:
-                h_elems = bits_of(h_mask)
-            k_mask = h_mask
-            for gi in g_powers:
-                for h in h_elems:
-                    k_mask |= 1 << mult[h][gi]
-            if k_mask not in gens_of:
-                gens_of[k_mask] = h_gens + [g_powers[0]]
-                queue.append(k_mask)
+        h_elems = elems_of[h_mask]
+        h_size = len(h_elems)
+        built = h_mask  # H and every K built from it
+        for y in h_elems:
+            for p, g, g_inv, g_powers in steps_at[y]:
+                if (built >> g) & 1 or p * h_size == group.order:
+                    continue
+                g_row = mult[g]
+                for x in h_gens:
+                    if not (h_mask >> mult[g_row[x]][g_inv]) & 1:
+                        break
+                else:
+                    # H is normal in K, so its cosets g^i H are g^i's row on H
+                    k_elems = h_elems.copy()
+                    for gi in g_powers:
+                        row = mult[gi]
+                        k_elems += [row[h] for h in h_elems]
+                    k_mask = h_mask
+                    for x in k_elems[h_size:]:
+                        k_mask |= 1 << x
+                    built |= k_mask
+                    if k_mask not in gens_of:
+                        gens_of[k_mask] = h_gens + [g]
+                        elems_of[k_mask] = k_elems
+                        queue.append(k_mask)
     return sorted(gens_of)
 
 
@@ -226,28 +263,19 @@ def validate_surjectivity_criterion(ell: int) -> CriterionValidation:
     if ell not in (3, 5):
         raise ValueError("the exhaustive oracle is built for ell in {3, 5}")
     group = GL2(ell)
-    w1, w2, w3 = witness_classes(ell)
-
-    def witnesses(elems: list[int]) -> SubgroupWitnesses:
-        td = {(group.trace[i], group.det[i]) for i in elems}
-        return SubgroupWitnesses(
-            len(elems),
-            any(p in w1 for p in td),
-            any(p in w2 for p in td),
-            any(p in w3 for p in td),
-        )
-
+    classes = witness_classes(ell)
+    class_masks = witness_masks(group, classes)
     masks = enumerate_subgroups(group)
     offending = []
     for mask in masks:
-        elems = bits_of(mask)
-        if group.order % len(elems):
+        found = subgroup_witnesses(mask, class_masks)
+        if group.order % found.order:
             raise RuntimeError("enumeration failure: Lagrange violated")
-        if witnesses(elems).all_three:
-            offending.append(len(elems))
-    full = witnesses(list(range(group.order)))
+        if found.all_three:
+            offending.append(found.order)
+    full = subgroup_witnesses((1 << group.order) - 1, class_masks)
     notes = []
-    for name, cls in (("nonsplit", w1), ("split", w2), ("generic", w3)):
+    for name, cls in zip(("nonsplit", "split", "generic"), classes):
         if not cls:
             notes.append(f"witness class '{name}' is empty mod {ell}: "
                          "the criterion can never fire at this ell")

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import hashlib
 import inspect
 import json
 import os
@@ -300,6 +301,21 @@ def test_validate_criterion_mod_5(capsys):
     code, out, _ = run(capsys, "validate-criterion", "--ell", "5", "--format", "text")
     assert code == 0
     assert out == "ell = 5: PASS (466 subgroups of a group of order 480)\n"
+
+
+# sha256 of the stdout of validate-criterion at ell 3 json, ell 3 text, ell 5
+# json and ell 5 text, in that order; it pins the oracle's output bytes
+CRITERION_SHA256 = "d7d74400f288e5a575004922e4f6a8094f52c71b0726264ef486bea1f8fce805"
+
+
+def test_validate_criterion_bytes_equal_the_pinned_digest(capsys):
+    digest = hashlib.sha256()
+    for ell in ("3", "5"):
+        for fmt in ("json", "text"):
+            code, out, _ = run(capsys, "validate-criterion", "--ell", ell, "--format", fmt)
+            assert code == 0
+            digest.update(out.encode("utf-8"))
+    assert digest.hexdigest() == CRITERION_SHA256
 
 
 @pytest.mark.parametrize("argv", [
