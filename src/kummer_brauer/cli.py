@@ -14,7 +14,7 @@ import sys
 
 from .arith import FactorBudgetError
 from .curves import frobenius_table
-from .gl2 import validate_surjectivity_criterion
+from .gl2 import ORACLE_ELLS, validate_surjectivity_criterion
 from .report import (
     MAX_BOUND,
     InputError,
@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_matrix)
 
     p = sub.add_parser("validate-criterion", help="run the GL2 subgroup oracle")
-    p.add_argument("--ell", type=int, required=True, choices=(3, 5))
+    p.add_argument("--ell", type=int, required=True, choices=ORACLE_ELLS)
     p.set_defaults(func=_cmd_validate_criterion)
 
     for p in sub.choices.values():  # every subcommand writes json or text

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 
 from .arith import Rational, is_prime, primes_up_to
 
@@ -69,9 +69,9 @@ class CurveLW:
     integral model u^i a_i (u the lcm of the denominators of a1..a6, the
     substitution x -> x / u^2, y -> y / u^3) and divides once by u^4, u^6
     and u^12.  j, the rt2 form and the a_p are memos of the model kept on
-    the curve object, and so are the rational roots of the cubic; equality
-    and hashing read a1..a6 only, so equal models held as distinct objects
-    share no memo.
+    the curve object, and so are the x of the rational 2-torsion points;
+    equality and hashing read a1..a6 only, so equal models held as distinct
+    objects share no memo.
     """
 
     a1: Rational
@@ -85,6 +85,8 @@ class CurveLW:
     _c4: Rational = field(init=False, repr=False, compare=False)
     _c6: Rational = field(init=False, repr=False, compare=False)
     _disc: Rational = field(init=False, repr=False, compare=False)
+    # b2, b4, b6 of the integral model
+    _b246: tuple[int, int, int] = field(init=False, repr=False, compare=False)
     # a_p by good prime p, filled by ap()
     _ap: dict[int, int] = field(init=False, repr=False, compare=False)
 
@@ -100,6 +102,7 @@ class CurveLW:
         if disc == 0:
             raise SingularCurveError("zero discriminant")
         object.__setattr__(self, "_u", u)
+        object.__setattr__(self, "_b246", (b2, b4, b6))
         object.__setattr__(self, "_c4", Fraction(b2 * b2 - 24 * b4, u**4))
         object.__setattr__(self, "_c6", Fraction(-b2**3 + 36 * b2 * b4 - 216 * b6, u**6))
         object.__setattr__(self, "_disc", Fraction(disc, u**12))
@@ -124,9 +127,17 @@ class CurveLW:
 
     @cached_property
     def cubic_roots(self) -> list[Rational]:
-        """The distinct rational roots of x^3 + a2 x^2 + a4 x + a6, in
-        increasing order: the x of the 2-torsion points when a1 = a3 = 0."""
-        return _rational_roots_monic_cubic(self.a2, self.a4, self.a6)
+        """The x of the rational points of order 2, in increasing order: the
+        distinct rational roots of 4x^3 + b2 x^2 + 2 b4 x + b6, which are the
+        roots of x^3 + a2 x^2 + a4 x + a6 when a1 = a3 = 0.
+
+        On the integral model (x -> x / u^2) y = 4x turns the cubic monic
+        and integral, y^3 + b2 y^2 + 8 b4 y + 16 b6, so its rational roots
+        are integers, and x = y / (4 u^2)."""
+        b2, b4, b6 = self._b246
+        scale = 4 * self._u**2
+        roots = _integer_roots_monic_cubic(b2, 8 * b4, 16 * b6)
+        return sorted(Fraction(y, scale) for y in roots)
 
     def is_p_integral(self, p: int) -> bool:
         """Whether no coefficient has the prime p in its denominator."""
@@ -417,18 +428,6 @@ def _integer_roots_monic_cubic(d2: int, d1: int, d0: int) -> set[int]:
     return roots
 
 
-def _rational_roots_monic_cubic(c2: Rational, c1: Rational, c0: Rational) -> list[Rational]:
-    """All rational roots (distinct) of x^3 + c2 x^2 + c1 x + c0."""
-    lcm_den = 1
-    for c in (c2, c1, c0):
-        lcm_den = lcm_den * c.denominator // gcd(lcm_den, c.denominator)
-    # y = L x turns the cubic monic integral: y^3 + c2 L y^2 + c1 L^2 y + c0 L^3,
-    # whose rational roots are integers
-    L = lcm_den
-    roots = _integer_roots_monic_cubic(int(c2 * L), int(c1 * L * L), int(c0 * L**3))
-    return sorted(Fraction(r, L) for r in roots)
-
-
 NO_TWO_TORSION = "no rational 2-torsion"
 UNSUPPORTED_MODEL = "unsupported model"
 
@@ -453,11 +452,8 @@ def _rt2_form(curve: CurveLW) -> CurveRT2 | str:
         return NO_TWO_TORSION
     # scaling x by u^2 (u = common denominator) keeps the curve isomorphic
     # over Q and makes the roots integral
-    u = 1
-    for r in roots:
-        u = u * r.denominator // gcd(u, r.denominator)
-    scaled = sorted(int(r * u * u) for r in roots)
-    r0, r1, r2 = scaled
+    u = lcm(*(r.denominator for r in roots))
+    r0, r1, r2 = (int(r * u * u) for r in roots)
     return CurveRT2(r1 - r0, r2 - r0)
 
 

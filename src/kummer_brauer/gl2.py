@@ -13,6 +13,8 @@ trivial group and SL(2, ell).
 
 Each piece of work is done once:
 
+- Each listed generator's powers are walked once, when the cyclic subgroups
+  are listed, and its step reads g^p, g^-1 and g, ..., g^(p-1) off them.
 - The steps are indexed by g^p, so for H only the steps whose g^p lies in H
   are tried, by walking H's elements.
 - A step whose g lies in H adds nothing, and one whose g lies in a K already
@@ -45,6 +47,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .arith import bits_of
+
+# the ell at which the exhaustive oracle runs
+ORACLE_ELLS = (3, 5)
 
 
 class GL2:
@@ -87,10 +92,10 @@ class GL2:
             x = self.mult[x][i]
         return out
 
-    def cyclic_prime_power_subgroups(self) -> list[tuple[int, int, int]]:
-        """(mask, generator, p) for each distinct cyclic subgroup of order a
-        power of the prime p."""
-        seen: dict[int, tuple[int, int]] = {}
+    def cyclic_prime_power_subgroups(self) -> list[tuple[int, int, int, list[int]]]:
+        """(mask, generator, p, the generator's powers) for each distinct
+        cyclic subgroup of order a power of the prime p."""
+        seen: dict[int, tuple[int, int, list[int]]] = {}
         for i in range(self.order):
             pw = self.powers(i)
             p = _prime_power_base(len(pw))
@@ -99,8 +104,8 @@ class GL2:
             mask = 0
             for x in pw:
                 mask |= 1 << x
-            seen.setdefault(mask, (i, p))
-        return [(mask, g, p) for mask, (g, p) in seen.items()]
+            seen.setdefault(mask, (i, p, pw))
+        return [(mask, *found) for mask, found in seen.items()]
 
 
 def _prime_power_base(n: int) -> int | None:
@@ -216,8 +221,7 @@ def _cyclic_extension(group: GL2, seeds: list[tuple[int, list[int]]]) -> list[in
     mult = group.mult
     # steps_at[y]: the steps (p, g, g^-1, [g, ..., g^(p-1)]) with g^p = y
     steps_at = [[] for _ in range(group.order)]
-    for _, g, p in group.cyclic_prime_power_subgroups():
-        pw = group.powers(g)
+    for _, g, p, pw in group.cyclic_prime_power_subgroups():
         steps_at[pw[p % len(pw)]].append((p, g, pw[-1], pw[1:p]))
     gens_of = dict(seeds)
     elems_of = {mask: bits_of(mask) for mask in gens_of}
@@ -257,11 +261,12 @@ def validate_surjectivity_criterion(ell: int) -> CriterionValidation:
     """Check that no proper subgroup of GL(2, F_ell) exhibits all three
     trace/determinant witnesses within its full (trace, det) multiset.
 
-    Only ell in {3, 5} is supported (group orders 48 and 480); larger ell is
-    covered by the classical subgroup classification, not by this oracle.
+    Only ell in ORACLE_ELLS is supported (group orders 48 and 480); larger
+    ell is covered by the classical subgroup classification, not by this
+    oracle.
     """
-    if ell not in (3, 5):
-        raise ValueError("the exhaustive oracle is built for ell in {3, 5}")
+    if ell not in ORACLE_ELLS:
+        raise ValueError(f"the exhaustive oracle is built for ell in {ORACLE_ELLS}")
     group = GL2(ell)
     classes = witness_classes(ell)
     class_masks = witness_masks(group, classes)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import lcm
 
 from .arith import is_prime
-from .curves import CurveLW
+from .curves import CurveLW, j_invariant_sw
 
 Poly = list[int]  # integer coefficients, constant term first
 
@@ -163,7 +163,7 @@ def codomains(A: int, B: int) -> list[tuple[int, tuple[int, int]]]:
     E4~ = j~'^2 / (j~ (j~ - 1728)), E6~ = -j~'^3 / (j~^2 (j~ - 1728)) and
     the codomain is y^2 = x^3 - (E4~/48) x + E6~/864.
     """
-    j = Fraction(6912 * A**3, 4 * A**3 + 27 * B * B)
+    j = j_invariant_sw(A, B)
     out = []
     for ell, s, N in X0_TABLE:
         D = [(i - 1) * c for i, c in enumerate(N)]

@@ -17,7 +17,6 @@ from .curves import (
     CurveLW,
     CurveRT2,
     Point,
-    _integer_roots_monic_cubic,
     ap,
     cm_status,
     good_primes,
@@ -28,7 +27,7 @@ from .curves import (
 )
 from .gl2 import CriterionValidation, WitnessPredicate, validate_surjectivity_criterion
 from .homrank import same_curve
-from .isogeny import X0_DEGREES, short_model, x0_roots
+from .isogeny import X0_DEGREES, x0_roots
 
 DET_ASSUMPTION = ("determinant surjectivity assumed: the mod-ell determinant "
                   "of the Galois action is the cyclotomic character")
@@ -64,8 +63,9 @@ def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVe
     """Decide surjectivity of the mod-ell Galois image where possible.
 
     ell = 2: exact.  The image is the Galois group of the 2-division cubic,
-    and it is all of GL(2, F_2) = S3 iff the cubic is irreducible with
-    non-square discriminant.
+    and it is all of GL(2, F_2) = S3 iff the cubic is irreducible (the curve
+    has no rational point of order 2: cubic_roots is empty) with non-square
+    discriminant.
 
     ell >= 3: witness sampling over good primes p <= bound, p != ell, with
     (t, d) = (a_p mod ell, p mod ell).  Three witnesses are required, one
@@ -91,10 +91,9 @@ def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVe
         # 256 Delta is the discriminant of the monic 2-division cubic
         # y^3 + b2 y^2 + 8 b4 y + 16 b6 (y = 4x)
         disc = 256 * curve.discriminant()
-        roots = _integer_roots_monic_cubic(0, *short_model(curve))
+        roots = curve.cubic_roots
         if roots:
-            detail = (f"2-division cubic has a rational root (x = {min(roots)} "
-                      "on the integral short model)")
+            detail = f"2-division cubic has a rational root (x = {roots[0]})"
         elif is_rational_square(disc):
             detail = "2-division cubic has square discriminant (group inside A3)"
         else:
@@ -148,7 +147,8 @@ def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVe
 
 
 def validate_criterion_oracle(ell: int) -> CriterionValidation:
-    """Exhaustive soundness check of the sampling criterion at ell in {3, 5}."""
+    """Exhaustive soundness check of the sampling criterion at ell in
+    gl2.ORACLE_ELLS."""
     return validate_surjectivity_criterion(ell)
 
 

@@ -663,9 +663,11 @@ def _lattice_tuples():
 def search_family(count: int, seed: int = 0) -> list[CurvePairSpec]:
     """Deterministically generate curve pairs (a, b) = (5 + 35m, 7 + 35n),
     (a', b') = (1 + 35m', 2 + 35n') with m != 2 mod 5 and n != 4 mod 7,
-    validated against the family conditions; seed offsets the start of the
-    enumeration.  Pairs with a curve (a, b) in common hold the same
-    CurveInput object, so analyses of the batch share its memos."""
+    (a, b) validated against the family conditions; seed offsets the start
+    of the enumeration.  (a', b') needs no check: a' = 1, b' = 2 and
+    a' - b' = -1 mod 35, so none is 0, a' != b', and 5 and 7 divide none.
+    Pairs with a curve (a, b) in common hold the same CurveInput object, so
+    analyses of the batch share its memos."""
     if count < 1:
         raise InputError("count must be >= 1")
     if seed < 0:
@@ -687,10 +689,6 @@ def search_family(count: int, seed: int = 0) -> list[CurvePairSpec]:
         a, b = 5 + 35 * m, 7 + 35 * n
         a2, b2 = 1 + 35 * mp, 2 + 35 * np_
         if check_57_family(a, b):
-            continue
-        if a2 == b2 or a2 == 0 or b2 == 0:
-            continue
-        if any(v % q == 0 for v in (a2, b2, a2 - b2) for q in (5, 7)):
             continue
         if skipped < seed:
             skipped += 1

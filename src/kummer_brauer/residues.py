@@ -24,6 +24,11 @@ from .arith import (
 )
 
 ALGEBRA_LABELS = ("A[a,a']", "A[a,0]", "A[0,a']", "A[0,0]")
+# The exceptional lines over the nine pairs of nonzero 2-torsion points: the
+# four that residue_matrix computes, then the five that extend_residue_matrix
+# derives from them.
+LINES = ("l[0,0]", "l[0,a']", "l[a,0]", "l[a,a']",
+         "l[0,b']", "l[a,b']", "l[b,0]", "l[b,a']", "l[b,b']")
 
 
 class DegenerateCurveError(ValueError):
@@ -38,11 +43,10 @@ class DimensionContradictionError(RuntimeError):
 class ResidueMatrix:
     """Square-class residues of the four symbol algebras at exceptional lines.
 
-    Rows are ordered A[a,a'], A[a,0], A[0,a'], A[0,0].  In 4x4 form the
-    columns are the lines over the 2-torsion points (0,0), (0,a'), (a,0),
-    (a,a'); the extended 4x9 form appends (0,b'), (a,b'), (b,0), (b,a'),
-    (b,b').  Each residue is stored as an integer representative of its
-    class, a signed product of a, b, a-b, a', b', a'-b'.
+    Rows are ordered as ALGEBRA_LABELS and columns as LINES: the first four
+    in 4x4 form, all nine in the extended 4x9 form.  Each residue is stored
+    as an integer representative of its class, a signed product of a, b,
+    a-b, a', b', a'-b'.
     """
 
     pair: tuple[int, int, int, int]  # (a, b, a', b')
@@ -87,14 +91,10 @@ class ResidueMatrix:
         return [[c.representative() for c in row] for row in self.entries]
 
 
-def _line_label(i: str, j: str) -> str:
-    return f"l[{i},{j}]"
-
-
 def residue_matrix(a: int, b: int, a2: int, b2: int) -> ResidueMatrix:
     """The 4x4 residue matrix of the curve pair (a, b, a', b').
 
-    Row by row (columns l[0,0], l[0,a'], l[a,0], l[a,a']):
+    Row by row, in the columns LINES[:4]:
       A[a,a']: 1,      ab,          a'b',        -aa'
       A[a,0]:  ab,     1,           aa',         a'(a'-b')
       A[0,a']: a'b',   aa',         1,           a(a-b)
@@ -109,9 +109,7 @@ def residue_matrix(a: int, b: int, a2: int, b2: int) -> ResidueMatrix:
         (ap * bp, a * ap, 1, a * (a - b)),
         (-a * ap, ap * (ap - bp), a * (a - b), 1),
     )
-    cols = (_line_label("0", "0"), _line_label("0", "a'"),
-            _line_label("a", "0"), _line_label("a", "a'"))
-    return ResidueMatrix((a, b, ap, bp), cols, rows)
+    return ResidueMatrix((a, b, ap, bp), LINES[:4], rows)
 
 
 def extend_residue_matrix(m: ResidueMatrix) -> ResidueMatrix:
@@ -125,23 +123,10 @@ def extend_residue_matrix(m: ResidueMatrix) -> ResidueMatrix:
     """
     if m.ncols != 4:
         raise ValueError("expected a 4x4 residue matrix")
-    e = {("0", "0"): 0, ("0", "a'"): 1, ("a", "0"): 2, ("a", "a'"): 3}
-
-    def entry(row: tuple[int, ...], i: str, j: str) -> int:
-        if (i, j) in e:
-            return row[e[(i, j)]]
-        if i == "b" and j == "b'":
-            return row[0] * row[1] * row[2] * row[3]
-        if i == "b":
-            return entry(row, "0", j) * entry(row, "a", j)
-        # j == "b'"
-        return entry(row, i, "0") * entry(row, i, "a'")
-
-    order = [("0", "0"), ("0", "a'"), ("a", "0"), ("a", "a'"),
-             ("0", "b'"), ("a", "b'"), ("b", "0"), ("b", "a'"), ("b", "b'")]
-    cols = tuple(_line_label(i, j) for i, j in order)
-    rows = tuple(tuple(entry(row, i, j) for i, j in order) for row in m.values)
-    return ResidueMatrix(m.pair, cols, rows)
+    # l[i,b'] = l[i,0] l[i,a'], l[b,j] = l[0,j] l[a,j], l[b,b'] = all four
+    rows = tuple(r + (r[0] * r[1], r[2] * r[3], r[0] * r[2], r[1] * r[3],
+                      r[0] * r[1] * r[2] * r[3]) for r in m.values)
+    return ResidueMatrix(m.pair, LINES, rows)
 
 
 def kernel_dimension(m: ResidueMatrix) -> tuple[int, list[tuple[str, ...]]]:

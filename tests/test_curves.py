@@ -255,6 +255,61 @@ def test_rt2_form_carried_by_to_lw_equals_the_bisection():
             assert to_rt2(carried) != CurveRT2(a, b)
 
 
+def change_model(a, u, r, s, t):
+    """a1..a6 of the model reached by x = u^2 x' + r, y = u^3 y' + s u^2 x' + t
+    (Silverman, The Arithmetic of Elliptic Curves, III.1)."""
+    a1, a2, a3, a4, a6 = a
+    return (
+        (a1 + 2 * s) / u,
+        (a2 - s * a1 + 3 * r - s * s) / u**2,
+        (a3 + r * a1 + 2 * t) / u**3,
+        (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u**4,
+        (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / u**6,
+    )
+
+
+def test_cubic_roots_equal_the_roots_of_the_b_invariant_cubic():
+    """cubic_roots on long models with a1, a3 != 0 and rational coefficients:
+    the rational roots of 4x^3 + b2 x^2 + 2 b4 x + b6, and for a model moved
+    from y^2 = (x - e)(x^2 + p x + q) the moved roots (e - r) / u^2."""
+    rng = random.Random(97)
+
+    def rand_q(lo=-40, hi=40):
+        return Fraction(rng.randint(lo, hi), rng.choice(DENOMINATORS[:12]))
+
+    checked = []
+    while len(checked) < 480:
+        kind = len(checked) % 4
+        if kind == 0:
+            c, moved = random_rational_lw(rng), None
+        elif kind == 1:
+            c, moved = random_lw(rng), None
+        else:  # kind 2: three rational roots, kind 3: one
+            e = rand_q()
+            if kind == 2:
+                e1, e2 = rand_q(), rand_q()
+                p, q = -(e1 + e2), e1 * e2
+            else:
+                p, q = rand_q(), rand_q()
+            u = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 5)))
+            r, s, t = rand_q(), rand_q(-5, 5), rand_q()
+            try:
+                c = CurveLW(*change_model((0, p - e, 0, q - p * e, -q * e), u, r, s, t))
+            except SingularCurveError:
+                continue
+            base = rational_roots_monic_cubic(p - e, q - p * e, -q * e)
+            moved = sorted((x - r) / u**2 for x in base)
+        b2, b4, b6, _ = c.b_invariants()
+        want = rational_roots_monic_cubic(b2 / 4, b4 / 2, b6 / 4)
+        assert c.cubic_roots == want, c.key()
+        if moved is not None:
+            assert c.cubic_roots == moved, c.key()
+        checked.append(c)
+    assert sum(c.a1 != 0 and c.a3 != 0 for c in checked) >= 200
+    assert sum(any(a.denominator != 1 for a in c.key()) for c in checked) >= 200
+    assert {len(c.cubic_roots) for c in checked} == {0, 1, 3}
+
+
 def test_good_reduction():
     c = CurveRT2(1, 2).to_lw()  # disc 64
     assert good_reduction_at(c, 5)
@@ -529,6 +584,16 @@ def random_monic_cubic(rng):
     return tuple(Fraction(v) for v in c)
 
 
+def rational_roots_monic_cubic(c2, c1, c0):
+    """All rational roots (distinct) of x^3 + c2 x^2 + c1 x + c0, by
+    _integer_roots_monic_cubic after y = L x, L the common denominator: the
+    bisection's reference, and the root search cubic_roots replaced."""
+    L = math.lcm(*(Fraction(c).denominator for c in (c2, c1, c0)))
+    roots = curves._integer_roots_monic_cubic(
+        int(c2 * L), int(c1 * L * L), int(c0 * L**3))
+    return sorted(Fraction(r, L) for r in roots)
+
+
 def test_bisection_roots_match_divisor_enumeration():
     rng = random.Random(5003)
     cubics = [random_monic_cubic(rng) for _ in range(5000)]
@@ -538,7 +603,7 @@ def test_bisection_roots_match_divisor_enumeration():
                (Fraction(-9, 4), Fraction(1, 2), Fraction(0))]
     counts = set()
     for c in cubics:
-        got = curves._rational_roots_monic_cubic(*c)
+        got = rational_roots_monic_cubic(*c)
         assert got == divisor_roots(*c), c
         counts.add(len(got))
     assert counts == {0, 1, 2, 3}
@@ -550,6 +615,6 @@ def test_bisection_roots_of_large_cubics():
         big = 10**digits
         roots = [-big + 7, 3 * big // 7, big + 1]
         c = [Fraction(v) for v in _monic_from_roots(roots)]
-        assert curves._rational_roots_monic_cubic(*c) == sorted(map(Fraction, roots))
+        assert rational_roots_monic_cubic(*c) == sorted(map(Fraction, roots))
         c[2] += 1
-        assert curves._rational_roots_monic_cubic(*c) == []
+        assert rational_roots_monic_cubic(*c) == []

@@ -57,7 +57,7 @@ def join_closure_subgroups(group):
         h_mask = queue.pop()
         h_elems = bits_of(h_mask)
         h_gens = gens_of[h_mask]
-        for c_mask, g, _ in cyclics:
+        for c_mask, g, _, _ in cyclics:
             if c_mask & h_mask == c_mask:
                 continue
             k_mask = join(group, h_elems, h_mask, h_gens, g, half)

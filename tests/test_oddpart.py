@@ -9,7 +9,6 @@ from kummer_brauer.arith import is_rational_square, primes_up_to
 from kummer_brauer.curves import (
     CurveLW,
     CurveRT2,
-    _rational_roots_monic_cubic,
     ap,
     good_primes,
     is_good_prime,
@@ -26,6 +25,7 @@ from kummer_brauer.oddpart import (
     six_torsion_cm_certificate,
     validate_criterion_oracle,
 )
+from test_curves import rational_roots_monic_cubic
 
 E_37 = CurveLW(0, 0, 1, -1, 0)
 E_43 = CurveLW(0, 1, 1, 0, 0)
@@ -53,7 +53,7 @@ def mod2_by_b_invariants(curve):
     image is S3, the witness text."""
     b2, b4, b6, _ = curve.b_invariants()
     p, q, r = b2, 8 * b4, 16 * b6
-    if _rational_roots_monic_cubic(p, q, r):
+    if rational_roots_monic_cubic(p, q, r):
         return "rational root", None
     disc = 18 * p * q * r - 4 * p**3 * r + p * p * q * q - 4 * q**3 - 27 * r * r
     if is_rational_square(disc):

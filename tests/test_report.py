@@ -345,12 +345,11 @@ def test_report_bytes_equal_the_pinned_panel_digest():
     assert digest.hexdigest() == PANEL_SHA256
 
 
-def test_shifted_pair_finds_each_curves_cubic_roots_once(monkeypatch):
-    """The rt2 form and the surface equation read one memo of the roots of
-    each curve's cubic: two root searches per analysis of a pair of shifted
-    models (four when each searched on its own)."""
+def _spy_on_root_searches(monkeypatch) -> list:
+    """Record the arguments of every _integer_roots_monic_cubic call, in each
+    kummer_brauer module that holds the function."""
     searches = []
-    search = curves._rational_roots_monic_cubic
+    search = curves._integer_roots_monic_cubic
 
     def spy(*coeffs):
         searches.append(coeffs)
@@ -358,13 +357,32 @@ def test_shifted_pair_finds_each_curves_cubic_roots_once(monkeypatch):
 
     for name, module in list(sys.modules.items()):
         if name.startswith("kummer_brauer") and \
-                getattr(module, "_rational_roots_monic_cubic", None) is search:
-            monkeypatch.setattr(module, "_rational_roots_monic_cubic", spy)
+                getattr(module, "_integer_roots_monic_cubic", None) is search:
+            monkeypatch.setattr(module, "_integer_roots_monic_cubic", spy)
+    return searches
+
+
+def test_shifted_pair_finds_each_curves_cubic_roots_once(monkeypatch):
+    """The rt2 form and the surface equation read one memo of the roots of
+    each curve's cubic: two root searches per analysis of a pair of shifted
+    models (four when each searched on its own)."""
+    searches = _spy_on_root_searches(monkeypatch)
     for entry in _big_coeff_pool_specs()[:2]:
         searches.clear()
         data = analyze(parse_pair_spec(entry["shifted"])).to_dict()
         assert data["two_torsion_route"] == "residue-matrix"
         assert len(searches) == 2
+
+
+@pytest.mark.parametrize("name", ["golden_big_image_square", "golden_sextic_pair"])
+def test_golden_pair_searches_each_curves_two_torsion_once(monkeypatch, name):
+    """The mod-2 verdict reads the curve's cubic_roots, the memo that the rt2
+    form and the surface equation read: one root search per curve of the
+    pair, none of its own."""
+    spec = json.loads((GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))["input"]
+    searches = _spy_on_root_searches(monkeypatch)
+    analyze(parse_pair_spec(spec))
+    assert len(searches) == 2
 
 
 def test_stable_json_edge_cases():
@@ -404,6 +422,18 @@ def test_search_family_validity_and_determinism():
     # the seed offsets the enumeration
     offset = search_family(3, 2)
     assert offset[0].echo() == search_family(5, 0)[2].echo()
+
+
+# sha256 of stable_json of the echoes of search_family(2000): 455 262 bytes,
+# pinned before the checks on the second curve (a', b'), which can never
+# fire, were deleted
+SEARCH_2000_SHA256 = "98a67e50fb1e0f386afd5fd8b7a57458c0cecd0b21b2ae07a89ee7856cfd5a34"
+
+
+def test_search_family_bytes_equal_the_pinned_digest():
+    text = stable_json([p.echo() for p in search_family(2000)]).encode("utf-8")
+    assert len(text) == 455_262
+    assert hashlib.sha256(text).hexdigest() == SEARCH_2000_SHA256
 
 
 def test_search_family_holds_one_input_per_curve():

@@ -87,6 +87,39 @@ def test_extension_product_rule_examples():
         assert e2.entries[3][idx[("b", j)]] == prod
 
 
+def extend_by_labels(m):
+    """The nine-line extension by a recursive reading of the line labels:
+    l[b,j] = l[0,j] l[a,j], l[i,b'] = l[i,0] l[i,a'], and l[b,b'] the
+    product of the four computed lines."""
+    e = {("0", "0"): 0, ("0", "a'"): 1, ("a", "0"): 2, ("a", "a'"): 3}
+
+    def entry(row, i, j):
+        if (i, j) in e:
+            return row[e[(i, j)]]
+        if i == "b" and j == "b'":
+            return row[0] * row[1] * row[2] * row[3]
+        if i == "b":
+            return entry(row, "0", j) * entry(row, "a", j)
+        return entry(row, i, "0") * entry(row, i, "a'")
+
+    order = [("0", "0"), ("0", "a'"), ("a", "0"), ("a", "a'"),
+             ("0", "b'"), ("a", "b'"), ("b", "0"), ("b", "a'"), ("b", "b'")]
+    cols = tuple(f"l[{i},{j}]" for i, j in order)
+    rows = tuple(tuple(entry(row, i, j) for i, j in order) for row in m.values)
+    return cols, rows
+
+
+def test_extension_equals_the_label_recursion():
+    rng = random.Random(109)
+    pairs = [rand_pair(rng) for _ in range(1500)]
+    pairs += [rand_pair(rng, -10**12, 10**12) for _ in range(600)]
+    for p in pairs:
+        m = residue_matrix(*p)
+        e = extend_residue_matrix(m)
+        assert (e.columns, e.values) == extend_by_labels(m), p
+        assert e.pair == m.pair and m.columns == e.columns[:4]
+
+
 def test_extension_all_24_triples_identity():
     rng = random.Random(103)
     idx = _ext_index()
