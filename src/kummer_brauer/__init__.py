@@ -18,7 +18,6 @@ from .curves import (
     CurveRT2,
     FrobeniusTable,
     NO_TWO_TORSION,
-    UNSUPPORTED_MODEL,
     cm_status,
     count_points,
     frobenius_table,

@@ -65,13 +65,13 @@ def _b_invariants(a1, a2, a3, a4, a6):
 class CurveLW:
     """Long Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
 
-    Construction computes c4, c6 and the discriminant in integers on the
-    integral model u^i a_i (u the lcm of the denominators of a1..a6, the
-    substitution x -> x / u^2, y -> y / u^3) and divides once by u^4, u^6
-    and u^12.  j, the rt2 form and the a_p are memos of the model kept on
-    the curve object, and so are the x of the rational 2-torsion points;
-    equality and hashing read a1..a6 only, so equal models held as distinct
-    objects share no memo.
+    Construction works in integers on the integral model u^i a_i (u the lcm
+    of the denominators of a1..a6).  short_model, the one record of the
+    curve's isomorphism class over Q, is y^2 = x^3 + A x + B with
+    A = -27 c4 u^4 and B = -54 c6 u^6 (Cremona, 3.1), isomorphic to the model
+    over Q and over F_p for p not dividing 6u.  j, the rt2 form, the a_p and
+    the x of the rational 2-torsion points are memos kept on the object;
+    equality and hashing read a1..a6 only, so equal objects share no memo.
     """
 
     a1: Rational
@@ -81,11 +81,10 @@ class CurveLW:
     a6: Rational
 
     # computed once from a1..a6; equality and hashing ignore them
+    short_model: tuple[int, int] = field(init=False, repr=False, compare=False)
     _u: int = field(init=False, repr=False, compare=False)
-    _c4: Rational = field(init=False, repr=False, compare=False)
-    _c6: Rational = field(init=False, repr=False, compare=False)
-    _disc: Rational = field(init=False, repr=False, compare=False)
-    # b2, b4, b6 of the integral model
+    # the discriminant, and b2, b4, b6, of the integral model
+    _disc: int = field(init=False, repr=False, compare=False)
     _b246: tuple[int, int, int] = field(init=False, repr=False, compare=False)
     # a_p by good prime p, filled by ap()
     _ap: dict[int, int] = field(init=False, repr=False, compare=False)
@@ -101,25 +100,26 @@ class CurveLW:
         disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
         if disc == 0:
             raise SingularCurveError("zero discriminant")
+        object.__setattr__(self, "short_model",
+                           (-27 * (b2 * b2 - 24 * b4), 54 * (b2**3 - 36 * b2 * b4 + 216 * b6)))
         object.__setattr__(self, "_u", u)
         object.__setattr__(self, "_b246", (b2, b4, b6))
-        object.__setattr__(self, "_c4", Fraction(b2 * b2 - 24 * b4, u**4))
-        object.__setattr__(self, "_c6", Fraction(-b2**3 + 36 * b2 * b4 - 216 * b6, u**6))
-        object.__setattr__(self, "_disc", Fraction(disc, u**12))
+        object.__setattr__(self, "_disc", disc)
         object.__setattr__(self, "_ap", {})
 
     def b_invariants(self) -> tuple[Rational, Rational, Rational, Rational]:
         return _b_invariants(*self.key())
 
     def discriminant(self) -> Rational:
-        return self._disc
+        return Fraction(self._disc, self._u**12)
 
     def j(self) -> Rational:
         return self._j
 
     @cached_property
     def _j(self) -> Rational:
-        return self._c4**3 / self._disc
+        b2, b4, _ = self._b246
+        return Fraction((b2 * b2 - 24 * b4) ** 3, self._disc)
 
     @cached_property
     def _rt2(self) -> CurveRT2 | str:
@@ -178,14 +178,14 @@ def good_reduction_at(curve: CurveLW, p: int) -> bool:
         raise ValueError(f"{p} is not prime")
     if not curve.is_p_integral(p):
         raise NonIntegralModelError(f"model is not {p}-integral")
-    return curve._disc.numerator % p != 0
+    return curve._disc % p != 0
 
 
 def is_good_prime(curve: CurveLW, p: int) -> bool:
     """Whether the model is p-integral with good reduction at p, for a p the
     caller already knows to be prime (from primes_up_to): no primality test,
     and False where good_reduction_at would raise NonIntegralModelError."""
-    return curve.is_p_integral(p) and curve._disc.numerator % p != 0
+    return curve.is_p_integral(p) and curve._disc % p != 0
 
 
 def _require_good_reduction(curve: CurveLW, p: int) -> None:
@@ -301,8 +301,8 @@ def _killing_multipliers(P, a: int, p: int, lo: int, hi: int) -> list[int] | Non
 def bsgs_count(curve: CurveLW, p: int) -> int | None:
     """#E(F_p) by Shanks-Mestre baby-step giant-step, or None if undecided.
 
-    Works on y^2 = x^3 + A x + B with A = -27 c4, B = -54 c6, isomorphic to
-    the model over F_p for p > 3.  For x0 = 0, 1, ... with d = x0^3 + A x0 + B
+    Works on y^2 = x^3 + A x + B, the curve's short_model mod p, isomorphic
+    to the model over F_p for p > 3.  For x0 = 0, 1, ... with d = x0^3 + A x0 + B
     nonzero, (d x0, d^2) lies on y^2 = x^3 + A d^2 x + B d^3: that is E when d
     is a square mod p and its quadratic twist E' otherwise, and
     #E' = 2p + 2 - #E.  Each point leaves as candidates the N in the Hasse
@@ -314,8 +314,7 @@ def bsgs_count(curve: CurveLW, p: int) -> int | None:
     _require_good_reduction(curve, p)
     if p <= 3:
         return None
-    A = -27 * _reduce(curve._c4, p) % p
-    B = -54 * _reduce(curve._c6, p) % p
+    A, B = (c % p for c in curve.short_model)
     w = isqrt(4 * p)
     lo, hi = p + 1 - w, p + 1 + w
     candidates = None
@@ -429,24 +428,22 @@ def _integer_roots_monic_cubic(d2: int, d1: int, d0: int) -> set[int]:
 
 
 NO_TWO_TORSION = "no rational 2-torsion"
-UNSUPPORTED_MODEL = "unsupported model"
 
 
 def to_rt2(curve: CurveLW) -> CurveRT2 | str:
-    """Translate y^2 = cubic with three rational roots to y^2 = x(x-a)(x-b).
+    """The form y^2 = x(x-a)(x-b) of a curve whose 2-torsion is rational.
 
-    The smallest root goes to 0 and the remaining roots, sorted ascending,
-    give (a, b).  Models with a1 or a3 nonzero are not handled (completing the
-    square is left to the caller), and a cubic with fewer than three rational
-    roots has no fully rational 2-torsion.  Computed once per curve object;
-    a model built by CurveRT2.to_lw carries its form from the start.
+    The roots are the x of the points of order 2 (cubic_roots), which
+    completing the square, (y + (a1 x + a3)/2)^2 = x^3 + (b2/4) x^2 +
+    (b4/2) x + b6/4, leaves in place on every model.  The smallest root
+    goes to 0 and the remaining roots, sorted ascending, give (a, b); fewer
+    than three rational roots give NO_TWO_TORSION.  Computed once per curve
+    object; a model built by CurveRT2.to_lw carries its form from the start.
     """
     return curve._rt2
 
 
 def _rt2_form(curve: CurveLW) -> CurveRT2 | str:
-    if curve.a1 != 0 or curve.a3 != 0:
-        return UNSUPPORTED_MODEL
     roots = curve.cubic_roots
     if len(roots) < 3:
         return NO_TWO_TORSION

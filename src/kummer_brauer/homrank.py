@@ -4,8 +4,9 @@ dimension formula.
 
 Certificates are one-sided: r = 0 is only ever asserted with an explicit
 witness, r = 1 and r = 2 only for a pair of equal curves, and everything
-else is reported as inconclusive.  A certified Q-isogeny (isogenous) proves
-only that no non-isogeny witness exists; r stays undecided.
+else is reported as inconclusive.  A certified Q-isogeny (isogenous; an
+isomorphism for equal curves) proves only that no non-isogeny witness
+exists; for curves that are not equal, r stays undecided.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .curves import (
     is_good_prime,
     primes_up_to,
 )
-from .isogeny import codomains, short_model
+from .isogeny import codomains
 from .residues import Gate
 
 # An isogeny class over Q has at most 8 curves (Kenku, J. Number Theory 15,
@@ -135,7 +136,7 @@ def _isogeny_walk(curve: CurveLW):
     j = 0 or 1728), as integral short models, breadth first and each once up
     to isomorphism over Q (same_curve), at most CLASS_SIZE_MAX of them; the
     first is the curve itself."""
-    reached = [CurveLW(0, 0, 0, *short_model(curve))]
+    reached = [CurveLW(0, 0, 0, *curve.short_model)]
     yield reached[0]
     for model in reached:  # grows while it is walked
         for _, codomain in codomains(int(model.a4), int(model.a6)):
@@ -176,21 +177,22 @@ def _is_rational_power(q: Fraction, *ks: int) -> bool:
 
 
 def same_curve(e: CurveLW, e2: CurveLW) -> bool:
-    """Isomorphism over Q: c4' = u^4 c4 and c6' = u^6 c6 for a rational
-    u != 0 (Cremona, Algorithms for Modular Elliptic Curves, 3.1).
+    """Isomorphism over Q: A' = u^4 A and B' = u^6 B for a rational u != 0,
+    (A, B) the curves' short models (Cremona, Algorithms for Modular
+    Elliptic Curves, 3.1).
 
-    With j equal and j not in {0, 1728}, c4' = L^2 c4 and c6' = L^3 c6 for
-    L = c6' c4 / (c6 c4'), so u exists iff L is a square.  At j = 1728
-    (c6 = 0) c4'/c4 must be a fourth power, at j = 0 (c4 = 0) c6'/c6 a sixth
-    power.  Twists with equal j are deliberately not "same"."""
+    With j equal and j not in {0, 1728}, A' = L^2 A and B' = L^3 B for
+    L = B' A / (B A'), so u exists iff L is a square.  At j = 1728 (B = 0)
+    A'/A must be a fourth power, at j = 0 (A = 0) B'/B a sixth power.
+    Twists with equal j are deliberately not "same"."""
     if e.j() != e2.j():
         return False
-    c4, c6, c4b, c6b = e._c4, e._c6, e2._c4, e2._c6
-    if c4 == 0:
-        return _is_rational_power(c6b / c6, 2, 3)
-    if c6 == 0:
-        return _is_rational_power(c4b / c4, 2, 2)
-    return is_rational_square(c6b * c4 / (c6 * c4b))
+    (A, B), (A2, B2) = e.short_model, e2.short_model
+    if A == 0:
+        return _is_rational_power(Fraction(B2, B), 2, 3)
+    if B == 0:
+        return _is_rational_power(Fraction(A2, A), 2, 2)
+    return is_rational_square(Fraction(B2 * A, B * A2))
 
 
 def rank_r(e: CurveLW, e2: CurveLW, bound: int) -> RankVerdict:
@@ -203,15 +205,16 @@ def rank_r(e: CurveLW, e2: CurveLW, bound: int) -> RankVerdict:
     inconclusive.
     """
     if same_curve(e, e2):
+        same = IsogenyEvidence("same-curve", isogenous=True)
         status = cm_status(e)
         if status.verdict == "not_cm":
             gate = Gate("same-curve-no-cm", True,
                         f"E = E'; {status.evidence}")
-            return RankVerdict(1, "heuristic", gate, IsogenyEvidence("same-curve"))
+            return RankVerdict(1, "heuristic", gate, same)
         gate = Gate(None, False,
                     "E = E' has CM; the third applicability case needs a "
                     "cohomological vanishing this tool does not verify")
-        return RankVerdict(2, "inconclusive", gate, IsogenyEvidence("same-curve"))
+        return RankVerdict(2, "inconclusive", gate, same)
     evidence = nonisogeny_certificate(e, e2, bound)
     if evidence.kind in ("trace-square-mismatch", "reduction-type-mismatch"):
         gate = Gate("not-isogenous", True, evidence.detail)

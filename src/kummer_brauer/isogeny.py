@@ -1,6 +1,6 @@
 """Rational isogenies of degree 2, 3, 5, 7 and 13 through the modular curves
-X_0(ell) of genus 0, rational roots of integer polynomials found without
-factoring, and the integral short model.
+X_0(ell) of genus 0, and rational roots of integer polynomials found
+without factoring.
 
 Each X_0(ell) with ell in {2, 3, 5, 7, 13} has a parameter t with
 j = N(t)/t, and the Fricke involution t -> s/t gives the j-invariant of the
@@ -12,11 +12,11 @@ or not the kernel points have rational x-coordinates (the mu_5 kernel of
 J. Theor. Nombres Bordeaux 7, 1995, section 7) then gives the codomain over
 Q exactly, twist included, with no kernel polynomial.
 
-Everything works on an integral short model y^2 = x^3 + A x + B, given as
-the pair (A, B).  Not found: isogenies of degree 11, 17, 19, 37, 43, 67 and
-163, whose X_0(ell) has positive genus, and every edge at j = 0 or 1728
-(either end), where N(t) - j t has repeated roots and the codomain formula
-divides by zero; such curves have CM.
+Everything works on an integral short model y^2 = x^3 + A x + B (a curve's
+short_model), given as the pair (A, B).  Not found: isogenies of degree 11,
+17, 19, 37, 43, 67 and 163, whose X_0(ell) has positive genus, and every
+edge at j = 0 or 1728 (either end), where N(t) - j t has repeated roots and
+the codomain formula divides by zero; such curves have CM.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import lcm
 
 from .arith import is_prime
-from .curves import CurveLW, j_invariant_sw
+from .curves import j_invariant_sw
 
 Poly = list[int]  # integer coefficients, constant term first
 
@@ -45,13 +45,6 @@ X0_DEGREES = tuple(ell for ell, _, _ in X0_TABLE)
 
 # rational_roots looks for a prime with no root mod p among this many primes
 ROOT_TEST_PRIMES = 6
-
-
-def short_model(curve: CurveLW) -> tuple[int, int]:
-    """(A, B) with A = -27 c4 u^4 and B = -54 c6 u^6 integers, u the lcm of
-    the denominators of -27 c4 and -54 c6: an integral short model
-    isomorphic to the curve over Q (u = 1 for an integral model)."""
-    return _integral(-27 * curve._c4, -54 * curve._c6)
 
 
 def _integral(A: Fraction, B: Fraction) -> tuple[int, int]:

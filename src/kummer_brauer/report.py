@@ -596,6 +596,12 @@ def _shape_violations(data: dict) -> list[str]:
         out.append(f"dim2 {dim2!r} is neither an integer nor 'not determined'")
     out += [f"{k} is not an object" for k in ("gate", "twisted", "input")
             if not isinstance(data.get(k, {}), dict)]
+    # the coverage rule sieves the primes up to ell_max; true is no integer
+    given = data.get("input", {})
+    if isinstance(given, dict) and "ell_max" in given:
+        ell_max = given["ell_max"]
+        if type(ell_max) is not int or not 2 <= ell_max <= MAX_ELL:
+            out.append(f"input.ell_max {ell_max!r} is not an integer in [2, {MAX_ELL}]")
     for key, fields in (("certificates", ("kind", "primes_covered", "caveats")),
                         ("witnesses", ("role",))):
         items = data.get(key, [])

@@ -12,7 +12,6 @@ from kummer_brauer.curves import (
     CurveLW,
     CurveRT2,
     NO_TWO_TORSION,
-    UNSUPPORTED_MODEL,
     BadReductionError,
     NonIntegralModelError,
     SingularCurveError,
@@ -230,7 +229,9 @@ def test_integral_invariants_equal_the_fraction_formulas():
     assert any(c.key()[4].denominator % 343 == 0 for c in models)
     for c in models:
         c4, c6, disc = reference_invariants(c)
-        assert (c._c4, c._c6, c.discriminant()) == (c4, c6, disc)
+        u = math.lcm(*(a.denominator for a in c.key()))
+        assert c.short_model == (-27 * c4 * u**4, -54 * c6 * u**6)
+        assert c.discriminant() == disc
         assert c.j() == c4**3 / disc
         for p in primes_up_to(60):
             integral = all(a.denominator % p for a in c.key())
@@ -438,7 +439,8 @@ def test_to_rt2_examples():
     # roots {-2, 1, 2}: y^2 = (x-1)(x-2)(x+2) = x^3 - x^2 - 4x + 4
     assert to_rt2(CurveLW(0, -1, 0, -4, 4)) == CurveRT2(3, 4)
     assert to_rt2(CurveLW(0, 0, 0, 6, -2)) == NO_TWO_TORSION
-    assert to_rt2(E_37) == UNSUPPORTED_MODEL
+    # 37a1 has a3 = 1 and no rational 2-torsion
+    assert to_rt2(E_37) == NO_TWO_TORSION
 
 
 def test_to_rt2_rational_roots():

@@ -132,11 +132,10 @@ def test_same_curve_scaled_and_translated_models():
 
 def test_same_curve_rejects_quadratic_twists():
     for e in (E_37, E_43, E_28, E_11, CurveRT2(5, 7).to_lw()):
-        c4, c6 = e._c4, e._c6
-        short = CurveLW(0, 0, 0, -27 * c4, -54 * c6)
-        assert same_curve(e, short)
+        A, B = e.short_model
+        assert same_curve(e, CurveLW(0, 0, 0, A, B))
         for d in (-1, 2, 3, -3, 5, 6):
-            twist = CurveLW(0, 0, 0, -27 * c4 * d * d, -54 * c6 * d**3)
+            twist = CurveLW(0, 0, 0, A * d * d, B * d**3)
             assert twist.j() == e.j()
             assert not same_curve(e, twist), (e, d)
 

@@ -38,7 +38,6 @@ from kummer_brauer.isogeny import (
     _integral,
     codomains,
     rational_roots,
-    short_model,
     x0_roots,
 )
 from kummer_brauer.oddpart import mod_ell_surjectivity
@@ -64,12 +63,12 @@ E_CM_QUARTIC = CurveLW(0, 0, 0, -2, 0)  # quartic twist of y^2 = x^3 - x
 
 def twist(e: CurveLW, d: int) -> CurveLW:
     """The quadratic twist of e by d, as a short model."""
-    A, B = short_model(e)
+    A, B = e.short_model
     return CurveLW(0, 0, 0, A * d * d, B * d**3)
 
 
 def to_short(e: CurveLW, P):
-    """P on e in the coordinates of short_model(e) (integral input):
+    """P on e in the coordinates of e.short_model (integral input):
     X = 36x + 3 b2, Y = 108 (2y + a1 x + a3)."""
     x, y = P
     return 36 * x + 3 * e.b_invariants()[0], 108 * (2 * y + e.a1 * x + e.a3)
@@ -228,7 +227,7 @@ def isogenies(A: int, B: int) -> list[tuple[int, tuple[int, int]]]:
 def reference_walk(curve):
     """The walk over the Velu edges, as homrank._isogeny_walk walks the
     X_0(ell) edges."""
-    reached = [CurveLW(0, 0, 0, *short_model(curve))]
+    reached = [CurveLW(0, 0, 0, *curve.short_model)]
     for model in reached:
         for _, codomain in isogenies(int(model.a4), int(model.a6)):
             image = CurveLW(0, 0, 0, *codomain)
@@ -245,7 +244,7 @@ def test_division_polynomials_vanish_exactly_on_ell_torsion_mod_p():
     # psi_ell(x) = 0 mod p exactly when ell (x, y) = O by the group law
     torsion_seen = 0
     for e in (CURVES["11a1"], CURVES["14a1"], E_37A1, E_26B1):
-        A, B = short_model(e)
+        A, B = e.short_model
         psi = division_polynomials(A, B)
         assert [(len(psi[ell]), psi[ell][-1]) for ell in (3, 5, 7)] == [(5, 3), (13, 5), (25, 7)]
         for p in (101, 103, 107):
@@ -294,7 +293,7 @@ def test_cm_curves_sample_to_the_bound_at_x0_degrees():
     # at j = 0 and 1728, N(t) - j t has repeated roots; no edge is sought,
     # and the verdict is the full loop's
     for e in (CurveLW(0, 0, 0, 0, 1), E_CM):
-        assert codomains(*short_model(e)) == []
+        assert codomains(*e.short_model) == []
         assert x0_roots(e.j(), 5) == []
         for ell in (5, 7, 13):
             v = mod_ell_surjectivity(e, ell, 1000)
@@ -311,7 +310,7 @@ def test_kernels_match_the_group_law():
     # original model, moved to the short model, form one of the kernels
     for e, P, ell in ((CURVES["11a3"], (0, 0), 5), (E_26B1, (1, 0), 7),
                       (CURVES["37b3"], None, 3)):
-        A, B = short_model(e)
+        A, B = e.short_model
         found = kernels(A, B, ell)
         assert found, e
         if P is None:
@@ -327,7 +326,7 @@ def test_kernels_match_the_group_law():
 
 def test_velu_sends_11a3_to_11a1_and_11a1_to_11a2():
     for src, dst in (("11a3", "11a1"), ("11a1", "11a2")):
-        A, B = short_model(CURVES[src])
+        A, B = CURVES[src].short_model
         (xs,) = kernels(A, B, 5)
         assert same_curve(CurveLW(0, 0, 0, *velu_codomain(A, B, 5, xs)), CURVES[dst])
 
@@ -388,7 +387,7 @@ def test_every_x0_edge_is_an_isogeny():
     # the class walks, and a curve with a rational 13-isogeny: t = 3 on
     # X_0(13) (no curve of the four classes has one)
     e13 = _e13()
-    assert [ell for ell, _ in codomains(*short_model(e13))] == [13]
+    assert [ell for ell, _ in codomains(*e13.short_model)] == [13]
     assert _count_isogeny_edges(list(CURVES.values()) + [e13], codomains) == 220 + 2
 
 
@@ -412,8 +411,8 @@ def test_x0_walk_finds_every_reference_edge():
 def test_walk_on_rational_and_cm_models():
     # a model with rational coefficients is walked on an integral short model
     e = CurveLW(0, 0, 0, Fraction(-10, 7**4), Fraction(-20, 7**6))  # y^2 = x^3-10x-20, u = 7
-    A, B = short_model(e)
-    assert isinstance(A, int) and isinstance(B, int) and e._c4.denominator > 1
+    A, B = e.short_model
+    assert isinstance(A, int) and isinstance(B, int) and e.a4.denominator > 1
     assert same_curve(CurveLW(0, 0, 0, A, B), e)
     assert len(list(_isogeny_walk(e))) == len(list(_isogeny_walk(CurveLW(0, 0, 0, -10, -20))))
     for e in (E_CM, CurveLW(0, 0, 0, 0, 1), CurveLW(0, 0, 0, 1, 0)):
@@ -522,9 +521,9 @@ def test_cm_pairs_end_at_once_with_the_walks_flag(monkeypatch):
     real = homrank.ap
     monkeypatch.setattr(homrank, "ap", lambda c, p: calls.append(p) or real(c, p))
     e7 = curve_with_j(-3375)
-    e7b = next(e for e in (CurveLW(0, 0, 0, *c) for _, c in codomains(*short_model(e7)))
+    e7b = next(e for e in (CurveLW(0, 0, 0, *c) for _, c in codomains(*e7.short_model))
                if e.j() == 16581375)
-    e4 = CurveLW(0, 0, 0, *next(c for _, c in isogenies(*short_model(E_CM))
+    e4 = CurveLW(0, 0, 0, *next(c for _, c in isogenies(*E_CM.short_model)
                                 if CurveLW(0, 0, 0, *c).j() == 287496))
     for e, e2, flag in ((e7, e7b, True), (e7b, e7, True), (E_CM, e4, False),
                         (e4, E_CM, False), (E_CM_QUARTIC, e4, False),

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import random
 import sys
 import time
 from collections import Counter
@@ -9,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from kummer_brauer import curves
+from kummer_brauer import arith, curves, report as report_module
 from kummer_brauer.arith import is_prime
+from kummer_brauer.curves import CurveLW
 from kummer_brauer.report import (
     ELL3_CAVEAT,
     MAX_BOUND,
@@ -28,6 +30,7 @@ from kummer_brauer.report import (
     twisted_flag,
     validate_report,
 )
+from test_homrank import change_model
 
 
 def pair(first, second, **opts):
@@ -215,6 +218,65 @@ def test_rescaled_model_pair_is_the_self_pair():
     assert _summary(rescaled)[:4] == ("trivial", 1, 1, 0)
 
 
+def test_same_curve_pairs_skip_their_congruence_scans(monkeypatch):
+    # an isomorphism is a Q-isogeny: a_p agree at every common good prime,
+    # so each requested scan passes without being run
+    calls = []
+    scan = report_module.congruence_evidence
+    monkeypatch.setattr(report_module, "congruence_evidence",
+                        lambda *args: calls.append(args) or scan(*args))
+    rescaled = [str(c * 4**i) for c, i in zip(E_11A1["weierstrass"], (1, 2, 3, 4, 6))]
+    for second in (E_11A1, {"weierstrass": rescaled}):
+        d = analyze(pair(E_11A1, second, odd_primes=[3, 5, 7], bound=2000)).to_dict()
+        assert d["gate"]["case"] == "same-curve-no-cm"
+        assert [ev["result"] for ev in d["evidence"]] == ["pass"] * 3
+    assert calls == []
+
+
+def _moved(key, r, s, t):
+    """The Weierstrass record of the model key in the coordinates
+    x = x' + r, y = y' + s x' + t."""
+    return {"weierstrass": [str(c) for c in change_model(CurveLW(*key), 1, r, s, t).key()]}
+
+
+def _verdict(first, second) -> tuple:
+    d = analyze(pair(first, second, bound=2000)).to_dict()
+    return (d["conclusion"], d["two_torsion_route"], d["dim2"], d["gate"]["case"],
+            [(c["kind"], c["primes_covered"]) for c in d["certificates"]],
+            d["twisted"]["flag"])
+
+
+# 11a1, 37a1, 14a1, 15a1 (full rational 2-torsion, a1 = a3 = 1), three models
+# with roots {0, 5, 7} or {-2, 1, 2}, 43a1, and the CM curves y^2 = x^3 + 1
+# and y^2 = x^3 - x
+MOVE_PANEL = ([0, -1, 1, -10, -20], [0, 0, 1, -1, 0], [1, 0, 1, 4, -6],
+              [1, 1, 1, -10, -10], [0, -12, 0, 35, 0], [0, -1, 0, -4, 4],
+              [0, 1, 1, 0, 0], [0, 0, 0, 0, 1], [0, 0, 0, -1, 0])
+
+
+def test_isomorphic_models_get_the_same_verdict():
+    """Moves x = x' + r, y = y' + s x' + t of either curve leave the verdict
+    of every pair unchanged."""
+    rng = random.Random(1601)
+    partners = ({"rt2": {"a": 1, "b": 2}}, E_37A1, E_11A1)
+    cases = 0
+    for key in MOVE_PANEL:
+        for partner in partners:
+            expected = _verdict({"weierstrass": key}, partner)
+            for _ in range(5):
+                r, s, t, r2, s2, t2 = (rng.randint(-3, 3) for _ in range(6))
+                other = (_moved(partner["weierstrass"], r2, s2, t2)
+                         if "weierstrass" in partner else partner)
+                assert _verdict(_moved(key, r, s, t), other) == expected, (key, r, s, t)
+                cases += 1
+    assert cases == 135
+    # y^2 = x(x-5)(x-7) moved by y -> y + x
+    assert _moved([0, -12, 0, 35, 0], 0, 1, 0) == {"weierstrass": ["2", "-13", "0", "35", "0"]}
+    for key in ([0, -12, 0, 35, 0], [2, -13, 0, 35, 0]):
+        d = analyze(pair({"weierstrass": key}, {"rt2": {"a": 1, "b": 2}})).to_dict()
+        assert (d["conclusion"], d["two_torsion_route"]) == ("trivial", "residue-matrix")
+
+
 def test_option_upper_limits():
     rt2 = {"rt2": {"a": 5, "b": 7}}
     pair(rt2, rt2, bound=MAX_BOUND, ell_max=MAX_ELL)
@@ -298,6 +360,19 @@ def test_validator_reports_malformed_reports():
     assert any("dim2" in v for v in validate_report(full))
     for bad in ([], {**d, "certificates": 5}, {**d, "witnesses": [{}]}, {**d, "gate": 1}):
         assert validate_report(bad)
+
+
+def test_validator_reports_a_malformed_ell_max_without_sieving_it():
+    # the coverage rule sieves the primes up to input.ell_max: a string or
+    # null used to raise TypeError there, and 10^8 to sieve for seconds
+    d = json.loads((GOLDEN_DIR / "golden_big_image_square.json").read_text(encoding="utf-8"))
+    assert validate_report(d) == [] and any("odd coverage sampled" in c for c in d["caveats"])
+    for bad in ("x", None, True, MAX_ELL + 1, 10**8):
+        report = json.loads(json.dumps(d))
+        report["input"]["ell_max"] = bad
+        assert validate_report(report) == [
+            f"input.ell_max {bad!r} is not an integer in [2, {MAX_ELL}]"], bad
+    assert arith._SIEVED[0] < 10**8
 
 
 def _dumps(obj):
@@ -451,8 +526,8 @@ SELF_PAIR_GOLDENS = ("golden_big_image_square.json", "golden_rt2_1_5_square.json
 
 def test_self_pair_analysis_counts_points_once_per_prime(monkeypatch):
     """The two sides of a self pair are parsed into distinct equal models;
-    analyze runs them as one curve object, so the requested congruence
-    scans read the a_p the rest of the analysis computed."""
+    analyze runs them as one curve object, so no a_p is counted twice, and
+    the requested congruence scans pass without reading any."""
     counted = Counter()
     count_points = curves.count_points
 

@@ -97,3 +97,19 @@ def test_every_tracer_target_resolves_in_the_package():
             missing.append(name)
     assert len(tracer.TARGETS) > 20
     assert missing == []
+
+
+def test_only_curves_reads_private_attributes_of_other_objects():
+    # a curve's invariants and memos are private to curves.py; every other
+    # module reads them through public fields and functions, so the
+    # mathematics behind them lives in one place
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "curves.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and not node.attr.startswith("__")
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
