@@ -168,7 +168,7 @@ def j_invariant_sw(p: int | Rational, q: int | Rational) -> Rational:
 
 
 def good_reduction_at(curve: CurveLW, p: int) -> bool:
-    """Whether p divides the supplied model's discriminant.
+    """Whether p does not divide the supplied model's discriminant.
 
     The model is taken as given (no minimalization), so a False here may be an
     artifact of a non-minimal model; callers treating False as "bad" only ever
@@ -359,10 +359,12 @@ def ap(curve: CurveLW, p: int) -> int:
     return known[p]
 
 
-def good_primes(curve: CurveLW, bound: int):
-    """Good primes p <= bound for the supplied model (non-p-integral skipped)."""
+def good_primes(curves: tuple[CurveLW, ...], bound: int, skip: int = 0):
+    """The primes a trace scan reads, lazily in increasing order: p <= bound,
+    p != skip, at which every curve in the tuple is good (is_good_prime).
+    Every scan of a_p takes its primes here but nonisogeny_certificate."""
     for p in primes_up_to(bound):
-        if is_good_prime(curve, p):
+        if p != skip and all(is_good_prime(c, p) for c in curves):
             yield p
 
 
@@ -376,13 +378,11 @@ class FrobeniusTable:
 
 
 def frobenius_table(curve: CurveLW, bound: int) -> FrobeniusTable:
-    entries = []
-    for p in good_primes(curve, bound):
-        t = ap(curve, p)
+    entries = tuple((p, ap(curve, p)) for p in good_primes((curve,), bound))
+    for p, t in entries:
         if t * t > 4 * p:
             raise AssertionError(f"Hasse bound violated at {p}: a_p = {t}")
-        entries.append((p, t))
-    return FrobeniusTable(curve.label(), bound, tuple(entries))
+    return FrobeniusTable(curve.label(), bound, entries)
 
 
 def _integer_roots_monic_cubic(d2: int, d1: int, d0: int) -> set[int]:
@@ -484,12 +484,8 @@ class CMStatus:
 
 def supersingular_fraction(curve: CurveLW, bound: int) -> tuple[int, int]:
     """(number of good p <= bound with a_p = 0, number of good p <= bound)."""
-    zeros = total = 0
-    for p in good_primes(curve, bound):
-        total += 1
-        if ap(curve, p) == 0:
-            zeros += 1
-    return zeros, total
+    traces = [ap(curve, p) for p in good_primes((curve,), bound)]
+    return traces.count(0), len(traces)
 
 
 # 500 gives the supersingular statistic enough primes to be legible without

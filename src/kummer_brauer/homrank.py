@@ -11,7 +11,6 @@ exists; for curves that are not equal, r stays undecided.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
@@ -68,8 +67,10 @@ def _verify_trace(curve: CurveLW, p: int, t: int) -> None:
 
 
 def nonisogeny_certificate(e: CurveLW, e2: CurveLW, bound: int) -> IsogenyEvidence:
-    """Search good primes p <= bound for a witness that E and E' are not
-    isogenous over Q-bar.
+    """Search the primes p <= bound for a witness that E and E' are not
+    isogenous over Q-bar: the one scan that does not take its primes from
+    curves.good_primes, since a reduction-type witness lies where exactly
+    one curve is good, and one lazy pass over all primes serves both kinds.
 
     Two sound witness kinds, scanned together with the smallest prime winning:
       - trace-square-mismatch: p good for both with a_p(E)^2 != a_p(E')^2.
@@ -95,11 +96,10 @@ def nonisogeny_certificate(e: CurveLW, e2: CurveLW, bound: int) -> IsogenyEviden
         return IsogenyEvidence("none-found", None, none_found, same_curve(e, e2))
     if je in CM_J_INVARIANTS and je2 in CM_J_INVARIANTS:
         return IsogenyEvidence("none-found", None, none_found, isogenous(e, e2))
-    primes = primes_up_to(bound)
-    # pairs with an early witness never pay for the walk
-    walk_at = bisect_right(primes, EXHAUSTIVE_MAX_PRIME)
-    for i, p in enumerate(primes):
-        if i == walk_at:
+    walked = False  # pairs with an early witness never pay for the walk
+    for p in primes_up_to(bound):
+        if not walked and p > EXHAUSTIVE_MAX_PRIME:
+            walked = True
             # a Q-isogeny to E' or to a twist of E' gives equal a_p^2 at
             # every common good prime and the same potentially
             # multiplicative primes: no witness exists.  Unless both curves

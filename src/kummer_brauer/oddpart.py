@@ -69,14 +69,11 @@ def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVe
 
     ell >= 3: witness sampling over good primes p <= bound, p != ell, with
     (t, d) = (a_p mod ell, p mod ell).  Three witnesses are required, one
-    from each class of `WitnessPredicate`, the predicate whose classes the
-    exhaustive oracle validates:
-      (i)   t != 0 and t^2 - 4d a nonsquare mod ell;
-      (ii)  t != 0 and t^2 - 4d a nonzero square mod ell;
-      (iii) u = t^2/d outside {0, 1, 2, 4} with u^2 - 3u + 1 != 0 mod ell.
+    from each class of `WitnessPredicate` (nonsplit, split, generic), the
+    predicate whose classes the exhaustive oracle validates.
     All three found means the image is full (given determinant surjectivity);
     anything else is reported as inconclusive, never as "not surjective".
-    At ell = 3 the witness classes (ii) and (iii) are empty, so the verdict
+    At ell = 3 the split and generic classes are empty, so the verdict
     there is always inconclusive.  At ell >= 5 none is: for t != 0, t^2 - 4d
     runs over F_ell minus {t^2} as d runs over F_ell^*, which holds all
     (ell-1)/2 nonsquares and (ell-1)/2 - 1 >= 1 other nonzero squares; and
@@ -114,9 +111,7 @@ def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVe
     found: dict[str, str] = {}
     names = ("nonsplit", "split", "generic")
     isogeny_checked = ell not in X0_DEGREES
-    for p in good_primes(curve, bound):
-        if p == ell:
-            continue
+    for p in good_primes((curve,), bound, skip=ell):
         if not isogeny_checked and p > EXHAUSTIVE_MAX_PRIME:
             isogeny_checked = True
             roots = x0_roots(curve.j(), ell)
@@ -262,11 +257,8 @@ def no_rational_ell_isogeny(curve: CurveLW, ell: int, bound: int) -> int | None:
     if ell == 2 or ell < 2:
         raise ValueError("ell must be an odd prime")
     squares = {x * x % ell for x in range(ell)}
-    for p in good_primes(curve, bound):
-        if p == ell:
-            continue
-        disc = (ap(curve, p) ** 2 - 4 * p) % ell
-        if disc not in squares:
+    for p in good_primes((curve,), bound, skip=ell):
+        if (ap(curve, p) ** 2 - 4 * p) % ell not in squares:
             return p
     return None
 
@@ -305,9 +297,7 @@ def congruence_evidence(
     A failing prime p != ell, with an irreducible mod-ell module on one side,
     also rules out a nonzero Galois homomorphism between the ell-torsion
     modules: the hom-vanishing witness of the pair reports."""
-    for p in good_primes(e, bound):
-        if p == ell or not is_good_prime(e2, p):
-            continue
+    for p in good_primes((e, e2), bound, skip=ell):
         if (ap(e, p) - ap(e2, p)) % ell != 0:
             return p
     return None

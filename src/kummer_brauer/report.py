@@ -5,6 +5,7 @@ associated Kummer surface, with every certificate carrying its witnesses.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -14,6 +15,7 @@ from .curves import (
     CurveLW,
     CurveRT2,
     Point,
+    SingularCurveError,
     on_curve,
     to_rt2,
 )
@@ -101,31 +103,37 @@ def parse_curve_record(rec: dict) -> CurveInput:
         if not (isinstance(xy, (list, tuple)) and len(xy) == 2):
             raise InputError("six_torsion must be [x, y]")
         point = (_parse_rational(xy[0]), _parse_rational(xy[1]))
-    label = rec.get("label")
-    if "rt2" in rec:
-        ab = rec["rt2"]
-        try:
-            a, b = _parse_rational(ab["a"]), _parse_rational(ab["b"])
-        except (KeyError, TypeError) as e:
-            raise InputError("rt2 record needs integer fields a, b") from e
-        if a.denominator != 1 or b.denominator != 1:
-            raise InputError("rt2 record needs integer fields a, b")
-        a, b = int(a), int(b)
-        try:
-            curve = CurveRT2(a, b)
-        except ValueError as e:
-            raise InputError(str(e)) from e
-        return CurveInput(curve.to_lw(), (a, b), point, label)
-    if "weierstrass" in rec:
-        coeffs = rec["weierstrass"]
-        if not (isinstance(coeffs, (list, tuple)) and len(coeffs) == 5):
-            raise InputError("weierstrass record needs [a1, a2, a3, a4, a6]")
-        try:
+    raw = None
+    try:
+        if "rt2" in rec:
+            ab = rec["rt2"]
+            try:
+                a, b = _parse_rational(ab["a"]), _parse_rational(ab["b"])
+            except (KeyError, TypeError) as e:
+                raise InputError("rt2 record needs integer fields a, b") from e
+            if a.denominator != 1 or b.denominator != 1:
+                raise InputError("rt2 record needs integer fields a, b")
+            raw = (int(a), int(b))
+            curve = CurveRT2(*raw).to_lw()
+        elif "weierstrass" in rec:
+            coeffs = rec["weierstrass"]
+            if not (isinstance(coeffs, (list, tuple)) and len(coeffs) == 5):
+                raise InputError("weierstrass record needs [a1, a2, a3, a4, a6]")
             curve = CurveLW(*(_parse_rational(c) for c in coeffs))
-        except ValueError as e:
-            raise InputError(str(e)) from e
-        return CurveInput(curve, None, point, label)
-    raise InputError("curve record needs an 'rt2' or 'weierstrass' field")
+        else:
+            raise InputError("curve record needs an 'rt2' or 'weierstrass' field")
+    except SingularCurveError as e:
+        raise InputError(str(e)) from e
+    # what a report prints of the curve: j, 256 Delta, the surface's b2, 2 b4,
+    # b6 and the 2-torsion x; str() refuses ints past get_int_max_str_digits()
+    b2, b4, b6, _ = curve.b_invariants()
+    try:
+        str((curve.j(), 256 * curve.discriminant(), b2, 2 * b4, b6))
+        str(curve.cubic_roots)  # searched only once the cubic is printable
+    except ValueError as e:
+        raise InputError("j, Delta or a surface coefficient of the curve has more digits "
+                         f"than a report prints ({sys.get_int_max_str_digits()})") from e
+    return CurveInput(curve, raw, point, rec.get("label"))
 
 
 @dataclass(frozen=True)

@@ -150,6 +150,13 @@ def test_user_input_errors_exit_2(tmp_path, capsys):
     binary.write_bytes(b"\xff\xfe{")
     code, _, err = run(capsys, "analyze", "--pair", str(binary))
     assert code == 2 and "input error" in err
+    # json.load raises ValueError, not JSONDecodeError, for an integer longer
+    # than sys.get_int_max_str_digits() (4300 by default)
+    for text in ('{"first": {"rt2": {"a": %s, "b": 7}}, '
+                 '"second": {"rt2": {"a": 1, "b": 2}}}' % _digits(4301), "{"):
+        binary.write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, "analyze", "--pair", str(binary))
+        assert code == 2 and "input error" in err
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"first": {"rt2": {"a": 5, "b": 7}},
                                 "second": {"rt2": {"a": 1, "b": 2}}}), encoding="utf-8")
@@ -349,3 +356,63 @@ def test_golden_reports_under_python_O(tmp_path):
             env=env, capture_output=True, timeout=120)
         assert out.returncode == 0, out.stderr
         assert out.stdout == (GOLDEN_DIR / name).read_bytes(), name
+
+
+def _digits(d):
+    """A d-digit integer, as text."""
+    return "1" + "0" * (d - 2) + "7"
+
+
+@pytest.mark.parametrize("first, second, inside", [
+    # j = a1^12 / Delta; written in the CM status of a curve paired with itself
+    ("w:{},0,0,0,1", "self", 359),
+    # 256 Delta, written as the class of the mod-2 verdict
+    ("w:0,0,0,{},1", "rt2:1,2", 1432),
+    # j's denominator, about a1^-12
+    ("w:1/{},0,0,0,1", "rt2:1,2", 359),
+], ids=("j", "delta", "j-denominator"))
+def test_curves_a_report_cannot_print_exit_2(first, second, inside, capsys):
+    # Python's str() refuses an int of more than sys.get_int_max_str_digits()
+    # digits; the parser rejects a curve whose report would need one, and a
+    # model just inside the limit renders in both formats
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default, which `inside` is taken at
+    try:
+        for d, size in ((inside, "inside"), (inside + 1, "outside"), (2 * inside, "outside")):
+            curve = first.format(_digits(d))
+            other = curve if second == "self" else second
+            for fmt in ("json", "text"):
+                code, out, err = run(capsys, "analyze", "--first", curve, "--second", other,
+                                     "--format", fmt, "--bound-B", "300")
+                if size == "inside":
+                    assert code == 0 and out and not err, (d, fmt)
+                else:
+                    assert code == 2 and err.startswith("input error:") and not out, (d, fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_a_translated_model_with_an_unprintable_surface_exits_2(capsys):
+    # y^2 + xy = x^3 + 1 moved by x = x' + r keeps j = -1/433 and Delta = -433,
+    # but the surface prints b6 = a3^2 + 4 a6 = r^2 + 4 + 4 r^3
+    for r, code_wanted in ((10**1433, 0), (2 * 10**1433, 2)):
+        curve = f"w:1,{3 * r},{r},{3 * r * r},{1 + r**3}"
+        code, out, err = run(capsys, "analyze", "--first", curve, "--second", "rt2:1,2",
+                             "--format", "text", "--bound-B", "100")
+        assert code == code_wanted, err
+        assert (code == 0) == ("z^2 = (4x^3" in out)
+
+
+def test_matrix_largest_accepted_input_ends_within_its_budget(capsys):
+    # a 40-digit product of two 20-digit primes: the budget runs out, in
+    # about 1 s; one more digit is refused before any factoring
+    p, q = 99000000000000000071, 99000000000000000073
+    assert len(str(p * q)) == cli.MATRIX_MAX_DIGITS
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "matrix", "--pair", f"{p * q},7,1,2")
+    assert time.perf_counter() - t0 < 5
+    assert code == 2 and "coefficients too large to display square classes" in err
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "matrix", "--pair", f"1,2,{-10 * p * q},7")
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2 and "at most 40 digits" in err

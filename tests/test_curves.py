@@ -335,6 +335,24 @@ def test_is_good_prime_matches_good_reduction_at():
         good_reduction_at(E_XCUBE_MINUS_X, 9)
 
 
+def test_good_primes_are_the_primes_every_curve_is_good_at(monkeypatch):
+    rng = random.Random(71)
+    models = [random_lw(rng) for _ in range(4)] + [CurveLW(0, 0, 0, Fraction(1, 5), 1)]
+    for group in ((), models[:1], models[:2], models[3:]):
+        for skip in (0, 2, 5, 7, 199):
+            expected = [p for p in primes_up_to(200) if p != skip and all(
+                c.is_p_integral(p) and good_reduction_at(c, p) for c in group)]
+            assert list(good_primes(tuple(group), 200, skip)) == expected
+    # lazy: a scan that stops at a prime has tested no prime past it
+    tested = []
+    real = curves.is_good_prime
+    monkeypatch.setattr(curves, "is_good_prime",
+                        lambda c, p: tested.append(p) or real(c, p))
+    scan = good_primes((E_XCUBE_MINUS_X,), 10**5)
+    assert next(p for p in scan if p > EXHAUSTIVE_MAX_PRIME) == 233
+    assert max(tested) == 233
+
+
 def test_count_points_examples():
     assert count_points(E_XCUBE_MINUS_X, 5) == 8  # a_5 = -2
     assert count_points(E_XCUBE_MINUS_X, 7) == 8  # a_7 = 0
@@ -368,7 +386,7 @@ BSGS_PANEL = [
 
 def test_bsgs_count_agrees_above_threshold():
     for c in BSGS_PANEL:
-        for p in good_primes(c, 3000):
+        for p in good_primes((c,), 3000):
             if p <= EXHAUSTIVE_MAX_PRIME:
                 continue
             exact = count_points_exhaustive(c, p)
@@ -379,7 +397,7 @@ def test_bsgs_count_agrees_above_threshold():
 def test_bsgs_count_at_small_primes_is_exact_or_undecided():
     undecided = 0
     for c in BSGS_PANEL:
-        for p in good_primes(c, EXHAUSTIVE_MAX_PRIME):
+        for p in good_primes((c,), EXHAUSTIVE_MAX_PRIME):
             n = bsgs_count(c, p)
             if n is None:
                 undecided += 1

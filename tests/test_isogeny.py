@@ -20,9 +20,10 @@ from kummer_brauer.curves import (
     add_points,
     ap,
     count_points_exhaustive,
-    good_primes,
+    frobenius_table,
     is_good_prime,
     point_order,
+    supersingular_fraction,
 )
 from kummer_brauer.gl2 import witness_classes
 from kummer_brauer.homrank import (
@@ -40,7 +41,11 @@ from kummer_brauer.isogeny import (
     rational_roots,
     x0_roots,
 )
-from kummer_brauer.oddpart import mod_ell_surjectivity
+from kummer_brauer.oddpart import (
+    congruence_evidence,
+    mod_ell_surjectivity,
+    no_rational_ell_isogeny,
+)
 from test_curves import curve_with_j
 
 # Cremona's isogeny classes 11a, 14a, 15a and 37b, in label order
@@ -75,6 +80,8 @@ def to_short(e: CurveLW, P):
 
 
 # -- reference scans: the full loops the shortcuts replace ----------------------
+# Each walks primes_up_to and tests goodness and p != ell itself; the scans
+# they check take their primes from curves.good_primes.
 
 
 def reference_nonisogeny(e, e2, bound):
@@ -99,26 +106,54 @@ def reference_nonisogeny(e, e2, bound):
     return homrank.IsogenyEvidence("none-found", None, f"no witness among p <= {bound}")
 
 
+def reference_witness_primes(curve, ell, bound):
+    """The first good p <= bound, p != ell, of each witness class met by the
+    sampling loop, which stops once all three are met."""
+    classes = dict(zip(("nonsplit", "split", "generic"), witness_classes(ell)))
+    first = {}
+    for p in primes_up_to(bound):
+        if p == ell or not is_good_prime(curve, p):
+            continue
+        td = (ap(curve, p) % ell, p % ell)
+        for name, w in classes.items():
+            if td in w:
+                first.setdefault(name, p)
+        if len(first) == 3:
+            break
+    return first
+
+
 def reference_surjectivity(curve, ell, bound):
     """The verdict of the sampling loop at an ell with three nonempty
     witness classes."""
-    w1, w2, w3 = witness_classes(ell)
-    found = set()
-    for p in good_primes(curve, bound):
-        if p == ell:
-            continue
-        td = (ap(curve, p) % ell, p % ell)
-        found |= {n for n, w in (("nonsplit", w1), ("split", w2), ("generic", w3)) if td in w}
-        if len(found) == 3:
-            return "surjective"
-    return "inconclusive"
+    return "surjective" if len(reference_witness_primes(curve, ell, bound)) == 3 \
+        else "inconclusive"
 
 
 def reference_congruence(e, e2, ell, bound):
-    for p in good_primes(e, bound):
-        if p != ell and is_good_prime(e2, p) and (ap(e, p) - ap(e2, p)) % ell:
+    for p in primes_up_to(bound):
+        if p != ell and is_good_prime(e, p) and is_good_prime(e2, p) \
+                and (ap(e, p) - ap(e2, p)) % ell:
             return p
     return None
+
+
+def reference_no_isogeny(curve, ell, bound):
+    squares = {x * x % ell for x in range(ell)}
+    for p in primes_up_to(bound):
+        if p != ell and is_good_prime(curve, p) \
+                and (ap(curve, p) ** 2 - 4 * p) % ell not in squares:
+            return p
+    return None
+
+
+def reference_supersingular_fraction(curve, bound):
+    good = [p for p in primes_up_to(bound) if is_good_prime(curve, p)]
+    return sum(ap(curve, p) == 0 for p in good), len(good)
+
+
+def reference_frobenius_entries(curve, bound):
+    return tuple((p, ap(curve, p)) for p in primes_up_to(bound) if is_good_prime(curve, p))
 
 
 # -- reference: division polynomials, x-rational kernels and Velu's formulas ------
@@ -582,3 +617,41 @@ def test_reducible_shortcut_names_the_kernel():
     # below the first prime above 229 the scan alone decides
     v = mod_ell_surjectivity(CURVES["11a1"], 5, 200)
     assert all(k != "reducible" for k, _ in v.witnesses)
+
+
+@pytest.mark.parametrize("bound", range(229, 242))
+def test_scans_around_the_x0_exit_equal_the_full_loops(bound):
+    # the X_0(ell) exit is looked for at the first good prime above 229, so
+    # bounds 229-241 hold the scans that end just before it, at it and past
+    # it; each curve below has a rational ell-isogeny
+    for e, e2, ell in ((CURVES["11a1"], CURVES["11a3"], 5), (CURVES["11a2"], E_37A1, 5),
+                       (E_26B1, E_37A1, 7), (_e13(), CURVES["14a1"], 13)):
+        v = mod_ell_surjectivity(e, ell, bound)
+        assert v.verdict == reference_surjectivity(e, ell, bound) == "inconclusive"
+        exits = any(p > 229 and is_good_prime(e, p) for p in primes_up_to(bound))
+        assert (v.witnesses[-1][0] == "reducible") == exits
+        first = reference_witness_primes(e, ell, bound)
+        for name, text in v.witnesses[:3]:
+            if text.startswith("p = "):
+                assert int(text[4:text.index(":")]) == first[name], (bound, ell, name)
+            else:
+                assert first.get(name, bound + 1) > (229 if exits else bound)
+        for curve in (e, e2):
+            _assert_single_curve_scans_equal_the_full_loops(curve, bound)
+        for odd in (2, 3, 5, 7, 13):
+            assert congruence_evidence(e, e2, odd, bound) == \
+                reference_congruence(e, e2, odd, bound)
+
+
+def _assert_single_curve_scans_equal_the_full_loops(curve, bound):
+    assert frobenius_table(curve, bound).entries == reference_frobenius_entries(curve, bound)
+    assert supersingular_fraction(curve, bound) == reference_supersingular_fraction(curve, bound)
+    for ell in (3, 5, 7, 11, 13):
+        assert no_rational_ell_isogeny(curve, ell, bound) == reference_no_isogeny(curve, ell, bound)
+
+
+def test_single_curve_scans_equal_the_full_loops():
+    curves = [*CURVES.values(), E_37A1, E_26B1, E_CM, E_CM_QUARTIC, CurveLW(0, 0, 0, 0, 1),
+              CurveLW(0, 0, 0, Fraction(1, 3), Fraction(2, 5))]
+    for curve in curves:
+        _assert_single_curve_scans_equal_the_full_loops(curve, 600)

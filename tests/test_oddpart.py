@@ -334,8 +334,8 @@ def test_congruence_honors_shared_good_primes():
     # primes bad for either curve are skipped entirely
     e = CurveRT2(5, 7).to_lw()
     e2 = CurveRT2(1, 2).to_lw()
-    for p in good_primes(e, 50):
-        assert e.is_p_integral(p)
+    for p in good_primes((e, e2), 50, skip=2):
+        assert is_good_prime(e, p) and is_good_prime(e2, p)
     assert congruence_evidence(e, e2, 2, 50) in (None, *range(3, 50))
 
 
@@ -347,7 +347,8 @@ def test_congruence_evidence_never_returns_ell():
     cases = 0
     for e, e2 in ((E_37, E_43), (E_37, e_53), (e_11, E_43), (E_37, E_A1), (E_43, e_53)):
         for ell in primes_up_to(13):
-            common = [p for p in good_primes(e, 200) if is_good_prime(e2, p)]
+            common = [p for p in primes_up_to(200)
+                      if is_good_prime(e, p) and is_good_prime(e2, p)]
             mismatches = [p for p in common if (ap(e, p) - ap(e2, p)) % ell]
             cases += bool(mismatches) and mismatches[0] == ell
             expected = next((p for p in mismatches if p != ell), None)

@@ -19,10 +19,16 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+# Module state rebound through a global statement, each reviewed: the prime
+# sieve, kept whole and replaced only by a larger one (ROADMAP defect (c))
+GLOBAL_STATE = {"kummer_brauer.arith._SIEVED"}
+
+
 def test_no_mutable_containers_in_module_state():
     # memos live on the objects they describe (a curve's a_p), never in
     # module state that every caller of the process shares; a module-level
-    # functools.lru_cache or functools.cache wrapper is such state too
+    # functools.lru_cache or functools.cache wrapper is such state too, and
+    # so is any name a function rebinds through a global statement
     found = []
     for path in sorted(SRC.glob("*.py")):
         name = "kummer_brauer" + ("" if path.stem == "__init__" else "." + path.stem)
@@ -32,6 +38,10 @@ def test_no_mutable_containers_in_module_state():
             # lru_cache and cache wrappers are told apart by their cache_info
             if isinstance(value, (dict, list, set, bytearray)) or hasattr(value, "cache_info"):
                 found.append(f"{name}.{key}")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Global):
+                found += [f"{name}.{key}" for key in node.names
+                          if f"{name}.{key}" not in GLOBAL_STATE]
     assert found == []
 
 
@@ -112,4 +122,56 @@ def test_only_curves_reads_private_attributes_of_other_objects():
                     and not node.attr.startswith("__")
                     and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
+
+
+def _loops(node, func=None):
+    """(enclosing function, loop) for each for statement and comprehension
+    under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _loops(child, child.name)
+            continue
+        if isinstance(child, (ast.For, ast.ListComp, ast.SetComp, ast.DictComp,
+                              ast.GeneratorExp)):
+            yield func, child
+        yield from _loops(child, func)
+
+
+def _calls(node, name):
+    return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name
+               for n in ast.walk(node))
+
+
+def test_trace_scans_take_their_primes_from_good_primes():
+    # which primes a trace scan reads is decided in one place,
+    # curves.good_primes: a loop that reads a_p iterates it and drops no
+    # prime itself (no continue, no comprehension filter, no goodness test).
+    # nonisogeny_certificate is the one exception: its reduction-type
+    # witness lies at primes where exactly one curve is good
+    scans, exceptions, found = set(), [], []
+    for path in sorted(SRC.glob("*.py")):
+        for func, loop in _loops(ast.parse(path.read_text(encoding="utf-8"))):
+            if not _calls(loop, "ap"):
+                continue
+            where = f"{path.name}:{func}"
+            if func == "nonisogeny_certificate":
+                exceptions.append(where)
+                continue
+            scans.add(where)
+            if isinstance(loop, ast.For):
+                iters = [loop.iter]
+                filters = [n for n in ast.walk(loop) if isinstance(n, ast.Continue)]
+            else:
+                iters = [g.iter for g in loop.generators]
+                filters = [f for g in loop.generators for f in g.ifs]
+            if not all(isinstance(i, ast.Call) and isinstance(i.func, ast.Name)
+                       and i.func.id == "good_primes" for i in iters):
+                found.append(f"{where}:{loop.lineno}: primes not from good_primes")
+            if filters or _calls(loop, "is_good_prime"):
+                found.append(f"{where}:{loop.lineno}: drops primes itself")
+    assert exceptions == ["homrank.py:nonisogeny_certificate"]
+    assert scans >= {"curves.py:frobenius_table", "curves.py:supersingular_fraction",
+                     "oddpart.py:mod_ell_surjectivity", "oddpart.py:no_rational_ell_isogeny",
+                     "oddpart.py:congruence_evidence"}
     assert found == []
