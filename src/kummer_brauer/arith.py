@@ -1,7 +1,8 @@
 """Exact integer/rational arithmetic: factorization, p-adic valuations,
 perfect-square tests, and square classes in Q*/Q*^2, by factorization and as
 exponent parities over a coprime base (which serves only the displayed
-residue classes; the residue kernel needs square tests alone).
+residue classes; the residue kernel needs square tests alone).  Also Record,
+the base of the package's immutable records.
 
 All operations are deterministic.  The one piece of module state, the prime
 sieve behind primes_up_to, is a (limit, primes) pair published whole after
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
 Rational = Fraction
@@ -110,12 +110,51 @@ def _pollard_rho(n: int, steps: int) -> tuple[int, int]:
         c += 1
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Record:
+    """An immutable record with field-wise ==, hash and repr.
+
+    A subclass names its fields in __match_args__, in repr order, and sets
+    them in its own __init__ through self.__dict__.  == and hash read the
+    fields in _compared, or all of them when it is None; records of
+    different classes are never equal.  Assigning or deleting any attribute
+    raises AttributeError.  A memo (functools.cached_property) writes to the
+    instance dict directly and takes no part in ==, hash or repr.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+    _compared: tuple[str, ...] | None = None
+
+    def _values(self, record: "Record") -> tuple:
+        """The compared fields of a record of this class."""
+        return tuple(getattr(record, name) for name in self._compared or self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Factorization(Record):
     """sign * prod(p^e) with strictly increasing primes and e >= 1."""
 
-    sign: int
-    factors: tuple[tuple[int, int], ...]
+    __match_args__ = ("sign", "factors")
+
+    def __init__(self, sign: int, factors: tuple[tuple[int, int], ...]):
+        self.__dict__.update(sign=sign, factors=factors)
 
     def value(self) -> int:
         n = self.sign
@@ -180,12 +219,13 @@ def valuation(x: int | Rational, p: int) -> int:
     return _val(x.numerator) - _val(x.denominator)
 
 
-@dataclass(frozen=True)
-class SquareClass:
+class SquareClass(Record):
     """An element of Q*/Q*^2: a sign and the squarefree prime support."""
 
-    sign: int
-    support: tuple[int, ...]
+    __match_args__ = ("sign", "support")
+
+    def __init__(self, sign: int, support: tuple[int, ...]):
+        self.__dict__.update(sign=sign, support=support)
 
     @staticmethod
     def identity() -> "SquareClass":

@@ -5,12 +5,11 @@ trace tables, and complex-multiplication status.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm
 
-from .arith import Rational, is_prime, primes_up_to
+from .arith import Rational, Record, is_prime, primes_up_to
 
 
 class SingularCurveError(ValueError):
@@ -25,19 +24,18 @@ class BadReductionError(ValueError):
     """Point counting requested at a prime of bad reduction."""
 
 
-@dataclass(frozen=True)
-class CurveRT2:
+class CurveRT2(Record):
     """y^2 = x(x-a)(x-b) with distinct nonzero integers a, b.
 
     All three points of order 2 are rational: (0,0), (a,0), (b,0).
     """
 
-    a: int
-    b: int
+    __match_args__ = ("a", "b")
 
-    def __post_init__(self):
-        if self.a == 0 or self.b == 0 or self.a == self.b:
-            raise SingularCurveError(f"x(x-{self.a})(x-{self.b}) is not separable")
+    def __init__(self, a: int, b: int):
+        if a == 0 or b == 0 or a == b:
+            raise SingularCurveError(f"x(x-{a})(x-{b}) is not separable")
+        self.__dict__.update(a=a, b=b)
 
     def to_lw(self) -> "CurveLW":
         """The long model, carrying its rt2 form: the integer roots 0, a, b
@@ -61,8 +59,7 @@ def _b_invariants(a1, a2, a3, a4, a6):
     return b2, b4, b6, b8
 
 
-@dataclass(frozen=True)
-class CurveLW:
+class CurveLW(Record):
     """Long Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
 
     Construction works in integers on the integral model u^i a_i (u the lcm
@@ -74,25 +71,10 @@ class CurveLW:
     equality and hashing read a1..a6 only, so equal objects share no memo.
     """
 
-    a1: Rational
-    a2: Rational
-    a3: Rational
-    a4: Rational
-    a6: Rational
-
-    # computed once from a1..a6; equality and hashing ignore them
-    short_model: tuple[int, int] = field(init=False, repr=False, compare=False)
-    _u: int = field(init=False, repr=False, compare=False)
-    # the discriminant, and b2, b4, b6, of the integral model
-    _disc: int = field(init=False, repr=False, compare=False)
-    _b246: tuple[int, int, int] = field(init=False, repr=False, compare=False)
-    # a_p by good prime p, filled by ap()
-    _ap: dict[int, int] = field(init=False, repr=False, compare=False)
+    __match_args__ = ("a1", "a2", "a3", "a4", "a6")
 
     def __init__(self, a1, a2, a3, a4, a6):
         coeffs = [Fraction(v) for v in (a1, a2, a3, a4, a6)]
-        for name, c in zip(("a1", "a2", "a3", "a4", "a6"), coeffs):
-            object.__setattr__(self, name, c)
         u = lcm(*(c.denominator for c in coeffs))
         a1, a2, a3, a4, a6 = (
             c.numerator * (u**i // c.denominator) for c, i in zip(coeffs, (1, 2, 3, 4, 6)))
@@ -100,12 +82,14 @@ class CurveLW:
         disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
         if disc == 0:
             raise SingularCurveError("zero discriminant")
-        object.__setattr__(self, "short_model",
-                           (-27 * (b2 * b2 - 24 * b4), 54 * (b2**3 - 36 * b2 * b4 + 216 * b6)))
-        object.__setattr__(self, "_u", u)
-        object.__setattr__(self, "_b246", (b2, b4, b6))
-        object.__setattr__(self, "_disc", disc)
-        object.__setattr__(self, "_ap", {})
+        # short_model and the private fields are computed once from a1..a6;
+        # equality, hashing and repr ignore them.  _disc and _b246 are the
+        # discriminant and b2, b4, b6 of the integral model, and _ap holds
+        # a_p by good prime p, filled by ap()
+        self.__dict__.update(
+            zip(self.__match_args__, coeffs),
+            short_model=(-27 * (b2 * b2 - 24 * b4), 54 * (b2**3 - 36 * b2 * b4 + 216 * b6)),
+            _u=u, _disc=disc, _b246=(b2, b4, b6), _ap={})
 
     def b_invariants(self) -> tuple[Rational, Rational, Rational, Rational]:
         return _b_invariants(*self.key())
@@ -368,13 +352,13 @@ def good_primes(curves: tuple[CurveLW, ...], bound: int, skip: int = 0):
             yield p
 
 
-@dataclass(frozen=True)
-class FrobeniusTable:
+class FrobeniusTable(Record):
     """a_p for all good primes p <= bound of one curve model."""
 
-    curve: str
-    bound: int
-    entries: tuple[tuple[int, int], ...]
+    __match_args__ = ("curve", "bound", "entries")
+
+    def __init__(self, curve: str, bound: int, entries: tuple[tuple[int, int], ...]):
+        self.__dict__.update(curve=curve, bound=bound, entries=entries)
 
 
 def frobenius_table(curve: CurveLW, bound: int) -> FrobeniusTable:
@@ -474,12 +458,16 @@ CM_J_INVARIANTS = (
 )
 
 
-@dataclass(frozen=True)
-class CMStatus:
-    verdict: str  # "cm" | "not_cm"
-    j: Rational
-    evidence: str
-    supersingular_fraction: tuple[int, int]  # (zero-trace primes, good primes)
+class CMStatus(Record):
+    """verdict "cm" | "not_cm"; supersingular_fraction is (zero-trace
+    primes, good primes)."""
+
+    __match_args__ = ("verdict", "j", "evidence", "supersingular_fraction")
+
+    def __init__(self, verdict: str, j: Rational, evidence: str,
+                 supersingular_fraction: tuple[int, int]):
+        self.__dict__.update(verdict=verdict, j=j, evidence=evidence,
+                             supersingular_fraction=supersingular_fraction)
 
 
 def supersingular_fraction(curve: CurveLW, bound: int) -> tuple[int, int]:

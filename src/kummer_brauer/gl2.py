@@ -44,9 +44,7 @@ Why this finds every subgroup:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .arith import bits_of
+from .arith import Record, bits_of
 
 # the ell at which the exhaustive oracle runs
 ORACLE_ELLS = (3, 5)
@@ -122,29 +120,36 @@ def _prime_power_base(n: int) -> int | None:
     return p if n == 1 else None
 
 
-@dataclass(frozen=True)
-class SubgroupWitnesses:
-    order: int
-    has_nonsplit: bool  # trace != 0, t^2 - 4d a nonsquare
-    has_split: bool  # trace != 0, t^2 - 4d a nonzero square
-    has_generic: bool  # u = t^2/d outside {0,1,2,4} and u^2 - 3u + 1 != 0
+class SubgroupWitnesses(Record):
+    """Which witness classes a subgroup of the given order meets:
+    nonsplit (trace != 0, t^2 - 4d a nonsquare), split (trace != 0,
+    t^2 - 4d a nonzero square), generic (u = t^2/d outside {0,1,2,4} and
+    u^2 - 3u + 1 != 0)."""
+
+    __match_args__ = ("order", "has_nonsplit", "has_split", "has_generic")
+
+    def __init__(self, order: int, has_nonsplit: bool, has_split: bool, has_generic: bool):
+        self.__dict__.update(order=order, has_nonsplit=has_nonsplit, has_split=has_split,
+                             has_generic=has_generic)
 
     @property
     def all_three(self) -> bool:
         return self.has_nonsplit and self.has_split and self.has_generic
 
 
-@dataclass(frozen=True)
-class CriterionValidation:
-    """Result of checking the witness criterion against the full lattice."""
+class CriterionValidation(Record):
+    """Result of checking the witness criterion against the full lattice;
+    offending_proper_subgroups lists orders and should be empty."""
 
-    ell: int
-    group_order: int
-    subgroup_count: int
-    offending_proper_subgroups: tuple[int, ...]  # orders, should be empty
-    full_group: SubgroupWitnesses
-    passed: bool
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    __match_args__ = ("ell", "group_order", "subgroup_count", "offending_proper_subgroups",
+                      "full_group", "passed", "notes")
+
+    def __init__(self, ell: int, group_order: int, subgroup_count: int,
+                 offending_proper_subgroups: tuple[int, ...], full_group: SubgroupWitnesses,
+                 passed: bool, notes: tuple[str, ...] = ()):
+        self.__dict__.update(ell=ell, group_order=group_order, subgroup_count=subgroup_count,
+                             offending_proper_subgroups=offending_proper_subgroups,
+                             full_group=full_group, passed=passed, notes=notes)
 
 
 class WitnessPredicate:

@@ -11,11 +11,10 @@ exists; for curves that are not equal, r stays undecided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
-from .arith import is_rational_square, is_square, valuation
+from .arith import Record, is_rational_square, is_square, valuation
 from .curves import (
     CM_J_INVARIANTS,
     EXHAUSTIVE_MAX_PRIME,
@@ -35,22 +34,28 @@ from .residues import Gate
 CLASS_SIZE_MAX = 8
 
 
-@dataclass(frozen=True)
-class IsogenyEvidence:
-    kind: str  # "trace-square-mismatch" | "reduction-type-mismatch" | "same-curve" | "none-found"
-    witness: int | None = None
-    detail: str = ""
-    # E and E' certified isogenous over Q (isogenous); never rendered, and
-    # not part of the verdict
-    isogenous: bool = field(default=False, compare=False)
+class IsogenyEvidence(Record):
+    """kind is "trace-square-mismatch" | "reduction-type-mismatch" |
+    "same-curve" | "none-found".  isogenous: E and E' certified isogenous
+    over Q; never rendered, and not part of the verdict, so == and hash
+    ignore it."""
+
+    __match_args__ = ("kind", "witness", "detail", "isogenous")
+    _compared = ("kind", "witness", "detail")
+
+    def __init__(self, kind: str, witness: int | None = None, detail: str = "",
+                 isogenous: bool = False):
+        self.__dict__.update(kind=kind, witness=witness, detail=detail, isogenous=isogenous)
 
 
-@dataclass(frozen=True)
-class RankVerdict:
-    r: int | None  # 0, 1, 2, or None when nothing could be decided
-    confidence: str  # "certified" | "heuristic" | "inconclusive"
-    gate: Gate
-    evidence: IsogenyEvidence
+class RankVerdict(Record):
+    """r is 0, 1, 2, or None when nothing could be decided; confidence is
+    "certified" | "heuristic" | "inconclusive"."""
+
+    __match_args__ = ("r", "confidence", "gate", "evidence")
+
+    def __init__(self, r: int | None, confidence: str, gate: Gate, evidence: IsogenyEvidence):
+        self.__dict__.update(r=r, confidence=confidence, gate=gate, evidence=evidence)
 
 
 class WitnessVerificationError(RuntimeError):

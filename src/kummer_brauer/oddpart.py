@@ -9,9 +9,7 @@ surjective (it is the cyclotomic character for curves over Q).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .arith import is_prime, is_rational_square, primes_up_to, valuation
+from .arith import Record, is_prime, is_rational_square, primes_up_to, valuation
 from .curves import (
     EXHAUSTIVE_MAX_PRIME,
     CurveLW,
@@ -33,30 +31,38 @@ DET_ASSUMPTION = ("determinant surjectivity assumed: the mod-ell determinant "
                   "of the Galois action is the cyclotomic character")
 
 
-@dataclass(frozen=True)
-class SurjectivityVerdict:
-    ell: int
-    verdict: str  # "surjective" | "inconclusive"
-    witnesses: tuple[tuple[str, str], ...]
-    bound: int
-    assumption: str = DET_ASSUMPTION
+class SurjectivityVerdict(Record):
+    """verdict is "surjective" | "inconclusive"."""
+
+    __match_args__ = ("ell", "verdict", "witnesses", "bound", "assumption")
+
+    def __init__(self, ell: int, verdict: str, witnesses: tuple[tuple[str, str], ...],
+                 bound: int, assumption: str = DET_ASSUMPTION):
+        self.__dict__.update(ell=ell, verdict=verdict, witnesses=witnesses, bound=bound,
+                             assumption=assumption)
 
 
-@dataclass(frozen=True)
-class OddCertificate:
-    """A sound, re-checkable claim about odd-torsion Brauer classes."""
+class OddCertificate(Record):
+    """A sound, re-checkable claim about odd-torsion Brauer classes.
 
-    kind: str  # "j-valuation" | "cm-isogeny-exclusion" | "six-torsion-cm-pair"
-    #          | "mod-ell-sampling" | "congruence-evidence"
-    primes_covered: str | tuple[int, ...]  # "all-odd", "all", or explicit list
-    witnesses: tuple[tuple[str, str], ...] = ()
-    caveats: tuple[str, ...] = ()
-    detail: str = ""
+    kind is "j-valuation" | "cm-isogeny-exclusion" | "six-torsion-cm-pair" |
+    "mod-ell-sampling" | "congruence-evidence"; primes_covered is "all-odd",
+    "all", or an explicit tuple of primes."""
+
+    __match_args__ = ("kind", "primes_covered", "witnesses", "caveats", "detail")
+
+    def __init__(self, kind: str, primes_covered: str | tuple[int, ...],
+                 witnesses: tuple[tuple[str, str], ...] = (), caveats: tuple[str, ...] = (),
+                 detail: str = ""):
+        self.__dict__.update(kind=kind, primes_covered=primes_covered, witnesses=witnesses,
+                             caveats=caveats, detail=detail)
 
 
-@dataclass(frozen=True)
-class CertificateFailure:
-    reason: str
+class CertificateFailure(Record):
+    __match_args__ = ("reason",)
+
+    def __init__(self, reason: str):
+        self.__dict__.update(reason=reason)
 
 
 def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVerdict:

@@ -6,11 +6,10 @@ associated Kummer surface, with every certificate carrying its witnesses.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .arith import is_prime, primes_up_to
+from .arith import Record, is_prime, primes_up_to
 from .curves import (
     CurveLW,
     CurveRT2,
@@ -44,6 +43,8 @@ NO_TRANSFER = "no evidence that the geometric invariants vanish"
 # sample, may read every a_p up to bound once for each sampled ell.
 MAX_BOUND = 10**6
 MAX_ELL = 100
+# the ell_max of a pair spec that gives none, and of a report's rules
+DEFAULT_ELL_MAX = 37
 # search_family's work is linear in count + seed: 10^4 pairs printed as
 # JSON take about 1 s and 53 MB (Python 3.11, 2-vCPU Xeon)
 MAX_SEARCH = 10**4
@@ -53,16 +54,14 @@ class InputError(ValueError):
     """Malformed curve records or analysis options."""
 
 
-@dataclass(frozen=True)
-class CurveInput:
-    lw: CurveLW
-    rt2_raw: tuple[int, int] | None = None
-    six_torsion: Point = None
-    label: str | None = None
+class CurveInput(Record):
+    __match_args__ = ("lw", "rt2_raw", "six_torsion", "label")
 
-    def __post_init__(self):
-        if self.six_torsion is not None and not on_curve(self.lw, self.six_torsion):
+    def __init__(self, lw: CurveLW, rt2_raw: tuple[int, int] | None = None,
+                 six_torsion: Point = None, label: str | None = None):
+        if six_torsion is not None and not on_curve(lw, six_torsion):
             raise InputError("six_torsion point is not on the curve")
+        self.__dict__.update(lw=lw, rt2_raw=rt2_raw, six_torsion=six_torsion, label=label)
 
     def echo(self) -> dict:
         out: dict = {}
@@ -94,9 +93,13 @@ def _parse_rational(v) -> Fraction:
 def parse_curve_record(rec: dict) -> CurveInput:
     """Curve records: {"rt2": {"a": int, "b": int}} or
     {"weierstrass": [a1, a2, a3, a4, a6]} with rationals as "num/den"
-    strings, plus optional "six_torsion": [x, y] and "label"."""
+    strings, plus optional "six_torsion": [x, y] and "label" (a string or
+    null)."""
     if not isinstance(rec, dict):
         raise InputError("curve record must be an object")
+    label = rec.get("label")
+    if label is not None and not isinstance(label, str):
+        raise InputError(f"label must be a string, not {label!r}")
     point = None
     if "six_torsion" in rec:
         xy = rec["six_torsion"]
@@ -133,16 +136,16 @@ def parse_curve_record(rec: dict) -> CurveInput:
     except ValueError as e:
         raise InputError("j, Delta or a surface coefficient of the curve has more digits "
                          f"than a report prints ({sys.get_int_max_str_digits()})") from e
-    return CurveInput(curve, raw, point, rec.get("label"))
+    return CurveInput(curve, raw, point, label)
 
 
-@dataclass(frozen=True)
-class CurvePairSpec:
-    first: CurveInput
-    second: CurveInput
-    bound: int = 10_000
-    ell_max: int = 37
-    odd_primes: tuple[int, ...] = ()
+class CurvePairSpec(Record):
+    __match_args__ = ("first", "second", "bound", "ell_max", "odd_primes")
+
+    def __init__(self, first: CurveInput, second: CurveInput, bound: int = 10_000,
+                 ell_max: int = DEFAULT_ELL_MAX, odd_primes: tuple[int, ...] = ()):
+        self.__dict__.update(first=first, second=second, bound=bound, ell_max=ell_max,
+                             odd_primes=odd_primes)
 
     def echo(self) -> dict:
         return {
@@ -250,11 +253,13 @@ def pair_surface_equation(first: CurveInput, second: CurveInput) -> str:
 # -- report ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BrauerReport:
+class BrauerReport(Record):
     """A finished report: the schema-1 dict render_report writes."""
 
-    data: dict
+    __match_args__ = ("data",)
+
+    def __init__(self, data: dict):
+        self.__dict__.update(data=data)
 
     def to_dict(self) -> dict:
         return self.data
@@ -454,7 +459,7 @@ def _odd_ells(ell_max: int) -> list[int]:
 
 
 def _ell_max(data: dict) -> int:
-    return data.get("input", {}).get("ell_max", CurvePairSpec.ell_max)
+    return data.get("input", {}).get("ell_max", DEFAULT_ELL_MAX)
 
 
 def _odd_coverage(data: dict) -> str:

@@ -11,10 +11,10 @@ b, a-b, a', b', a'-b' serves only the displayed square classes (entries).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .arith import (
+    Record,
     SquareClass,
     bits_of,
     coprime_base,
@@ -39,8 +39,7 @@ class DimensionContradictionError(RuntimeError):
     """d < r with a passing applicability gate: either r is wrong or a bug."""
 
 
-@dataclass(frozen=True)
-class ResidueMatrix:
+class ResidueMatrix(Record):
     """Square-class residues of the four symbol algebras at exceptional lines.
 
     Rows are ordered as ALGEBRA_LABELS and columns as LINES: the first four
@@ -49,9 +48,12 @@ class ResidueMatrix:
     a-b, a', b', a'-b'.
     """
 
-    pair: tuple[int, int, int, int]  # (a, b, a', b')
-    columns: tuple[str, ...]
-    values: tuple[tuple[int, ...], ...]
+    __match_args__ = ("pair", "columns", "values")
+
+    def __init__(self, pair: tuple[int, int, int, int], columns: tuple[str, ...],
+                 values: tuple[tuple[int, ...], ...]):
+        # pair is (a, b, a', b')
+        self.__dict__.update(pair=pair, columns=columns, values=values)
 
     @cached_property
     def base(self) -> list[int]:
@@ -157,13 +159,14 @@ def kernel_dimension(m: ResidueMatrix) -> tuple[int, list[tuple[str, ...]]]:
     return len(basis), basis
 
 
-@dataclass(frozen=True)
-class Gate:
-    """Which applicability case (if any) makes the dimension formula usable."""
+class Gate(Record):
+    """Which applicability case (if any) makes the dimension formula usable:
+    case is "not-isogenous" | "same-curve-no-cm" | None."""
 
-    case: str | None  # "not-isogenous" | "same-curve-no-cm" | None
-    passes: bool
-    detail: str
+    __match_args__ = ("case", "passes", "detail")
+
+    def __init__(self, case: str | None, passes: bool, detail: str):
+        self.__dict__.update(case=case, passes=passes, detail=detail)
 
 
 def two_torsion_dimension(d: int, r: int | None, gate: Gate) -> int | None:

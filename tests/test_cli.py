@@ -111,6 +111,41 @@ def test_pair_file_with_inline_curve_flags_exits_2(tmp_path, capsys):
         assert code == 2 and "input error" in err and out == "", extra
 
 
+def test_a_label_that_is_not_a_string_exits_2(tmp_path, capsys):
+    f = tmp_path / "pair.json"
+    for label in (1.5, True, ["x"], {"x": 1}):
+        for side in ("first", "second"):
+            spec = {"first": {"rt2": {"a": 5, "b": 7}}, "second": {"rt2": {"a": 1, "b": 2}}}
+            spec[side]["label"] = label
+            f.write_text(json.dumps(spec), encoding="utf-8")
+            code, out, err = run(capsys, "analyze", "--pair", str(f))
+            assert code == 2 and "input error" in err and out == "", (label, side)
+
+
+# sha256 of the json and text reports of two pairs whose labels are strings
+# or null, pinned before non-string labels became input errors
+LABELLED_REPORT_SHA256 = {
+    ("11a1 \u00e9", None, "json"):
+        "2a2ba1608d28b059363a41e5413c787406c91a60410ec733319c58672b079459",
+    ("11a1 \u00e9", None, "text"):
+        "8d7e5b86fed026964e06a981c3a5b64518d6971f353a10aafb2ad1708c6d2305",
+    ("", 'x"y', "json"): "a020329f1767eac93d7c488c33b3c6c729b3628dd65ddb121250a2510dc2dd34",
+    ("", 'x"y', "text"): "7711584ec94378ce151ac9c5efec06ce80f19cde15c1cb2d475b1b6dc57e2d01",
+}
+
+
+@pytest.mark.parametrize("first, second, fmt", sorted(LABELLED_REPORT_SHA256, key=repr))
+def test_string_and_null_labels_keep_their_report_bytes(first, second, fmt, tmp_path, capsys):
+    spec = {"first": {"rt2": {"a": 5, "b": 7}, "label": first},
+            "second": {"weierstrass": [0, 0, 0, 0, 1], "six_torsion": [2, 3], "label": second}}
+    f = tmp_path / "pair.json"
+    f.write_text(json.dumps(spec), encoding="utf-8")
+    code, out, _ = run(capsys, "analyze", "--pair", str(f), "--format", fmt)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == LABELLED_REPORT_SHA256[first, second, fmt]
+
+
 def test_inline_rt2_rejects_non_integers(capsys):
     for curve in ("rt2:5.5,7", "rt2:5/2,7", "rt2:5", "rt2:5,7,9", "rt2:1e3,7", "x:5,7"):
         code, _, err = run(capsys, "analyze", "--first", curve, "--second", "rt2:1,2")

@@ -1,6 +1,9 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -22,6 +25,36 @@ def test_no_assert_statements_in_the_package():
 # Module state rebound through a global statement, each reviewed: the prime
 # sieve, kept whole and replaced only by a larger one (ROADMAP defect (c))
 GLOBAL_STATE = {"kummer_brauer.arith._SIEVED"}
+
+
+def test_no_module_imports_dataclasses():
+    # importing dataclasses pulls in inspect, ast and dis, and each
+    # decoration execs generated methods: together most of the package's
+    # import time.  Records derive from arith.Record instead
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_importing_the_cli_loads_no_introspection_modules():
+    # a fresh interpreter without site (-S), so that nothing but the
+    # package's own imports can load these
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = ("import sys, kummer_brauer.cli; "
+            "print(*sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.split() == []
 
 
 def test_no_mutable_containers_in_module_state():
