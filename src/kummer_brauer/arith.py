@@ -2,19 +2,19 @@
 perfect-square tests, and square classes in Q*/Q*^2, by factorization and as
 exponent parities over a coprime base (which serves only the displayed
 residue classes; the residue kernel needs square tests alone).  Also Record,
-the base of the package's immutable records.
+the base of the package's immutable records, and primes_up_to.
 
-All operations are deterministic.  The one piece of module state, the prime
-sieve behind primes_up_to, is a (limit, primes) pair published whole after
-sieving and never changed in place, so it is safe to share between
-concurrent tasks: a caller always reads a limit together with its primes.
+All operations are deterministic, and the module keeps no state: the primes
+come from the constant table SMALL_PRIMES of the primes below 1000, then,
+only for a caller that reads past it, from a fresh sieve that is not kept.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import chain, compress, islice, takewhile
 
 Rational = Fraction
 
@@ -24,32 +24,29 @@ TRIAL_DIVISION_BOUND = 10**6
 # sample of ten products of two primes each, all split at 11 digits, 7 at 12.
 RHO_STEP_BUDGET = 300_000
 
-# (limit, primes <= limit), replaced whole after a larger sieve, so a caller
-# reads a limit together with its own primes; the list is never changed or
-# handed out (callers get slices)
-_SIEVED: tuple[int, list[int]] = (0, [])
-
 
 def _sieve(limit: int) -> list[int]:
     flags = bytearray(b"\x01") * (limit + 1)
-    flags[:2] = b"\x00\x00"
+    flags[:2] = bytes(2)
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
-            flags[p * p :: p] = b"\x00" * ((limit - p * p) // p + 1)
-    return [i for i, f in enumerate(flags) if f]
+            flags[p * p :: p] = bytes((limit - p * p) // p + 1)
+    return list(compress(range(limit + 1), flags))
 
 
-def primes_up_to(limit: int) -> list[int]:
-    """Primes <= limit, from a sieve kept for the process and extended on
-    demand."""
-    global _SIEVED
-    sieved_to, primes = _SIEVED
-    if sieved_to < limit:
-        sieved_to = max(limit, 1000)
-        primes = _sieve(sieved_to)
-        if sieved_to > _SIEVED[0]:
-            _SIEVED = (sieved_to, primes)
-    return primes[: bisect_right(primes, limit)]
+# the 168 primes below 1000: a scan that ends at an early witness reads no more
+SMALL_PRIMES = tuple(_sieve(1000))
+
+
+def primes_up_to(limit: int) -> Iterator[int]:
+    """The primes <= limit, lazily in increasing order: SMALL_PRIMES, then,
+    only for a caller that reads past them, one fresh sieve (not kept)."""
+    small = takewhile(limit.__ge__, SMALL_PRIMES)
+    return chain(small, _sieved_past_table(limit)) if limit > 1000 else small
+
+
+def _sieved_past_table(limit: int) -> Iterator[int]:
+    yield from islice(_sieve(limit), len(SMALL_PRIMES), None)
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

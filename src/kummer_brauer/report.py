@@ -71,7 +71,7 @@ class CurveInput(Record):
             out["weierstrass"] = [str(c) for c in self.lw.key()]
         if self.six_torsion is not None:
             out["six_torsion"] = [str(self.six_torsion[0]), str(self.six_torsion[1])]
-        if self.label:
+        if self.label is not None:
             out["label"] = self.label
         return out
 

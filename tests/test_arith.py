@@ -94,27 +94,46 @@ def test_is_prime_strong_pseudoprimes_and_large_inputs():
 
 def test_primes_up_to_matches_sieve():
     flags = sieve_flags(6000)
-    # a large limit first, so the smaller ones are cut from the grown sieve
     for limit in (5000, 0, 1, 2, 10, 997, 1000, 1009, 6000):
-        assert primes_up_to(limit) == [n for n in range(limit + 1) if flags[n]]
+        assert list(primes_up_to(limit)) == [n for n in range(limit + 1) if flags[n]]
 
 
-def test_primes_up_to_is_whole_while_a_larger_sieve_runs(monkeypatch):
-    """A caller that asks while a larger sieve is still being built (here
-    re-entrantly, from inside that sieve) gets every prime up to its limit,
-    never a cut from the smaller sieve that is being replaced."""
-    monkeypatch.setattr(arith, "_SIEVED", (0, []))
-    sieve, inner = arith._sieve, []
+def test_interleaved_prime_scans_each_read_every_prime():
+    """Two scans read in turns, one within the table of small primes and
+    one past it, and each gets every prime up to its own limit."""
+    flags = sieve_flags(20_000)
+    below, past = primes_up_to(900), primes_up_to(20_000)
+    read_below, read_past = [], []
+    for p, q in zip(below, past):
+        read_below.append(p)
+        read_past.append(q)
+    read_past += past
+    assert read_below == [n for n in range(901) if flags[n]]
+    assert read_past == [n for n in range(20_001) if flags[n]]
 
-    def interrupted(limit):
-        if limit > 50_000:
-            inner.append(primes_up_to(50_000))
+
+def test_a_scan_that_stops_below_1000_never_sieves(monkeypatch):
+    """The primes below 1000 come from the table SMALL_PRIMES; a scan that
+    reads past them sieves once, to its own limit."""
+    sieve, sieves = arith._sieve, []
+
+    def refuse(limit):
+        raise AssertionError(f"sieved to {limit}")
+
+    monkeypatch.setattr(arith, "_sieve", refuse)
+    primes = primes_up_to(10**6)
+    assert [p for _, p in zip(range(168), primes)] == list(arith.SMALL_PRIMES)
+    assert arith.SMALL_PRIMES[-1] == 997
+    assert list(primes_up_to(1000)) == list(arith.SMALL_PRIMES)
+
+    def counted(limit):
+        sieves.append(limit)
         return sieve(limit)
 
-    monkeypatch.setattr(arith, "_sieve", interrupted)
-    assert len(primes_up_to(200_000)) == 17984
-    assert len(inner[0]) == 5133 and inner[0][-1] == 49999
-    assert len(primes_up_to(50_000)) == 5133
+    monkeypatch.setattr(arith, "_sieve", counted)
+    assert next(primes) == 1009
+    assert sum(1 for _ in primes) == 78498 - 169
+    assert sieves == [10**6]
 
 
 def test_valuation_examples():

@@ -135,7 +135,7 @@ def test_witness_classes_equal_the_formula_up_to_max_ell():
 def test_witness_predicate_equals_the_formula_up_to_max_ell():
     from kummer_brauer.arith import primes_up_to
     from kummer_brauer.report import MAX_ELL
-    for ell in primes_up_to(MAX_ELL)[1:]:
+    for ell in list(primes_up_to(MAX_ELL))[1:]:
         classify = WitnessPredicate(ell)
         classes = witness_classes_by_formula(ell)
         for t in range(ell):
@@ -146,7 +146,7 @@ def test_witness_predicate_equals_the_formula_up_to_max_ell():
 def test_only_ell_3_has_an_empty_witness_class_up_to_max_ell():
     from kummer_brauer.arith import primes_up_to
     from kummer_brauer.report import MAX_ELL
-    for ell in primes_up_to(MAX_ELL)[1:]:
+    for ell in list(primes_up_to(MAX_ELL))[1:]:
         assert all(witness_classes_by_formula(ell)) == (ell != 3), ell
 
 

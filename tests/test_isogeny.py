@@ -392,7 +392,7 @@ def _count_isogeny_edges(starts, edges_of):
     reach, each checked to be an isogeny: an isogeny over Q gives equal a_p
     at every common good prime, here by exhaustive point counts,
     independent of the BSGS a_p and the walk."""
-    primes = primes_up_to(500)
+    primes = list(primes_up_to(500))  # read once for every curve
     traces = {}
 
     def traces_of(A, B):

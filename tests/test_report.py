@@ -362,9 +362,13 @@ def test_validator_reports_malformed_reports():
         assert validate_report(bad)
 
 
-def test_validator_reports_a_malformed_ell_max_without_sieving_it():
-    # the coverage rule sieves the primes up to input.ell_max: a string or
+def test_validator_reports_a_malformed_ell_max_without_sieving_it(monkeypatch):
+    # the coverage rule reads the primes up to input.ell_max: a string or
     # null used to raise TypeError there, and 10^8 to sieve for seconds
+    def refuse(limit):
+        raise AssertionError(f"sieved to {limit}")
+
+    monkeypatch.setattr(arith, "_sieve", refuse)
     d = json.loads((GOLDEN_DIR / "golden_big_image_square.json").read_text(encoding="utf-8"))
     assert validate_report(d) == [] and any("odd coverage sampled" in c for c in d["caveats"])
     for bad in ("x", None, True, MAX_ELL + 1, 10**8):
@@ -372,7 +376,6 @@ def test_validator_reports_a_malformed_ell_max_without_sieving_it():
         report["input"]["ell_max"] = bad
         assert validate_report(report) == [
             f"input.ell_max {bad!r} is not an integer in [2, {MAX_ELL}]"], bad
-    assert arith._SIEVED[0] < 10**8
 
 
 def _dumps(obj):

@@ -22,11 +22,6 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
-# Module state rebound through a global statement, each reviewed: the prime
-# sieve, kept whole and replaced only by a larger one (ROADMAP defect (c))
-GLOBAL_STATE = {"kummer_brauer.arith._SIEVED"}
-
-
 def test_no_module_imports_dataclasses():
     # importing dataclasses pulls in inspect, ast and dis, and each
     # decoration execs generated methods: together most of the package's
@@ -73,9 +68,37 @@ def test_no_mutable_containers_in_module_state():
                 found.append(f"{name}.{key}")
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Global):
-                found += [f"{name}.{key}" for key in node.names
-                          if f"{name}.{key}" not in GLOBAL_STATE]
+                found += [f"{name}.{key}" for key in node.names]
     assert found == []
+
+
+# run in a fresh interpreter, so that "after import" is exactly that
+KEEPS_NO_STATE = """
+import json, sys
+from pathlib import Path
+import kummer_brauer.cli
+from kummer_brauer.arith import primes_up_to
+from kummer_brauer.report import analyze, parse_pair_spec
+modules = {n: m for n, m in sys.modules.items() if n.split(".")[0] == "kummer_brauer"}
+after_import = {n: dict(vars(m)) for n, m in modules.items()}
+primes = list(primes_up_to(10**6))
+for path in sorted(Path(sys.argv[1]).glob("golden_*.json")):
+    analyze(parse_pair_spec(json.loads(path.read_text(encoding="utf-8"))["input"]))
+changed = [f"{n}.{k}" for n, m in modules.items()
+           for k in after_import[n].keys() | vars(m).keys()
+           if vars(m).get(k, m) is not after_import[n].get(k, after_import)]
+print(len(primes), len(modules), *sorted(changed))
+"""
+
+
+def test_the_package_keeps_no_state_after_a_large_scan():
+    # a scan of the primes to 10^6 and an analysis of every golden leave
+    # each module namespace holding the very objects it held after import
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", KEEPS_NO_STATE, str(ROOT / "tests" / "golden")],
+                         env=env, capture_output=True, text=True, timeout=60,
+                         check=True).stdout
+    assert out.split() == ["78498", str(len(list(SRC.glob("*.py"))))]
 
 
 def test_no_json_dumps_in_the_package():
