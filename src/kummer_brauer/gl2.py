@@ -44,6 +44,8 @@ Why this finds every subgroup:
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .arith import Record, bits_of
 
 # the ell at which the exhaustive oracle runs
@@ -51,7 +53,9 @@ ORACLE_ELLS = (3, 5)
 
 
 class GL2:
-    """GL(2, F_ell) with a dense multiplication table."""
+    """GL(2, F_ell) with a dense multiplication table, mult[i][j] the index of
+    elements[i] * elements[j].  Three generators' rows come from matrix
+    entries; the others are filled breadth-first over the Cayley graph."""
 
     def __init__(self, ell: int):
         self.ell = ell
@@ -62,22 +66,31 @@ class GL2:
         expected = (ell2 - 1) * (ell2 - ell)
         if n != expected:
             raise RuntimeError(f"enumeration failure: {n} != {expected}")
-        # position of each matrix by its base-ell code (a b c d), -1 if singular
-        pos = [-1] * (ell2 * ell2)
-        for i, (a, b, c, d) in enumerate(elements):
-            pos[(a * ell + b) * ell2 + c * ell + d] = i
-        # images[r][j]: code of row vector r = (x, y) times elements[j]
-        images = list(zip(*[
-            [(x * e + y * g) % ell * ell + (x * f_ + y * h) % ell
-             for x in range(ell) for y in range(ell)]
-            for (e, f_, g, h) in elements]))
-        top_rows = [[v * ell2 for v in row] for row in images]
-        self.mult = [
-            [pos[t + u] for t, u in zip(top_rows[a * ell + b], images[c * ell + d])]
-            for (a, b, c, d) in elements]
+        index = {m: i for i, m in enumerate(elements)}
+        # the two elementary transvections generate SL(2, ell), and diag(r, 1)
+        # for a primitive root r adds every determinant
+        gens = ((1, 1, 0, 1), (1, 0, 1, 1), (_primitive_root(ell), 0, 0, 1))
+        rows = [[index[((a * e + b * g) % ell, (a * f + b * h) % ell,
+                        (c * e + d * g) % ell, (c * f + d * h) % ell)]
+                 for (e, f, g, h) in elements] for (a, b, c, d) in gens]
+        self.transvections = (index[gens[0]], index[gens[1]])
+        self.identity = index[(1, 0, 0, 1)]
+        # s h is s's row at h, and the row of s h is s's row read at h's row
+        # (itemgetter of n >= 6 indices returns a tuple)
+        mult = [None] * n
+        mult[self.identity] = list(range(n))
+        reached = [self.identity]
+        for h in reached:
+            for s_row in rows:
+                k = s_row[h]
+                if mult[k] is None:
+                    mult[k] = list(itemgetter(*mult[h])(s_row))
+                    reached.append(k)
+        if len(reached) != n:
+            raise RuntimeError(f"enumeration failure: the generators reach {len(reached)} of {n}")
+        self.mult = mult
         self.elements = elements
         self.order = n
-        self.identity = pos[ell * ell2 + 1]  # (1, 0, 0, 1)
         self.trace = [(m[0] + m[3]) % ell for m in elements]
         self.det = [(m[0] * m[3] - m[1] * m[2]) % ell for m in elements]
 
@@ -104,6 +117,12 @@ class GL2:
                 mask |= 1 << x
             seen.setdefault(mask, (i, p, pw))
         return [(mask, *found) for mask, found in seen.items()]
+
+
+def _primitive_root(ell: int) -> int:
+    """The least r generating the multiplicative group mod the prime ell."""
+    return next(r for r in range(1, ell)
+                if len({pow(r, k, ell) for k in range(ell - 1)}) == ell - 1)
 
 
 def _prime_power_base(n: int) -> int | None:
@@ -216,8 +235,8 @@ def enumerate_subgroups(group: GL2) -> list[int]:
     """Masks of all subgroups of the group, the full group excluded."""
     sl_mask = sum(1 << i for i, det in enumerate(group.det) if det == 1)
     # the two elementary transvections generate SL(2, ell)
-    sl_gens = [group.elements.index(m) for m in ((1, 1, 0, 1), (1, 0, 1, 1))]
-    return _cyclic_extension(group, [(1 << group.identity, []), (sl_mask, sl_gens)])
+    return _cyclic_extension(group, [(1 << group.identity, []),
+                                     (sl_mask, list(group.transvections))])
 
 
 def _cyclic_extension(group: GL2, seeds: list[tuple[int, list[int]]]) -> list[int]:

@@ -412,6 +412,19 @@ def test_golden_reports_under_python_O(tmp_path):
         assert out.stdout == (GOLDEN_DIR / name).read_bytes(), name
 
 
+def test_validate_criterion_under_python_O_equals_the_pinned_digest():
+    digest = hashlib.sha256()
+    for ell in ("3", "5"):
+        for fmt in ("json", "text"):
+            out = subprocess.run(
+                [sys.executable, "-O", "-m", "kummer_brauer.cli", "validate-criterion",
+                 "--ell", ell, "--format", fmt],
+                env=_module_env(), capture_output=True, timeout=60)
+            assert out.returncode == 0, out.stderr
+            digest.update(out.stdout)
+    assert digest.hexdigest() == CRITERION_SHA256
+
+
 def _digits(d):
     """A d-digit integer, as text."""
     return "1" + "0" * (d - 2) + "7"

@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import pytest
 
@@ -9,6 +10,7 @@ from kummer_brauer.gl2 import (
     WitnessPredicate,
     _cyclic_extension,
     _prime_power_base,
+    _primitive_root,
     enumerate_subgroups,
     subgroup_witnesses,
     validate_surjectivity_criterion,
@@ -196,12 +198,49 @@ def test_oracle_rejects_large_ell():
 
 
 def test_table_matches_plain_build():
-    for ell in (3, 5):
+    # at ell = 2 the diagonal generator diag(r, 1) is the identity (r = 1)
+    for ell in (2, 3, 5):
         g = GL2(ell)
         elements, mult = plain_table(ell)
         assert g.elements == elements
         assert g.mult == mult
         assert g.elements[g.identity] == (1, 0, 0, 1)
+
+
+def table_sha256(group):
+    """sha256 of the element list and identity index (their repr), then of
+    each table row as little-endian 16-bit indices."""
+    digest = hashlib.sha256(repr((group.elements, group.identity)).encode("ascii"))
+    for row in group.mult:
+        digest.update(struct.pack(f"<{group.order}H", *row))
+    return digest.hexdigest()
+
+
+# table_sha256(GL2(7)) as built entry by entry from 4-tuple products;
+# plain_table(7) takes over a second, so the table is pinned by its digest
+GL2_7_TABLE_SHA256 = "55277b116bed35d0b2e8c7c55bade34074be1d76cf5be00fe8b2a32a1ed62d1b"
+
+
+def test_table_mod_7_equals_the_pinned_digest():
+    assert table_sha256(GL2(7)) == GL2_7_TABLE_SHA256
+
+
+def test_transvections_name_the_elementary_transvections():
+    for ell in (2, 3, 5):
+        g = GL2(ell)
+        assert [g.elements[i] for i in g.transvections] == [(1, 1, 0, 1), (1, 0, 1, 1)]
+
+
+def test_table_build_fails_when_the_generators_miss_a_determinant(monkeypatch):
+    # with r = 1 the three generators lie in SL(2, 5), a quarter of GL(2, 5)
+    monkeypatch.setattr("kummer_brauer.gl2._primitive_root", lambda ell: 1)
+    with pytest.raises(RuntimeError, match="enumeration failure: .* 120 of 480"):
+        GL2(5)
+
+
+def test_primitive_root_is_the_least_generator():
+    assert [_primitive_root(ell) for ell in (2, 3, 5, 7, 11, 13, 23, 41)] == [
+        1, 2, 2, 3, 2, 2, 5, 6]
 
 
 @pytest.mark.parametrize("ell", [3, 5])
