@@ -16,6 +16,8 @@ from .arith import FactorBudgetError
 from .curves import frobenius_table
 from .gl2 import ORACLE_ELLS, validate_surjectivity_criterion
 from .report import (
+    DEFAULT_BOUND,
+    DEFAULT_ELL_MAX,
     MAX_BOUND,
     InputError,
     analyze,
@@ -197,10 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
                                         "evidence; overrides the pair file's")
     p.add_argument("--bound-B", type=int,
                    help="prime bound for trace sampling; overrides the pair "
-                        "file's (default 10000)")
+                        f"file's (default {DEFAULT_BOUND})")
     p.add_argument("--ell-max", type=int,
                    help="largest ell for surjectivity sampling; overrides the "
-                        "pair file's (default 37)")
+                        f"pair file's (default {DEFAULT_ELL_MAX})")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("search", help="generate family curve pairs")
@@ -211,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("frobenius", help="dump a Frobenius trace table")
     p.add_argument("--curve", required=True, help="rt2:a,b or w:a1,a2,a3,a4,a6")
-    p.add_argument("--bound-B", type=int, default=10_000,
-                   help="largest prime in the table (default 10000)")
+    p.add_argument("--bound-B", type=int, default=DEFAULT_BOUND,
+                   help="largest prime in the table (default %(default)s)")
     p.set_defaults(func=_cmd_frobenius)
 
     p = sub.add_parser("matrix", help="print the residue matrix and its extension")

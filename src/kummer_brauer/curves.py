@@ -459,15 +459,12 @@ CM_J_INVARIANTS = (
 
 
 class CMStatus(Record):
-    """verdict "cm" | "not_cm"; supersingular_fraction is (zero-trace
-    primes, good primes)."""
+    """verdict "cm" | "not_cm"; evidence names j and the supersingular count."""
 
-    __match_args__ = ("verdict", "j", "evidence", "supersingular_fraction")
+    __match_args__ = ("verdict", "evidence")
 
-    def __init__(self, verdict: str, j: Rational, evidence: str,
-                 supersingular_fraction: tuple[int, int]):
-        self.__dict__.update(verdict=verdict, j=j, evidence=evidence,
-                             supersingular_fraction=supersingular_fraction)
+    def __init__(self, verdict: str, evidence: str):
+        self.__dict__.update(verdict=verdict, evidence=evidence)
 
 
 def supersingular_fraction(curve: CurveLW, bound: int) -> tuple[int, int]:
@@ -489,9 +486,9 @@ def cm_status(curve: CurveLW) -> CMStatus:
     cm = j in CM_J_INVARIANTS
     frac = supersingular_fraction(curve, CM_EVIDENCE_BOUND)
     return CMStatus(
-        "cm" if cm else "not_cm", j,
+        "cm" if cm else "not_cm",
         f"j = {j} is {'' if cm else 'not '}in the rational CM list; "
-        f"a_p = 0 for {frac[0]} of {frac[1]} good p <= {CM_EVIDENCE_BOUND}", frac)
+        f"a_p = 0 for {frac[0]} of {frac[1]} good p <= {CM_EVIDENCE_BOUND}")
 
 
 # -- rational points and the chord-tangent group law ------------------------

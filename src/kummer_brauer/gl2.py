@@ -6,10 +6,16 @@ by cyclic extension over normalizers (Neubueser, Numer. Math. 2, 1960; Holt,
 Eick and O'Brien, Handbook of Computational Group Theory, 2005).  From a
 found subgroup H, one step takes a listed cyclic p-subgroup C = <g> (p prime)
 with C not inside H, g^p in H, and g normalizing H (g x g^-1 in H for each
-recorded generator x of H, which suffices for finite H).  Then H is normal of
-index p in K = <H, g> = H u gH u ... u g^(p-1)H, so K is built directly: each
-coset g^i H is one table row read at the elements of H.  The seeds are the
-trivial group and SL(2, ell).
+recorded generator x of H, which suffices for a finite H they generate).
+Then H is normal of index p in K = <H, g> = H u gH u ... u g^(p-1)H, so K is
+built directly: each coset g^i H is one table row read at the elements of H.
+The seeds are the trivial group and SL(2, ell).
+
+SL(2, ell) is seeded with no generators, so a subgroup built from it records
+only the g of the steps above it.  No more is needed: every subgroup H
+containing SL(2, ell) is normal in GL(2, ell), being the det-preimage of a
+subgroup of the abelian quotient GL/SL = F_ell^*, so every g normalizes H and
+the normality test cannot fail above that seed.
 
 Each piece of work is done once:
 
@@ -58,7 +64,6 @@ class GL2:
     entries; the others are filled breadth-first over the Cayley graph."""
 
     def __init__(self, ell: int):
-        self.ell = ell
         ell2 = ell * ell
         elements = [(a, b, c, d) for a in range(ell) for b in range(ell)
                     for c in range(ell) for d in range(ell) if (a * d - b * c) % ell]
@@ -67,13 +72,12 @@ class GL2:
         if n != expected:
             raise RuntimeError(f"enumeration failure: {n} != {expected}")
         index = {m: i for i, m in enumerate(elements)}
-        # the two elementary transvections generate SL(2, ell), and diag(r, 1)
-        # for a primitive root r adds every determinant
+        # the elementary matrices (1, 1, 0, 1) and (1, 0, 1, 1) generate
+        # SL(2, ell), and diag(r, 1) for a primitive root r adds every determinant
         gens = ((1, 1, 0, 1), (1, 0, 1, 1), (_primitive_root(ell), 0, 0, 1))
         rows = [[index[((a * e + b * g) % ell, (a * f + b * h) % ell,
                         (c * e + d * g) % ell, (c * f + d * h) % ell)]
                  for (e, f, g, h) in elements] for (a, b, c, d) in gens]
-        self.transvections = (index[gens[0]], index[gens[1]])
         self.identity = index[(1, 0, 0, 1)]
         # s h is s's row at h, and the row of s h is s's row read at h's row
         # (itemgetter of n >= 6 indices returns a tuple)
@@ -234,9 +238,8 @@ def subgroup_witnesses(mask: int, class_masks: tuple[int, ...]) -> SubgroupWitne
 def enumerate_subgroups(group: GL2) -> list[int]:
     """Masks of all subgroups of the group, the full group excluded."""
     sl_mask = sum(1 << i for i, det in enumerate(group.det) if det == 1)
-    # the two elementary transvections generate SL(2, ell)
-    return _cyclic_extension(group, [(1 << group.identity, []),
-                                     (sl_mask, list(group.transvections))])
+    # SL(2, ell) needs no generators: every subgroup above it is normal
+    return _cyclic_extension(group, [(1 << group.identity, []), (sl_mask, [])])
 
 
 def _cyclic_extension(group: GL2, seeds: list[tuple[int, list[int]]]) -> list[int]:

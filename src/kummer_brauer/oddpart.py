@@ -2,9 +2,13 @@
 congruence evidence for deliberately non-trivial odd classes.
 
 Every certificate is one-sided and carries its witnesses, so a report can be
-re-checked without re-running the search.  Surjectivity verdicts additionally
-record the standing assumption that the mod-ell determinant character is
-surjective (it is the cyclotomic character for curves over Q).
+re-checked without re-running the search.
+
+The determinant of the mod-ell Galois representation of a curve over Q is
+onto F_ell^*, a theorem rather than an assumption: by the Weil pairing it is
+the mod-ell cyclotomic character, whose image is Gal(Q(zeta_ell)/Q) = F_ell^*
+because the cyclotomic polynomial Phi_ell is irreducible over Q.  So the
+sampled (a_p mod ell, p mod ell) pairs need only certify the rest of the image.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from .curves import (
     cm_status,
     good_primes,
     is_good_prime,
-    on_curve,
     point_order,
     to_rt2,
 )
@@ -27,19 +30,14 @@ from .gl2 import CriterionValidation, WitnessPredicate, validate_surjectivity_cr
 from .homrank import same_curve
 from .isogeny import X0_DEGREES, x0_roots
 
-DET_ASSUMPTION = ("determinant surjectivity assumed: the mod-ell determinant "
-                  "of the Galois action is the cyclotomic character")
-
 
 class SurjectivityVerdict(Record):
     """verdict is "surjective" | "inconclusive"."""
 
-    __match_args__ = ("ell", "verdict", "witnesses", "bound", "assumption")
+    __match_args__ = ("verdict", "witnesses")
 
-    def __init__(self, ell: int, verdict: str, witnesses: tuple[tuple[str, str], ...],
-                 bound: int, assumption: str = DET_ASSUMPTION):
-        self.__dict__.update(ell=ell, verdict=verdict, witnesses=witnesses, bound=bound,
-                             assumption=assumption)
+    def __init__(self, verdict: str, witnesses: tuple[tuple[str, str], ...]):
+        self.__dict__.update(verdict=verdict, witnesses=witnesses)
 
 
 class OddCertificate(Record):
@@ -77,8 +75,9 @@ def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVe
     (t, d) = (a_p mod ell, p mod ell).  Three witnesses are required, one
     from each class of `WitnessPredicate` (nonsplit, split, generic), the
     predicate whose classes the exhaustive oracle validates.
-    All three found means the image is full (given determinant surjectivity);
-    anything else is reported as inconclusive, never as "not surjective".
+    All three found means the image is full (its determinant is onto, as the
+    module docstring states); anything else is reported as inconclusive,
+    never as "not surjective".
     At ell = 3 the split and generic classes are empty, so the verdict
     there is always inconclusive.  At ell >= 5 none is: for t != 0, t^2 - 4d
     runs over F_ell minus {t^2} as d runs over F_ell^*, which holds all
@@ -102,17 +101,16 @@ def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVe
         else:
             detail = ("2-division cubic irreducible with non-square discriminant "
                       f"(class of {disc})")
-            return SurjectivityVerdict(2, "surjective", (("exact", detail),), 0)
-        return SurjectivityVerdict(2, "inconclusive", (("exact", detail),), 0)
+            return SurjectivityVerdict("surjective", (("exact", detail),))
+        return SurjectivityVerdict("inconclusive", (("exact", detail),))
     if not is_prime(ell):
         raise ValueError("ell must be prime")
     if ell == 3:
         return SurjectivityVerdict(
-            3, "inconclusive",
+            "inconclusive",
             (("unsatisfiable",
               "some witness class is empty mod 3; no trace/determinant "
-              "sample can certify surjectivity at this ell"),),
-            bound)
+              "sample can certify surjectivity at this ell"),))
     classify = WitnessPredicate(ell)
     found: dict[str, str] = {}
     names = ("nonsplit", "split", "generic")
@@ -125,10 +123,9 @@ def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVe
                 reducible = ("reducible", f"rational {ell}-isogeny: t = {roots[0]} "
                                           f"on X_0({ell})")
                 return SurjectivityVerdict(
-                    ell, "inconclusive",
+                    "inconclusive",
                     tuple((n, found.get(n, f"not found for p <= {EXHAUSTIVE_MAX_PRIME}; larger p not sampled"))
-                          for n in names) + (reducible,),
-                    bound)
+                          for n in names) + (reducible,))
         t = ap(curve, p) % ell
         d = p % ell
         nonsplit, split, generic = classify(t, d)
@@ -141,10 +138,9 @@ def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVe
             u = t * t * pow(d, -1, ell) % ell
             found["generic"] = f"p = {p}: u = t^2/d = {u} mod {ell}"
         if len(found) == 3:
-            return SurjectivityVerdict(
-                ell, "surjective", tuple((n, found[n]) for n in names), bound)
+            return SurjectivityVerdict("surjective", tuple((n, found[n]) for n in names))
     witnesses = tuple((n, found.get(n, "not found")) for n in names)
-    return SurjectivityVerdict(ell, "inconclusive", witnesses, bound)
+    return SurjectivityVerdict("inconclusive", witnesses)
 
 
 def validate_criterion_oracle(ell: int) -> CriterionValidation:
@@ -227,8 +223,6 @@ def six_torsion_cm_certificate(
     decidable from traces at ell = 3); the certificate lists both gaps as
     caveats rather than silently asserting them.
     """
-    if not on_curve(partner, point):
-        raise ValueError("supplied point is not on the partner curve")
     order = point_order(partner, point)
     if order != 6:
         return CertificateFailure(f"supplied point has order {order}, not 6")

@@ -23,7 +23,6 @@ from .oddpart import (
     CertificateFailure,
     OddCertificate,
     congruence_evidence,
-    check_57_family,
     cm_isogeny_exclusion_certificate,
     j_valuation_certificate,
     mod_ell_surjectivity,
@@ -43,7 +42,9 @@ NO_TRANSFER = "no evidence that the geometric invariants vanish"
 # sample, may read every a_p up to bound once for each sampled ell.
 MAX_BOUND = 10**6
 MAX_ELL = 100
-# the ell_max of a pair spec that gives none, and of a report's rules
+# the bound and ell_max of a pair spec that gives none; ell_max also of a
+# report's rules
+DEFAULT_BOUND = 10_000
 DEFAULT_ELL_MAX = 37
 # search_family's work is linear in count + seed: 10^4 pairs printed as
 # JSON take about 1 s and 53 MB (Python 3.11, 2-vCPU Xeon)
@@ -142,7 +143,7 @@ def parse_curve_record(rec: dict) -> CurveInput:
 class CurvePairSpec(Record):
     __match_args__ = ("first", "second", "bound", "ell_max", "odd_primes")
 
-    def __init__(self, first: CurveInput, second: CurveInput, bound: int = 10_000,
+    def __init__(self, first: CurveInput, second: CurveInput, bound: int = DEFAULT_BOUND,
                  ell_max: int = DEFAULT_ELL_MAX, odd_primes: tuple[int, ...] = ()):
         self.__dict__.update(first=first, second=second, bound=bound, ell_max=ell_max,
                              odd_primes=odd_primes)
@@ -404,7 +405,7 @@ def _sampling_certificate(
     for ell in ells:
         verdict = mod_ell_surjectivity(e, ell, bound)
         if verdict.verdict != "surjective":
-            if ell == 3 and any(k == "unsatisfiable" for k, _ in verdict.witnesses):
+            if any(k == "unsatisfiable" for k, _ in verdict.witnesses):
                 caveats.append(ELL3_CAVEAT)
             else:
                 caveats.append(f"ell = {ell}: surjectivity not established "
@@ -681,10 +682,14 @@ def _lattice_tuples():
 
 def search_family(count: int, seed: int = 0) -> list[CurvePairSpec]:
     """Deterministically generate curve pairs (a, b) = (5 + 35m, 7 + 35n),
-    (a', b') = (1 + 35m', 2 + 35n') with m != 2 mod 5 and n != 4 mod 7,
-    (a, b) validated against the family conditions; seed offsets the start
-    of the enumeration.  (a', b') needs no check: a' = 1, b' = 2 and
-    a' - b' = -1 mod 35, so none is 0, a' != b', and 5 and 7 divide none.
+    (a', b') = (1 + 35m', 2 + 35n') with m != 2 mod 5 and n != 4 mod 7; seed
+    offsets the start of the enumeration.  The residue filters alone put
+    (a, b) in the family of check_57_family: mod 5, a = 0, b = 2 and
+    a - b = 3; mod 7, a = 5, b = 0 and a - b = 5.  So 5 divides a alone, 7
+    divides b alone, and 0 < a != b.  25 | a iff 1 + 7m = 0 mod 5 iff
+    m = 2 mod 5, and 49 | b iff 1 + 5n = 0 mod 7 iff n = 4 mod 7.
+    (a', b') needs no check: a' = 1, b' = 2 and a' - b' = -1 mod 35, so
+    none is 0, a' != b', and 5 and 7 divide none.
     Pairs with a curve (a, b) in common hold the same CurveInput object, so
     analyses of the batch share its memos."""
     if count < 1:
@@ -707,8 +712,6 @@ def search_family(count: int, seed: int = 0) -> list[CurvePairSpec]:
             continue
         a, b = 5 + 35 * m, 7 + 35 * n
         a2, b2 = 1 + 35 * mp, 2 + 35 * np_
-        if check_57_family(a, b):
-            continue
         if skipped < seed:
             skipped += 1
             continue

@@ -305,6 +305,16 @@ def test_search_json(capsys):
     assert len(data) == 2
 
 
+def test_help_names_the_default_options(capsys):
+    for argv, defaults in ((["analyze", "--help"], (report.DEFAULT_BOUND,
+                                                    report.DEFAULT_ELL_MAX)),
+                           (["frobenius", "--help"], (report.DEFAULT_BOUND,))):
+        with pytest.raises(SystemExit):
+            main(argv)
+        text = " ".join(capsys.readouterr().out.split())
+        assert [text.count(f"(default {d})") for d in defaults] == [1] * len(defaults)
+
+
 def test_frobenius_dump(capsys):
     code, out, _ = run(capsys, "frobenius", "--curve", "w:0,0,0,-1,0",
                        "--bound-B", "7")

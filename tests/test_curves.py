@@ -484,8 +484,10 @@ def test_root_choice_independence():
 def test_cm_status_examples():
     assert cm_status(E_XCUBE_MINUS_X).verdict == "cm"  # j = 1728
     assert cm_status(CurveLW(0, 0, 0, 0, -1)).verdict == "cm"  # j = 0
-    st = cm_status(CurveLW(0, 0, 0, 6, -2))
-    assert st.verdict == "not_cm" and st.j == 1536
+    curve = CurveLW(0, 0, 0, 6, -2)
+    st = cm_status(curve)
+    assert st.verdict == "not_cm" and curve.j() == 1536
+    assert st.evidence.startswith("j = 1536 is not in the rational CM list")
 
 
 def test_cm_list_validated_by_supersingular_oracle():

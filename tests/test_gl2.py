@@ -1,5 +1,6 @@
 import hashlib
 import struct
+from operator import itemgetter
 
 import pytest
 
@@ -225,12 +226,6 @@ def test_table_mod_7_equals_the_pinned_digest():
     assert table_sha256(GL2(7)) == GL2_7_TABLE_SHA256
 
 
-def test_transvections_name_the_elementary_transvections():
-    for ell in (2, 3, 5):
-        g = GL2(ell)
-        assert [g.elements[i] for i in g.transvections] == [(1, 1, 0, 1), (1, 0, 1, 1)]
-
-
 def test_table_build_fails_when_the_generators_miss_a_determinant(monkeypatch):
     # with r = 1 the three generators lie in SL(2, 5), a quarter of GL(2, 5)
     monkeypatch.setattr("kummer_brauer.gl2._primitive_root", lambda ell: 1)
@@ -314,6 +309,25 @@ def test_cyclic_extension_mod_7_equals_the_join_closure_digest():
     masks = enumerate_subgroups(g)
     assert len(masks) == 1703
     assert masks_sha256(g, masks) == JOIN_CLOSURE_7_SHA256
+
+
+@pytest.mark.parametrize("ell, count", [(3, 1), (5, 2), (7, 3)])
+def test_the_subgroups_above_sl2_are_the_normal_det_preimages(ell, count):
+    # the SL(2, ell) seed records no generators: each subgroup above it is
+    # the det-preimage of a proper subgroup {x : x^k = 1} of the cyclic
+    # F_ell^*, and so normal, and the normality test never fails there
+    g = GL2(ell)
+    sl_mask = sum(1 << i for i, det in enumerate(g.det) if det == 1)
+    above = {m for m in enumerate_subgroups(g) if m & sl_mask == sl_mask}
+    preimages = {sum(1 << i for i, det in enumerate(g.det) if pow(det, k, ell) == 1)
+                 for k in range(1, ell - 1) if (ell - 1) % k == 0}
+    assert above == preimages and len(above) == count
+    subgroups = [set(bits_of(m)) for m in above]  # each of order >= 24
+    for x in range(g.order):
+        # x h x^-1 for each h in H: x's row read at H, then x^-1's column
+        x_row, x_inv_column = g.mult[x], list(map(itemgetter(g.powers(x)[-1]), g.mult))
+        for h in subgroups:
+            assert h.issuperset(itemgetter(*itemgetter(*h)(x_row))(x_inv_column))
 
 
 def test_sl2_seed_is_needed_exactly_for_the_perfect_top():

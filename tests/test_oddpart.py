@@ -145,11 +145,6 @@ def test_verdicts_are_one_sided():
                 "surjective", "inconclusive")
 
 
-def test_verdict_records_determinant_assumption():
-    v = mod_ell_surjectivity(E_37, 5, 1000)
-    assert "cyclotomic" in v.assumption
-
-
 def test_oracle_wrapper():
     assert validate_criterion_oracle(3).passed
     with pytest.raises(ValueError):

@@ -13,12 +13,7 @@ from kummer_brauer.gl2 import (
     validate_surjectivity_criterion,
 )
 from kummer_brauer.homrank import IsogenyEvidence, RankVerdict
-from kummer_brauer.oddpart import (
-    DET_ASSUMPTION,
-    CertificateFailure,
-    OddCertificate,
-    SurjectivityVerdict,
-)
+from kummer_brauer.oddpart import CertificateFailure, OddCertificate, SurjectivityVerdict
 from kummer_brauer.report import BrauerReport, CurveInput, CurvePairSpec, stable_json
 from kummer_brauer.residues import Gate, ResidueMatrix
 
@@ -42,10 +37,7 @@ RECORDS = [
      {"a1": 1, "a2": -1, "a3": 1, "a4": -10, "a6": -20}),
     (FrobeniusTable, {"curve": "[0,0,0,6,-2]", "bound": 12, "entries": ((5, 2),)},
      {"curve": "[0,0,0,0,1]", "bound": 13, "entries": ()}),
-    (CMStatus, {"verdict": "cm", "j": Fraction(0), "evidence": "e",
-                "supersingular_fraction": (1, 2)},
-     {"verdict": "not_cm", "j": Fraction(1728), "evidence": "f",
-      "supersingular_fraction": (0, 2)}),
+    (CMStatus, {"verdict": "cm", "evidence": "e"}, {"verdict": "not_cm", "evidence": "f"}),
     (SubgroupWitnesses, {"order": 48, "has_nonsplit": True, "has_split": False,
                          "has_generic": False},
      {"order": 24, "has_nonsplit": False, "has_split": True, "has_generic": True}),
@@ -62,11 +54,8 @@ RECORDS = [
                    "evidence": IsogenyEvidence("none-found")},
      {"r": None, "confidence": "inconclusive", "gate": Gate("not-isogenous", True, "d"),
       "evidence": IsogenyEvidence("same-curve")}),
-    (SurjectivityVerdict, {"ell": 5, "verdict": "surjective",
-                           "witnesses": (("split", "p = 2"),), "bound": 60,
-                           "assumption": DET_ASSUMPTION},
-     {"ell": 7, "verdict": "inconclusive", "witnesses": (), "bound": 61,
-      "assumption": "a"}),
+    (SurjectivityVerdict, {"verdict": "surjective", "witnesses": (("split", "p = 2"),)},
+     {"verdict": "inconclusive", "witnesses": ()}),
     (OddCertificate, {"kind": "j-valuation", "primes_covered": "all-odd",
                       "witnesses": (), "caveats": (), "detail": ""},
      {"kind": "mod-ell-sampling", "primes_covered": (5, 7),
@@ -154,10 +143,8 @@ def test_curve_memos_take_no_part_in_equality():
 
 
 def test_pinned_reprs():
-    assert repr(SurjectivityVerdict(5, "surjective", (("split", "p = 2"),), 60)) == (
-        "SurjectivityVerdict(ell=5, verdict='surjective', witnesses=(('split', 'p = 2'),), "
-        "bound=60, assumption='determinant surjectivity assumed: the mod-ell determinant "
-        "of the Galois action is the cyclotomic character')")
+    assert repr(SurjectivityVerdict("surjective", (("split", "p = 2"),))) == (
+        "SurjectivityVerdict(verdict='surjective', witnesses=(('split', 'p = 2'),))")
     assert repr(OddCertificate("mod-ell-sampling", (5, 7))) == (
         "OddCertificate(kind='mod-ell-sampling', primes_covered=(5, 7), witnesses=(), "
         "caveats=(), detail='')")

@@ -13,6 +13,7 @@ import pytest
 from kummer_brauer import arith, curves, report as report_module
 from kummer_brauer.arith import is_prime
 from kummer_brauer.curves import CurveLW
+from kummer_brauer.oddpart import check_57_family
 from kummer_brauer.report import (
     ELL3_CAVEAT,
     MAX_BOUND,
@@ -484,9 +485,11 @@ def test_search_family_base_case():
 
 
 def test_search_family_validity_and_determinism():
-    from kummer_brauer.oddpart import check_57_family
-    pairs = search_family(50, 0)
-    assert len(pairs) == 50
+    # search_family checks no family condition itself, its residue filters
+    # imply them all; 2063 pairs cover the pinned 2000 and the perfbench
+    # early-exit workload's largest seed offset, 63
+    pairs = search_family(2063, 0)
+    assert len(pairs) == 2063
     seen = set()
     for p in pairs:
         a, b = p.first.rt2_raw
@@ -494,9 +497,9 @@ def test_search_family_validity_and_determinism():
         assert check_57_family(a, b) == []
         assert all(v % 5 and v % 7 for v in (a2, b2, a2 - b2))
         seen.add((a, b, a2, b2))
-    assert len(seen) == 50
+    assert len(seen) == 2063
     again = search_family(50, 0)
-    assert [q.first.rt2_raw for q in again] == [q.first.rt2_raw for q in pairs]
+    assert [q.first.rt2_raw for q in again] == [q.first.rt2_raw for q in pairs[:50]]
     # the seed offsets the enumeration
     offset = search_family(3, 2)
     assert offset[0].echo() == search_family(5, 0)[2].echo()
@@ -512,6 +515,15 @@ def test_search_family_bytes_equal_the_pinned_digest():
     text = stable_json([p.echo() for p in search_family(2000)]).encode("utf-8")
     assert len(text) == 455_262
     assert hashlib.sha256(text).hexdigest() == SEARCH_2000_SHA256
+
+
+def test_the_residue_filters_are_the_family_conditions():
+    # the proof in search_family's docstring, checked on a grid: (a, b) =
+    # (5 + 35m, 7 + 35n) is in the family iff m != 2 mod 5 and n != 4 mod 7
+    for m in range(200):
+        for n in range(200):
+            valid = check_57_family(5 + 35 * m, 7 + 35 * n) == []
+            assert valid == (m % 5 != 2 and n % 7 != 4), (m, n)
 
 
 def test_search_family_holds_one_input_per_curve():

@@ -147,6 +147,42 @@ def test_every_top_level_function_and_class_is_used_in_the_package():
     assert unused == []
 
 
+def test_every_record_field_is_read_in_the_package():
+    # a field nothing reads is state to delete; a read is any attribute
+    # access .name in the package outside the record's own __init__.  Names
+    # are matched, not objects, so a field is only as unread as its name is
+    # rare: .ell on any object counts as a read of every field named ell
+    from kummer_brauer.arith import Record
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    unread, records = [], 0
+    for stem, tree in trees.items():
+        module = importlib.import_module(
+            "kummer_brauer" + ("" if stem == "__init__" else "." + stem))
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef)
+                    and issubclass(getattr(module, node.name), Record)):
+                continue
+            cls = getattr(module, node.name)
+            records += 1
+            init = next((f for f in node.body
+                         if isinstance(f, ast.FunctionDef) and f.name == "__init__"), None)
+            reads = {n.attr for t in trees.values() for n in _attributes_outside(t, init)}
+            unread += [f"{stem}.{node.name}.{f}" for f in cls.__match_args__ if f not in reads]
+    assert records > 10
+    assert unread == []
+
+
+def _attributes_outside(node, skip):
+    """The attribute reads under node, outside the subtree skip."""
+    if node is skip:
+        return
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        yield node
+    for child in ast.iter_child_nodes(node):
+        yield from _attributes_outside(child, skip)
+
+
 def test_every_tracer_target_resolves_in_the_package():
     # the benchmark's tracer wraps these names and reports a missing one as
     # absent; its own test of that runs outside the tier-1 suite
