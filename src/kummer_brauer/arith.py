@@ -36,6 +36,8 @@ def _sieve(limit: int) -> list[int]:
 
 # the 168 primes below 1000: a scan that ends at an early witness reads no more
 SMALL_PRIMES = tuple(_sieve(1000))
+# is_prime answers below 1000 by membership
+_SMALL_PRIME_SET = frozenset(SMALL_PRIMES)
 
 
 def primes_up_to(limit: int) -> Iterator[int]:
@@ -55,6 +57,12 @@ _MR_SMALL_BOUND = 3_215_031_751
 
 
 def is_prime(n: int) -> bool:
+    """Whether n is prime: membership in SMALL_PRIMES below 1000, where
+    every scan starts, and Miller-Rabin above."""
+    return n in _SMALL_PRIME_SET if n < 1000 else _miller_rabin(n)
+
+
+def _miller_rabin(n: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond 64-bit inputs."""
     if n < 2:
         return False

@@ -1,6 +1,7 @@
 """Elliptic curve models over Q: invariants, reduction, point counting over
-F_p (exhaustive, and baby-step giant-step in the Hasse interval), Frobenius
-trace tables, and complex-multiplication status.
+F_p (exhaustive below 17, from the Hasse invariant up to 229, and by
+baby-step giant-step in the Hasse interval above it), Frobenius trace
+tables, and complex-multiplication status.
 """
 
 from __future__ import annotations
@@ -214,17 +215,73 @@ def count_points_exhaustive(curve: CurveLW, p: int) -> int:
     return n
 
 
+# -- a_p from the Hasse invariant -------------------------------------------
+
+# the least p with 2 sqrt(p) < p/2: from here on the residue of a_p mod p in
+# (-p/2, p/2) is a_p itself (Hasse's bound)
+HASSE_MIN_PRIME = 17
+
+
+def hasse_trace(curve: CurveLW, p: int) -> int:
+    """a_p at a good prime p >= HASSE_MIN_PRIME, from the Hasse invariant.
+
+    On y^2 = f(x) = x^3 + A x + B, the short_model mod p, chi(f(x)) is
+    f(x)^m with m = (p - 1)/2.  Summed over x in F_p, a power x^e of
+    0 < e < 2(p - 1) leaves -1 for e = p - 1 and 0 otherwise, so
+    #E = p + 1 + sum_x chi(f(x)) is 1 - H mod p and a_p = H mod p, where H
+    is the coefficient of x^(p-1) in f^m (Silverman, AEC, V.4.1 and its
+    proof).  Hasse's bound then makes a_p the residue of H in (-p/2, p/2).
+
+    The terms of H are c_i A^j B^k with c_i = m!/(i! j! k!), j = 2m - 3i
+    and k = 2i - m, for lo = ceil(m/2) <= i <= hi = floor(2m/3).  With
+    X = A^3 and Y = B^2, H = c_hi A^j(hi) B^k(lo) W, where
+    W = sum_i (c_i/c_hi) X^(hi-i) Y^(i-lo) is summed from i = lo upward as
+    one fraction num/den, by c_i/c_(i+1) = (i+1)(k+1)(k+2) / (j(j-1)(j-2)):
+    about p/12 steps, none dividing by A or B, so A = 0 or B = 0 needs no
+    case of its own.  c_hi takes about p/6 products more, since j(hi) <= 2,
+    and the quotient one inversion.
+
+    Raises like count_points_exhaustive at a bad prime or on a model that is
+    not p-integral, and ValueError below HASSE_MIN_PRIME.
+    """
+    _require_good_reduction(curve, p)
+    if p < HASSE_MIN_PRIME:
+        raise ValueError(f"a_p from the Hasse invariant needs p >= {HASSE_MIN_PRIME}")
+    A, B = (c % p for c in curve.short_model)
+    X, Y = A * A * A % p, B * B % p
+    m = (p - 1) // 2
+    lo, hi = (m + 1) // 2, 2 * m // 3
+    num = den = y_power = 1
+    for i in range(lo, hi):
+        j, k = 2 * m - 3 * i, 2 * i - m
+        falling = j * (j - 1) * (j - 2)
+        y_power = y_power * Y % p
+        num = (falling * y_power * den + (i + 1) * (k + 1) * (k + 2) * X * num) % p
+        den = falling * den % p
+    # times c_hi A^j(hi) B^k(lo), c_hi = m!/(hi! j! k!) at i = hi
+    j, k = 2 * m - 3 * hi, 2 * hi - m
+    num = num * A**j * B ** (2 * lo - m) % p
+    for t in range(hi + 1, m + 1):
+        num = num * t % p
+    for t in (*range(2, j + 1), *range(2, k + 1)):
+        den = den * t % p
+    h = num * pow(den, -1, p) % p
+    return h - p if 2 * h > p else h
+
+
 # -- #E(F_p) by baby-step giant-step in the Hasse interval -------------------
 #
 # Points are affine pairs (x, y) over F_p on y^2 = x^3 + a x + b, or None for
 # the point at infinity; the group law needs only a.
 
-# count_points counts exhaustively at p <= EXHAUSTIVE_MAX_PRIME.  Above it, E
-# or its quadratic twist always has a point whose order has exactly one
-# multiple in the Hasse interval (Cremona and Sutherland, J. Theor. Nombres
-# Bordeaux 22, 2010), so a few sampled points almost always decide;
-# count_points_exhaustive covers the rest.
-EXHAUSTIVE_MAX_PRIME = 229
+# count_points reads a_p from the Hasse invariant up to HASSE_MAX_PRIME and
+# counts by bsgs_count above it: there E or its quadratic twist always has a
+# point whose order has exactly one multiple in the Hasse interval (Cremona
+# and Sutherland, J. Theor. Nombres Bordeaux 22, 2010), so a few sampled
+# points almost always decide, and hasse_trace covers the rest.  The trace
+# scans' exits (the isogeny walk, the X_0(ell) roots) run at the first prime
+# above it, so that a pair with an earlier witness never pays for them.
+HASSE_MAX_PRIME = 229
 # x = 0, 1, ... tried before bsgs_count gives up
 _BSGS_TRIES = 16
 
@@ -320,14 +377,17 @@ def bsgs_count(curve: CurveLW, p: int) -> int | None:
 def count_points(curve: CurveLW, p: int) -> int:
     """#E(F_p) including the point at infinity, at a good prime.
 
-    bsgs_count above EXHAUSTIVE_MAX_PRIME; count_points_exhaustive at or
-    below it, and whenever bsgs_count cannot decide.
+    count_points_exhaustive below HASSE_MIN_PRIME; p + 1 - hasse_trace from
+    there up to HASSE_MAX_PRIME, and above it wherever bsgs_count cannot
+    decide; bsgs_count otherwise.
     """
-    if p > EXHAUSTIVE_MAX_PRIME:
+    if p < HASSE_MIN_PRIME:
+        return count_points_exhaustive(curve, p)
+    if p > HASSE_MAX_PRIME:
         n = bsgs_count(curve, p)
         if n is not None:
             return n
-    return count_points_exhaustive(curve, p)
+    return p + 1 - hasse_trace(curve, p)
 
 
 def ap(curve: CurveLW, p: int) -> int:

@@ -17,7 +17,7 @@ from math import isqrt
 from .arith import Record, is_rational_square, is_square, valuation
 from .curves import (
     CM_J_INVARIANTS,
-    EXHAUSTIVE_MAX_PRIME,
+    HASSE_MAX_PRIME,
     CurveLW,
     _integer_roots_monic_cubic,
     ap,
@@ -89,7 +89,7 @@ def nonisogeny_certificate(e: CurveLW, e2: CurveLW, bound: int) -> IsogenyEviden
     j (twists of each other, or the same curve), and when both j are CM
     (quartic and sextic twists break the sign argument, so traces are not
     compared, and CM j are integers).  So it is when a walk from E, at the
-    first prime above EXHAUSTIVE_MAX_PRIME, reaches a curve with the j of
+    first prime above HASSE_MAX_PRIME, reaches a curve with the j of
     E' (E' or a twist of it).  The evidence records a Q-isogeny to E'
     itself (isogenous); a twist meeting records none.
     """
@@ -103,7 +103,7 @@ def nonisogeny_certificate(e: CurveLW, e2: CurveLW, bound: int) -> IsogenyEviden
         return IsogenyEvidence("none-found", None, none_found, isogenous(e, e2))
     walked = False  # pairs with an early witness never pay for the walk
     for p in primes_up_to(bound):
-        if not walked and p > EXHAUSTIVE_MAX_PRIME:
+        if not walked and p > HASSE_MAX_PRIME:
             walked = True
             # a Q-isogeny to E' or to a twist of E' gives equal a_p^2 at
             # every common good prime and the same potentially

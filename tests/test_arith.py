@@ -80,6 +80,21 @@ def test_is_prime_matches_sieve():
         [n for n, f in enumerate(flags) if f]
 
 
+def test_is_prime_below_1000_is_membership_and_agrees_with_miller_rabin(monkeypatch):
+    expected = [arith._miller_rabin(n) for n in range(-5, 1000)]
+    assert [is_prime(n) for n in range(-5, 1000)] == expected
+    assert sum(expected) == 168
+    # below 1000 the answer comes from the table alone
+
+    def no_miller_rabin(n):
+        raise AssertionError(f"Miller-Rabin ran on {n}")
+
+    monkeypatch.setattr(arith, "_miller_rabin", no_miller_rabin)
+    assert [is_prime(n) for n in range(-5, 1000)] == expected
+    with pytest.raises(AssertionError):
+        is_prime(1009)
+
+
 def test_is_prime_strong_pseudoprimes_and_large_inputs():
     # strong pseudoprimes to bases 2, 3, 5, 7 (the first at the small-base
     # bound itself) and to 2, ..., 11

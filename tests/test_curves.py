@@ -8,7 +8,8 @@ from kummer_brauer import curves
 from kummer_brauer.arith import factor, is_prime, primes_up_to
 from kummer_brauer.curves import (
     CM_J_INVARIANTS,
-    EXHAUSTIVE_MAX_PRIME,
+    HASSE_MAX_PRIME,
+    HASSE_MIN_PRIME,
     CurveLW,
     CurveRT2,
     NO_TWO_TORSION,
@@ -23,6 +24,7 @@ from kummer_brauer.curves import (
     frobenius_table,
     good_primes,
     good_reduction_at,
+    hasse_trace,
     is_good_prime,
     j_invariant_rt2,
     j_invariant_sw,
@@ -349,7 +351,7 @@ def test_good_primes_are_the_primes_every_curve_is_good_at(monkeypatch):
     monkeypatch.setattr(curves, "is_good_prime",
                         lambda c, p: tested.append(p) or real(c, p))
     scan = good_primes((E_XCUBE_MINUS_X,), 10**5)
-    assert next(p for p in scan if p > EXHAUSTIVE_MAX_PRIME) == 233
+    assert next(p for p in scan if p > HASSE_MAX_PRIME) == 233
     assert max(tested) == 233
 
 
@@ -387,7 +389,7 @@ BSGS_PANEL = [
 def test_bsgs_count_agrees_above_threshold():
     for c in BSGS_PANEL:
         for p in good_primes((c,), 3000):
-            if p <= EXHAUSTIVE_MAX_PRIME:
+            if p <= HASSE_MAX_PRIME:
                 continue
             exact = count_points_exhaustive(c, p)
             assert bsgs_count(c, p) == exact, (c.label(), p)
@@ -397,7 +399,7 @@ def test_bsgs_count_agrees_above_threshold():
 def test_bsgs_count_at_small_primes_is_exact_or_undecided():
     undecided = 0
     for c in BSGS_PANEL:
-        for p in good_primes((c,), EXHAUSTIVE_MAX_PRIME):
+        for p in good_primes((c,), HASSE_MAX_PRIME):
             n = bsgs_count(c, p)
             if n is None:
                 undecided += 1
@@ -406,28 +408,81 @@ def test_bsgs_count_at_small_primes_is_exact_or_undecided():
     assert undecided > 0
 
 
-def test_count_points_is_exhaustive_only_when_bsgs_is_undecided(monkeypatch):
-    counted = []
-
-    def spy(curve, p):
-        counted.append(p)
-        return count_points_exhaustive(curve, p)
-
-    monkeypatch.setattr(curves, "count_points_exhaustive", spy)
+def test_count_points_is_exhaustive_below_17_and_hasse_up_to_229_or_where_bsgs_is_undecided(
+        monkeypatch):
+    exhaustive, hasse = [], []
+    real_exhaustive, real_hasse = count_points_exhaustive, hasse_trace
+    monkeypatch.setattr(curves, "count_points_exhaustive",
+                        lambda curve, p: exhaustive.append(p) or real_exhaustive(curve, p))
+    monkeypatch.setattr(curves, "hasse_trace",
+                        lambda curve, p: hasse.append(p) or real_hasse(curve, p))
     c = CurveLW(0, -1, 1, -10, -20)
-    primes = (223, 233, 1009, 2999)
+    primes = (13, 17, 223, 233, 1009, 2999)
     traces = [ap(c, p) for p in primes]
-    assert counted == [223]
+    assert exhaustive == [13] and hasse == [17, 223]
     c._ap.clear()
     monkeypatch.setattr(curves, "bsgs_count", lambda curve, p: None)
     assert [ap(c, p) for p in primes] == traces
-    assert counted == [223, *primes]
-    assert traces[1] == 233 + 1 - double_loop_count(c, 233)
+    assert exhaustive == [13, 13] and hasse == [17, 223, 17, *primes[2:]]
+    assert traces[:4] == [p + 1 - double_loop_count(c, p) for p in primes[:4]]
+    assert traces[4:] == [p + 1 - real_exhaustive(c, p) for p in primes[4:]]
+
+
+# y^2 = x^3 - 4: CM with j = 0, and a_13 = -7
+E_X3_MINUS_4 = CurveLW(0, 0, 0, 0, -4)
+
+
+def hasse_coefficient(curve, p):
+    """The coefficient of x^(p-1) in (x^3 + A x + B)^((p-1)/2) mod p, by
+    plain polynomial multiplication: a reference for hasse_trace."""
+    A, B = curve.short_model
+    f = [B, A, 0, 1]
+    power = [1]
+    for _ in range((p - 1) // 2):
+        product = [0] * (len(power) + 3)
+        for i, a in enumerate(power):
+            for k, b in enumerate(f):
+                product[i + k] = (product[i + k] + a * b) % p
+        power = product
+    return power[p - 1]
+
+
+def test_hasse_trace_equals_the_exhaustive_count():
+    # 11a1, not CM, has A = 0 mod 31 and B = 0 mod 41, both among the p
+    # below: neither case needs a path of its own
+    A, B = BSGS_PANEL[0].short_model
+    assert A % 31 == 0 and B % 41 == 0
+    signs = set()
+    for c in BSGS_PANEL + [E_X3_MINUS_4]:
+        for p in good_primes((c,), 3000):
+            if p < HASSE_MIN_PRIME:
+                continue
+            t = p + 1 - count_points_exhaustive(c, p)
+            assert hasse_trace(c, p) == t, (c.label(), p)
+            signs.add((t > 0) - (t < 0))
+    # the residue is centred: an uncentred one fails at every t < 0
+    assert signs == {-1, 0, 1}
+
+
+def test_hasse_trace_needs_p_at_least_17():
+    # a_13 = -7 of y^2 = x^3 - 4 is 6 mod 13, and |a_13| <= 7 leaves both
+    # residues possible: below 17 Hasse's bound does not fix the centring
+    assert 13 + 1 - count_points_exhaustive(E_X3_MINUS_4, 13) == -7
+    assert hasse_coefficient(E_X3_MINUS_4, 13) == 6
+    with pytest.raises(ValueError):
+        hasse_trace(E_X3_MINUS_4, 13)
+    # the least p with 2 sqrt(p) < p/2
+    assert HASSE_MIN_PRIME == next(n for n in range(2, 100) if 16 * n < n * n)
+    for c in (E_X3_MINUS_4, E_37):
+        for p in good_primes((c,), 60):
+            if p >= 5:
+                t = p + 1 - count_points_exhaustive(c, p)
+                assert hasse_coefficient(c, p) == t % p, (c.label(), p)
 
 
 def test_errors_above_threshold():
     bad = CurveRT2(1, 233).to_lw()
-    point_counts = (ap, count_points, count_points_exhaustive, bsgs_count)
+    point_counts = (ap, count_points, count_points_exhaustive, bsgs_count, hasse_trace)
     for f in point_counts:
         with pytest.raises(BadReductionError):
             f(bad, 233)

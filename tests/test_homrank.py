@@ -5,6 +5,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
+from kummer_brauer import curves
 from kummer_brauer.curves import CurveLW, CurveRT2, j_invariant_rt2
 from kummer_brauer.homrank import (
     WitnessVerificationError,
@@ -200,6 +203,20 @@ def test_equal_models_share_no_a_p():
 
 def test_poisoned_trace_is_not_certified():
     assert poisoned_certificate_outcome() == "raised"
+
+
+def test_a_wrong_hasse_trace_is_not_certified(monkeypatch):
+    # 11a1 and 11a3 are isogenous, so their traces agree at every good p;
+    # a Hasse trace off by one for 11a1 alone gives a_17 a false mismatch,
+    # which the exhaustive recount catches before anything is certified
+    e, e2 = CurveLW(0, -1, 1, -10, -20), CurveLW(0, -1, 1, 0, 0)
+    real = curves.hasse_trace
+    monkeypatch.setattr(curves, "hasse_trace", lambda c, p: real(c, p) + (c is e))
+    with pytest.raises(WitnessVerificationError, match="a_17 of"):
+        nonisogeny_certificate(e, e2, 1000)
+    e._ap.clear()
+    monkeypatch.setattr(curves, "hasse_trace", real)
+    assert nonisogeny_certificate(e, e2, 1000).kind == "none-found"
 
 
 def test_poisoned_trace_is_not_certified_under_python_O():
