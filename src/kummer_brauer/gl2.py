@@ -26,9 +26,15 @@ Each piece of work is done once:
 - A step whose g lies in H adds nothing, and one whose g lies in a K already
   built from H (outside H) gives K again, so both are skipped: H < <H, g> <= K,
   and H has prime index in K, so no subgroup lies strictly between them.
-- Each subgroup's element list is kept beside its mask.  K's list is H's
-  followed by its p - 1 cosets, which are disjoint because H is normal of
-  index p, so only the seeds' masks are ever read back into elements.
+- Only the first subgroup found in each conjugacy class is extended.  When a
+  step builds a K whose mask is new, every conjugate of K is added at once,
+  by a breadth-first walk that reads element lists through one table
+  x -> s x s^-1 per generator s of the group; a mask is its elements' bits
+  summed.
+- Only these representatives keep their element list and generators.  K's
+  list is H's followed by its p - 1 cosets, which are disjoint because H is
+  normal of index p, so only the seeds' masks are ever read back into
+  elements.
 
 Why this finds every subgroup:
 
@@ -37,8 +43,13 @@ Why this finds every subgroup:
   x in K outside H, its p-part x_p also lies outside H, because the p'-part
   maps to 1 in K/H of order p.  So <x_p> is a listed cyclic p-subgroup, not
   inside H, whose listed generator g has g^p in H and normalizes H as an
-  element of K.  K is therefore reached from H in one step, and H, being
-  smaller, is reached by induction.
+  element of K.  So a step from H reaches K, and H, being smaller, is
+  found by induction.
+- Extending one subgroup per class loses nothing.  Conjugation by x maps the
+  step H -> <H, g> to xHx^-1 -> <xHx^-1, xgx^-1>, and the listed generator
+  g' of <xgx^-1> has g'^p in xHx^-1 and normalizes it.  So from the extended
+  conjugate of H a step reaches a conjugate of K, whose class brings K.  The
+  seeds are normal, so each is a class of its own.
 - A perfect subgroup lies in SL(2, ell), because det maps into the abelian
   group F_ell^*.  SL(2, 3) has order 24 and is solvable, so its only perfect
   subgroup is trivial.  A nontrivial perfect group is not solvable, so its
@@ -79,6 +90,7 @@ class GL2:
                         (c * e + d * g) % ell, (c * f + d * h) % ell)]
                  for (e, f, g, h) in elements] for (a, b, c, d) in gens]
         self.identity = index[(1, 0, 0, 1)]
+        self.generators = [index[s] for s in gens]
         # s h is s's row at h, and the row of s h is s's row read at h's row
         # (itemgetter of n >= 6 indices returns a tuple)
         mult = [None] * n
@@ -243,20 +255,23 @@ def enumerate_subgroups(group: GL2) -> list[int]:
 
 
 def _cyclic_extension(group: GL2, seeds: list[tuple[int, list[int]]]) -> list[int]:
-    """Masks of the proper subgroups reached from the seeds (mask, generators)
-    by normal prime-index steps; see the module docstring."""
+    """Masks of the proper subgroups reached from the normal seeds (mask,
+    generators) by normal prime-index steps from one subgroup per conjugacy
+    class, and of their conjugates; see the module docstring."""
     mult = group.mult
     # steps_at[y]: the steps (p, g, g^-1, [g, ..., g^(p-1)]) with g^p = y
     steps_at = [[] for _ in range(group.order)]
     for _, g, p, pw in group.cyclic_prime_power_subgroups():
         steps_at[pw[p % len(pw)]].append((p, g, pw[-1], pw[1:p]))
-    gens_of = dict(seeds)
-    elems_of = {mask: bits_of(mask) for mask in gens_of}
-    queue = list(gens_of)
+    bit = [1 << x for x in range(group.order)]
+    # x -> s x s^-1 for each generator s: s's row read in s^-1's column
+    conjugations = [itemgetter(*mult[s])(list(map(itemgetter(group.powers(s)[-1]), mult)))
+                    for s in group.generators]
+    found = {mask for mask, _ in seeds}
+    # (mask, element list, generators) of one subgroup per conjugacy class
+    queue = [(mask, bits_of(mask), gens) for mask, gens in seeds]
     while queue:
-        h_mask = queue.pop()
-        h_gens = gens_of[h_mask]
-        h_elems = elems_of[h_mask]
+        h_mask, h_elems, h_gens = queue.pop()
         h_size = len(h_elems)
         built = h_mask  # H and every K built from it
         for y in h_elems:
@@ -273,15 +288,21 @@ def _cyclic_extension(group: GL2, seeds: list[tuple[int, list[int]]]) -> list[in
                     for gi in g_powers:
                         row = mult[gi]
                         k_elems += [row[h] for h in h_elems]
-                    k_mask = h_mask
-                    for x in k_elems[h_size:]:
-                        k_mask |= 1 << x
+                    k_mask = sum(itemgetter(*k_elems)(bit))
                     built |= k_mask
-                    if k_mask not in gens_of:
-                        gens_of[k_mask] = h_gens + [g]
-                        elems_of[k_mask] = k_elems
-                        queue.append(k_mask)
-    return sorted(gens_of)
+                    if k_mask not in found:
+                        # K is the first of its class: add the whole class
+                        found.add(k_mask)
+                        queue.append((k_mask, k_elems, h_gens + [g]))
+                        members = [k_elems]
+                        for elems in members:
+                            for conjugate in conjugations:
+                                image = itemgetter(*elems)(conjugate)
+                                mask = sum(itemgetter(*image)(bit))
+                                if mask not in found:
+                                    found.add(mask)
+                                    members.append(image)
+    return sorted(found)
 
 
 def validate_surjectivity_criterion(ell: int) -> CriterionValidation:

@@ -1,5 +1,8 @@
 import hashlib
+import inspect
 import struct
+import sys
+from collections import Counter
 from operator import itemgetter
 
 import pytest
@@ -279,15 +282,27 @@ class CountingRows(list):
         return super().__getitem__(i)
 
 
-def test_enumeration_work_bound_mod_5():
-    # row lookups of group.mult made by the whole enumeration, including
-    # the listing of the cyclic subgroups: 74 856 when each subgroup is
-    # built once, against 144 766 when every step is tried on every
-    # subgroup and each coset is read one row per element of H
-    g = GL2(5)
+def enumeration_lookups(ell):
+    """The subgroup count and the row lookups of group.mult made by the whole
+    enumeration at ell, the listing of the cyclic subgroups included."""
+    g = GL2(ell)
     g.mult = CountingRows(g.mult)
-    assert len(enumerate_subgroups(g)) == 465
-    assert g.mult.lookups <= 90_000
+    return len(enumerate_subgroups(g)), g.mult.lookups
+
+
+def test_enumeration_work_bound_mod_5():
+    # 12 059 lookups when only the first subgroup found in each conjugacy
+    # class is extended, against 74 481 when every subgroup is, and 144 766
+    # when every step is also tried on every subgroup and each coset is read
+    # one row per element of H
+    count, lookups = enumeration_lookups(5)
+    assert count == 465 and lookups <= 12_500
+
+
+def test_enumeration_work_bound_mod_7():
+    # 68 238 lookups, against 701 845 when every subgroup is extended
+    count, lookups = enumeration_lookups(7)
+    assert count == 1703 and lookups <= 70_000
 
 
 def masks_sha256(group, masks):
@@ -348,3 +363,92 @@ def test_prime_power_base_matches_factor():
     assert _prime_power_base(899) is None  # 29 * 31
     assert _prime_power_base(1) is None
     assert _prime_power_base(1024) == 2
+
+
+def least_conjugates(group, masks):
+    """Map each mask to the least mask of its conjugacy class, conjugating by
+    every element x of the group (H -> x H x^-1), and check that each
+    conjugate is itself in masks."""
+    listed = set(masks)
+    least = dict(zip(masks, masks))
+    elems = [bits_of(m) for m in masks]
+    for x in range(group.order):
+        x_inv = group.powers(x)[-1]
+        conj_bit = [1 << group.mult[y][x_inv] for y in group.mult[x]]
+        for m, h_elems in zip(masks, elems):
+            image = sum(map(conj_bit.__getitem__, h_elems))
+            assert image in listed, (x, m)
+            least[m] = min(least[m], image)
+    return least
+
+
+@pytest.mark.parametrize("ell, class_count", [(3, 15), (5, 47)])
+def test_every_conjugate_of_a_subgroup_is_listed(ell, class_count):
+    g = GL2(ell)
+    least = least_conjugates(g, enumerate_subgroups(g))
+    assert len(set(least.values())) == class_count
+
+
+def step_loop_subgroups(group):
+    """enumerate_subgroups(group), and the mask of H at each pass of the step
+    loop of _cyclic_extension, read from its frame at the line after the one
+    that pops H off the queue."""
+    code = _cyclic_extension.__code__
+    lines, first = inspect.getsourcelines(_cyclic_extension)
+    after_pop = first + 1 + next(i for i, line in enumerate(lines) if "queue.pop()" in line)
+    extended = []
+
+    def trace_lines(frame, event, arg):
+        if event == "line" and frame.f_lineno == after_pop:
+            extended.append(frame.f_locals["h_mask"])
+        return trace_lines
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: trace_lines if frame.f_code is code else None)
+    try:
+        masks = enumerate_subgroups(group)
+    finally:
+        sys.settrace(previous)
+    return masks, extended
+
+
+@pytest.mark.parametrize("ell", [3, 5])
+def test_the_step_loop_runs_once_per_conjugacy_class(ell):
+    g = GL2(ell)
+    masks, extended = step_loop_subgroups(g)
+    least = least_conjugates(g, masks)
+    assert sorted(least[h] for h in extended) == sorted(set(least.values()))
+
+
+def onto_determinant(group, masks):
+    """The masks whose determinant image is all of F_ell^*."""
+    det_masks = [sum(1 << i for i, det in enumerate(group.det) if det == d)
+                 for d in set(group.det)]
+    return [m for m in masks if all(m & dm for dm in det_masks)]
+
+
+@pytest.mark.parametrize("ell, orders", [(5, {48: 10, 80: 6, 96: 5}),
+                                         (7, {72: 28, 96: 21, 252: 8})])
+def test_maximal_subgroups_with_onto_determinant_have_dicksons_counts(ell, orders):
+    # Dickson: at 5, N(C_ns), the Borel subgroups and the S4-type (N(C_s), of
+    # order 32, lies in an S4-type); at 7, N(C_s), N(C_ns) and the Borel
+    # subgroups, and no S4-type, because 7 = -1 mod 8
+    g = GL2(ell)
+    onto = onto_determinant(g, enumerate_subgroups(g))
+    maximal = [m for m in onto if not any(o != m and o & m == m for o in onto)]
+    assert Counter(m.bit_count() for m in maximal) == orders
+
+
+def test_no_subgroup_with_onto_determinant_meets_all_three_witnesses_mod_7():
+    # the sampling criterion at ell = 7, where det, the cyclotomic character,
+    # is onto F_7^*: no proper subgroup with onto determinant meets all
+    # three witness classes
+    g = GL2(7)
+    masks = enumerate_subgroups(g)
+    class_masks = witness_masks(g, witness_classes(7))
+    onto = onto_determinant(g, masks)
+    assert len(onto) == 649
+    assert not any(subgroup_witnesses(m, class_masks).all_three for m in onto)
+    # the one proper subgroup that does is the det-preimage of {1, -1}
+    offenders = [m for m in masks if subgroup_witnesses(m, class_masks).all_three]
+    assert [(m.bit_count(), {g.det[i] for i in bits_of(m)}) for m in offenders] == [(672, {1, 6})]
