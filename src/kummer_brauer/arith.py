@@ -1,8 +1,9 @@
 """Exact integer/rational arithmetic: factorization, p-adic valuations,
 perfect-square tests, and square classes in Q*/Q*^2, by factorization and as
 exponent parities over a coprime base (which serves only the displayed
-residue classes; the residue kernel needs square tests alone).  Also Record,
-the base of the package's immutable records, and primes_up_to.
+residue classes; the residue kernel needs square tests alone), and the
+rational roots of integer polynomials.  Also Record, the base of the
+package's immutable records, and primes_up_to.
 
 All operations are deterministic, and the module keeps no state: the primes
 come from the constant table SMALL_PRIMES of the primes below 1000, then,
@@ -328,3 +329,86 @@ def square_class_bits(n: int, base: list[int]) -> int:
 def bits_of(mask: int) -> list[int]:
     """Indices of set bits of a non-negative mask, ascending."""
     return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+
+
+# -- rational roots ---------------------------------------------------------------
+
+Poly = list[int]  # integer coefficients, constant term first
+
+# rational_roots looks for a prime with no root mod p among this many primes
+ROOT_TEST_PRIMES = 6
+
+
+def poly_eval(f: Poly, x, m: int = 0):
+    """f(x), or f(x) mod m for m > 0."""
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+        if m:
+            acc %= m
+    return acc
+
+
+def _has_repeated_root(f: Poly) -> bool:
+    """Whether gcd(f, f') has positive degree, by Euclid's algorithm over Q."""
+    a = [Fraction(c) for c in f]
+    b = [Fraction(i * c) for i, c in enumerate(f)][1:]
+    while b:
+        while len(a) >= len(b):  # a <- a mod b
+            q, k = a[-1] / b[-1], len(a) - len(b)
+            for i, c in enumerate(b):
+                a[i + k] -= q * c
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) > 1
+
+
+def rational_roots(f: Poly) -> list[Fraction]:
+    """The rational roots of f, an integer polynomial, in increasing order,
+    found without factoring.
+
+    y = c x (c the leading coefficient) turns c^(n-1) f(y/c) into a monic
+    integer polynomial g, whose rational roots are integers, so each reduces
+    to a root of g mod every prime.  The first ROOT_TEST_PRIMES primes
+    p >= 5 not dividing c are tried: one with no root mod p proves there is
+    none.  Otherwise the roots mod the prime with the fewest roots, all of
+    them simple, are Hensel-lifted modulo p^(2^k) > 2M, M = 1 + max |g_i|
+    the Cauchy bound on |y|; a lift becomes a root only when g(y) = 0
+    exactly.  ValueError when none of the first ROOT_TEST_PRIMES primes has
+    only simple roots or none, and f has a repeated root: a repeated
+    rational root is a repeated root mod every prime.
+    """
+    n = len(f) - 1
+    c = f[n]
+    g = [f[i] * c ** (n - 1 - i) for i in range(n)] + [1]
+    dg = [i * g[i] for i in range(1, n + 1)]
+    lift: tuple[int, list[int]] | None = None
+    p, tried = 3, 0
+    while lift is None or tried < ROOT_TEST_PRIMES:
+        p += 2
+        while not is_prime(p) or c % p == 0:
+            p += 2
+        gp = [a % p for a in g]
+        roots = [r for r in range(p) if poly_eval(gp, r, p) == 0]
+        if not roots:
+            return []
+        tried += 1
+        if all(poly_eval(dg, r, p) for r in roots):
+            if lift is None or len(roots) < len(lift[1]):
+                lift = (p, roots)
+        elif tried == ROOT_TEST_PRIMES and lift is None and _has_repeated_root(g):
+            raise ValueError("polynomial has a repeated root")
+    p, roots = lift
+    bound = 1 + max(abs(a) for a in g[:n])
+    out = []
+    for r in roots:
+        m = p
+        while m <= 2 * bound:
+            m *= m
+            r = (r - poly_eval(g, r, m) * pow(poly_eval(dg, r, m), -1, m)) % m
+        y = r - m if 2 * r > m else r
+        # an integer root divides the constant term; that test is cheap
+        if abs(y) <= bound and (g[0] % y == 0 if y else g[0] == 0) and poly_eval(g, y) == 0:
+            out.append(Fraction(y, c))
+    return sorted(out)

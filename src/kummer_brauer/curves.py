@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm
 
-from .arith import Rational, Record, is_prime, primes_up_to
+from .arith import Rational, Record, is_prime, primes_up_to, rational_roots
 
 
 class SingularCurveError(ValueError):
@@ -118,11 +118,11 @@ class CurveLW(Record):
 
         On the integral model (x -> x / u^2) y = 4x turns the cubic monic
         and integral, y^3 + b2 y^2 + 8 b4 y + 16 b6, so its rational roots
-        are integers, and x = y / (4 u^2)."""
+        are integers, found by arith.rational_roots, and x = y / (4 u^2).
+        The cubic is separable because the discriminant is not 0."""
         b2, b4, b6 = self._b246
         scale = 4 * self._u**2
-        roots = _integer_roots_monic_cubic(b2, 8 * b4, 16 * b6)
-        return sorted(Fraction(y, scale) for y in roots)
+        return [y / scale for y in rational_roots([16 * b6, 8 * b4, b2, 1])]
 
     def is_p_integral(self, p: int) -> bool:
         """Whether no coefficient has the prime p in its denominator."""
@@ -427,48 +427,6 @@ def frobenius_table(curve: CurveLW, bound: int) -> FrobeniusTable:
         if t * t > 4 * p:
             raise AssertionError(f"Hasse bound violated at {p}: a_p = {t}")
     return FrobeniusTable(curve.label(), bound, entries)
-
-
-def _integer_roots_monic_cubic(d2: int, d1: int, d0: int) -> set[int]:
-    """All integer roots of f(y) = y^3 + d2 y^2 + d1 y + d0, by bisection.
-
-    Every real root lies in [-M, M] with M = 2 max(|d2|, sqrt|d1|, cbrt|d0|)
-    (Fujiwara's bound), rounded up to integers.  Since
-    3 f'(y) = (3y + d2)^2 - D with D = d2^2 - 3 d1, f increases on the
-    integers up to floor(r1), decreases from ceil(r1) to floor(r2) and
-    increases from ceil(r2) on, r1 <= r2 the critical points
-    (-d2 -+ sqrt(D)) / 3; for D <= 0 it increases everywhere.  The cut
-    points are exact: floor((t - sqrt(D)) / 3) = (t - ceil(sqrt(D))) // 3.
-    Each monotone run holds at most one root, found by bisection.
-    """
-    def f(y: int) -> int:
-        return ((y + d2) * y + d1) * y + d0
-
-    M = 2 * max(abs(d2), isqrt(abs(d1)) + 1, 1 << -(-abs(d0).bit_length() // 3))
-    D = d2 * d2 - 3 * d1
-    if D <= 0:
-        runs = [(-M, M, 1)]
-    else:
-        s = isqrt(D)
-        c = s if s * s == D else s + 1  # ceil(sqrt(D))
-        runs = [(-M, (-d2 - c) // 3, 1),
-                (-((d2 + s) // 3), (-d2 + s) // 3, -1),
-                (-((d2 - c) // 3), M, 1)]
-    roots = set()
-    for lo, hi, sign in runs:
-        lo, hi = max(lo, -M), min(hi, M)
-        if lo > hi:
-            continue
-        # the first y in [lo, hi] with sign * f(y) >= 0
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if sign * f(mid) >= 0:
-                hi = mid
-            else:
-                lo = mid + 1
-        if f(lo) == 0:
-            roots.add(lo)
-    return roots
 
 
 NO_TWO_TORSION = "no rational 2-torsion"

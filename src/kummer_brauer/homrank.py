@@ -14,17 +14,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .arith import Record, is_rational_square, is_square, valuation
+from .arith import Record, is_rational_square, is_square, primes_up_to, rational_roots, valuation
 from .curves import (
     CM_J_INVARIANTS,
     HASSE_MAX_PRIME,
     CurveLW,
-    _integer_roots_monic_cubic,
     ap,
     cm_status,
     count_points_exhaustive,
     is_good_prime,
-    primes_up_to,
 )
 from .isogeny import codomains
 from .residues import Gate
@@ -163,11 +161,11 @@ def isogenous(e: CurveLW, e2: CurveLW) -> bool:
 
 
 def _integer_root(n: int, k: int) -> int | None:
-    """The integer r with r^k = n for k = 3, or r >= 0 with r^2 = n for
-    k = 2; None when there is none."""
+    """The integer r with r^3 = n for k = 3 (n >= 1, so x^3 - n is
+    separable), or r >= 0 with r^2 = n for k = 2; None when there is none."""
     if k == 2:
         return isqrt(n) if is_square(n) else None
-    return next(iter(_integer_roots_monic_cubic(0, 0, -n)), None)
+    return next((int(r) for r in rational_roots([-n, 0, 0, 1])), None)
 
 
 def _is_rational_power(q: Fraction, *ks: int) -> bool:

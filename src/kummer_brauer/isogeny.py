@@ -1,6 +1,5 @@
 """Rational isogenies of degree 2, 3, 5, 7 and 13 through the modular curves
-X_0(ell) of genus 0, and rational roots of integer polynomials found
-without factoring.
+X_0(ell) of genus 0.
 
 Each X_0(ell) with ell in {2, 3, 5, 7, 13} has a parameter t with
 j = N(t)/t, and the Fricke involution t -> s/t gives the j-invariant of the
@@ -10,7 +9,8 @@ the rational ell-isogenies of a curve with j-invariant j, one each, whether
 or not the kernel points have rational x-coordinates (the mu_5 kernel of
 11a1 -> 11a3 is found).  Elkies' normalization (Elkies 1998; Schoof,
 J. Theor. Nombres Bordeaux 7, 1995, section 7) then gives the codomain over
-Q exactly, twist included, with no kernel polynomial.
+Q exactly, twist included, with no kernel polynomial.  The roots t come
+from arith.rational_roots, without factoring.
 
 Everything works on an integral short model y^2 = x^3 + A x + B (a curve's
 short_model), given as the pair (A, B).  Not found: isogenies of degree 11,
@@ -24,10 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .arith import is_prime
+from .arith import poly_eval, rational_roots
 from .curves import j_invariant_sw
-
-Poly = list[int]  # integer coefficients, constant term first
 
 # (ell, s, N(t) with constant term first): j = N(t)/t on X_0(ell), and the
 # Fricke involution is t -> s/t
@@ -43,94 +41,10 @@ X0_TABLE = (
 )
 X0_DEGREES = tuple(ell for ell, _, _ in X0_TABLE)
 
-# rational_roots looks for a prime with no root mod p among this many primes
-ROOT_TEST_PRIMES = 6
-
 
 def _integral(A: Fraction, B: Fraction) -> tuple[int, int]:
     u = lcm(A.denominator, B.denominator)
     return int(A * u**4), int(B * u**6)
-
-
-def _eval(f, x, m: int = 0):
-    """f(x), or f(x) mod m for m > 0."""
-    acc = 0
-    for c in reversed(f):
-        acc = acc * x + c
-        if m:
-            acc %= m
-    return acc
-
-
-# -- rational roots --------------------------------------------------------------
-
-
-def _has_repeated_root(f: Poly) -> bool:
-    """Whether gcd(f, f') has positive degree, by Euclid's algorithm over Q."""
-    a = [Fraction(c) for c in f]
-    b = [Fraction(i * c) for i, c in enumerate(f)][1:]
-    while b:
-        while len(a) >= len(b):  # a <- a mod b
-            q, k = a[-1] / b[-1], len(a) - len(b)
-            for i, c in enumerate(b):
-                a[i + k] -= q * c
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    return len(a) > 1
-
-
-def rational_roots(f: Poly) -> list[Fraction]:
-    """The rational roots of f, an integer polynomial, in increasing order,
-    found without factoring.
-
-    y = c x (c the leading coefficient) turns c^(n-1) f(y/c) into a monic
-    integer polynomial g, whose rational roots are integers, so each reduces
-    to a root of g mod every prime.  The first ROOT_TEST_PRIMES primes
-    p >= 5 not dividing c are tried: one with no root mod p proves there is
-    none.  Otherwise the roots mod the prime with the fewest roots, all of
-    them simple, are Hensel-lifted modulo p^(2^k) > 2M, M = 1 + max |g_i|
-    the Cauchy bound on |y|; a lift becomes a root only when g(y) = 0
-    exactly.  ValueError when none of the first ROOT_TEST_PRIMES primes has
-    only simple roots or none, and f has a repeated root: a repeated
-    rational root is a repeated root mod every prime.
-    """
-    n = len(f) - 1
-    c = f[n]
-    g = [f[i] * c ** (n - 1 - i) for i in range(n)] + [1]
-    dg = [i * g[i] for i in range(1, n + 1)]
-    lift: tuple[int, list[int]] | None = None
-    p, tried = 3, 0
-    while lift is None or tried < ROOT_TEST_PRIMES:
-        p += 2
-        while not is_prime(p) or c % p == 0:
-            p += 2
-        gp = [a % p for a in g]
-        roots = [r for r in range(p) if _eval(gp, r, p) == 0]
-        if not roots:
-            return []
-        tried += 1
-        if all(_eval(dg, r, p) for r in roots):
-            if lift is None or len(roots) < len(lift[1]):
-                lift = (p, roots)
-        elif tried == ROOT_TEST_PRIMES and lift is None and _has_repeated_root(g):
-            raise ValueError("polynomial has a repeated root")
-    p, roots = lift
-    bound = 1 + max(abs(a) for a in g[:n])
-    out = []
-    for r in roots:
-        m = p
-        while m <= 2 * bound:
-            m *= m
-            r = (r - _eval(g, r, m) * pow(_eval(dg, r, m), -1, m)) % m
-        y = r - m if 2 * r > m else r
-        # an integer root divides the constant term; that test is cheap
-        if abs(y) <= bound and (g[0] % y == 0 if y else g[0] == 0) and _eval(g, y) == 0:
-            out.append(Fraction(y, c))
-    return sorted(out)
-
-
-# -- isogenies ---------------------------------------------------------------------
 
 
 def x0_roots(j: Fraction, ell: int) -> list[Fraction]:
@@ -162,10 +76,10 @@ def codomains(A: int, B: int) -> list[tuple[int, tuple[int, int]]]:
         D = [(i - 1) * c for i, c in enumerate(N)]
         for t in x0_roots(j, ell):
             u = s / t
-            j2 = _eval(N, u) / u
+            j2 = poly_eval(N, u) / u
             if j2 in (0, 1728):
                 continue
-            dj2 = -t * t * _eval(D, u) * 18 * j * B / (s * _eval(D, t) * ell * A)
+            dj2 = -t * t * poly_eval(D, u) * 18 * j * B / (s * poly_eval(D, t) * ell * A)
             E4 = dj2 * dj2 / (j2 * (j2 - 1728))
             E6 = -dj2**3 / (j2 * j2 * (j2 - 1728))
             out.append((ell, _integral(-E4 / 48, E6 / 864)))

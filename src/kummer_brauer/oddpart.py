@@ -254,7 +254,7 @@ def no_rational_ell_isogeny(curve: CurveLW, ell: int, bound: int) -> int | None:
     Such a p proves E_ell has no Galois-stable line, hence no rational
     ell-isogeny.  None means no witness was found, which proves nothing.
     """
-    if ell == 2 or ell < 2:
+    if ell == 2 or not is_prime(ell):
         raise ValueError("ell must be an odd prime")
     squares = {x * x % ell for x in range(ell)}
     for p in good_primes((curve,), bound, skip=ell):

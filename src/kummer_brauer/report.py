@@ -223,7 +223,7 @@ def _root_factor(var: str, root: Fraction) -> str:
     if root == 0:
         return var
     r = str(root) if root.denominator == 1 else f"({root})"
-    return f"({var}-{r})" if root > 0 else f"({var}+{str(-root) if root.denominator != 1 else -root.numerator})"
+    return f"({var}-{r})" if root > 0 else f"({var}+{str(-root)})"
 
 
 def _curve_rhs(ci: CurveInput, var: str) -> tuple[str, bool]:

@@ -14,6 +14,7 @@ import pytest
 
 from kummer_brauer import cli, report
 from kummer_brauer.cli import build_parser, main
+from kummer_brauer.curves import CurveLW
 from test_acceptance import GOLDEN_DIR, GOLDEN_SPECS
 
 
@@ -478,6 +479,23 @@ def test_a_translated_model_with_an_unprintable_surface_exits_2(capsys):
                              "--format", "text", "--bound-B", "100")
         assert code == code_wanted, err
         assert (code == 0) == ("z^2 = (4x^3" in out)
+
+
+def test_a_1400_digit_model_finds_its_three_two_torsion_points(capsys):
+    # y^2 = (x - r + 2)(x - r)(x - r - 1) with r of 1400 digits: a6 has
+    # about 4200, near the largest model a report can print, and the surface
+    # equation shows the three roots
+    r = int("31415926535" * 127 + "897")
+    roots = (r - 2, r, r + 1)
+    a2 = -sum(roots)
+    a4 = roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2]
+    a6 = -roots[0] * roots[1] * roots[2]
+    assert len(str(r)) == 1400 and len(str(a6)) < 4300
+    assert CurveLW(0, a2, 0, a4, a6).cubic_roots == list(roots)
+    code, out, err = run(capsys, "analyze", "--first", f"w:0,{a2},0,{a4},{a6}",
+                         "--second", "rt2:1,2", "--format", "text", "--bound-B", "100")
+    assert code == 0, err
+    assert "z^2 = " + "".join(f"(x-{e})" for e in roots) in out
 
 
 def test_matrix_largest_accepted_input_ends_within_its_budget(capsys):

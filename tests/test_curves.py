@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from kummer_brauer import curves
-from kummer_brauer.arith import factor, is_prime, primes_up_to
+from kummer_brauer.arith import factor, is_prime, primes_up_to, rational_roots
 from kummer_brauer.curves import (
     CM_J_INVARIANTS,
     HASSE_MAX_PRIME,
@@ -245,13 +245,13 @@ def test_integral_invariants_equal_the_fraction_formulas():
                     good_reduction_at(c, p)
 
 
-def test_rt2_form_carried_by_to_lw_equals_the_bisection():
+def test_rt2_form_carried_by_to_lw_equals_the_root_search():
     rng = random.Random(89)
     pairs = [(3, 5), (5, 3), (-3, 5), (3, -5), (-3, -5), (-5, -3), (7, -7)]
     pairs += [(c.a, c.b) for c in (random_rt2(rng, -10**6, 10**6) for _ in range(50))]
     for a, b in pairs:
         carried = CurveRT2(a, b).to_lw()
-        found = CurveLW(0, -(a + b), 0, a * b, 0)  # no carried form: bisection
+        found = CurveLW(0, -(a + b), 0, a * b, 0)  # no carried form: root search
         assert carried == found and carried is not found
         assert to_rt2(carried) == to_rt2(found) == curves._rt2_form(found)
         if a < 0 or b < 0:
@@ -586,7 +586,7 @@ def test_singular_inputs_rejected():
         CurveLW(0, 0, 0, 0, 0)
 
 
-# -- rational roots of monic cubics: bisection against divisor enumeration -----
+# -- rational roots of monic cubics: rational_roots against divisor enumeration -
 
 
 def _divisors(n):
@@ -662,31 +662,42 @@ def random_monic_cubic(rng):
 
 
 def rational_roots_monic_cubic(c2, c1, c0):
-    """All rational roots (distinct) of x^3 + c2 x^2 + c1 x + c0, by
-    _integer_roots_monic_cubic after y = L x, L the common denominator: the
-    bisection's reference, and the root search cubic_roots replaced."""
+    """The rational roots of the separable x^3 + c2 x^2 + c1 x + c0, in
+    increasing order: arith.rational_roots of L times it, L the common
+    denominator of its coefficients."""
     L = math.lcm(*(Fraction(c).denominator for c in (c2, c1, c0)))
-    roots = curves._integer_roots_monic_cubic(
-        int(c2 * L), int(c1 * L * L), int(c0 * L**3))
-    return sorted(Fraction(r, L) for r in roots)
+    return rational_roots([int(c * L) for c in (c0, c1, c2, 1)])
 
 
-def test_bisection_roots_match_divisor_enumeration():
+def cubic_discriminant(c2, c1, c0):
+    """The discriminant of x^3 + c2 x^2 + c1 x + c0."""
+    return 18 * c2 * c1 * c0 - 4 * c2**3 * c0 + c2 * c2 * c1 * c1 - 4 * c1**3 - 27 * c0 * c0
+
+
+def test_rational_roots_of_cubics_match_divisor_enumeration():
+    # a cubic with a repeated root has a rational repeated root, a repeated
+    # root mod every prime: rational_roots raises ValueError on those
     rng = random.Random(5003)
     cubics = [random_monic_cubic(rng) for _ in range(5000)]
     cubics += [(Fraction(0),) * 3, (Fraction(-3), Fraction(3), Fraction(-1)),  # x^3, (x-1)^3
                (Fraction(0), Fraction(-3), Fraction(2)),  # (x-1)^2 (x+2)
                (Fraction(0), Fraction(1), Fraction(0)),  # x (x^2 + 1)
                (Fraction(-9, 4), Fraction(1, 2), Fraction(0))]
-    counts = set()
+    counts, repeated = set(), 0
     for c in cubics:
+        if cubic_discriminant(*c) == 0:
+            with pytest.raises(ValueError):
+                rational_roots_monic_cubic(*c)
+            repeated += 1
+            continue
         got = rational_roots_monic_cubic(*c)
         assert got == divisor_roots(*c), c
         counts.add(len(got))
-    assert counts == {0, 1, 2, 3}
+    assert counts == {0, 1, 3}
+    assert repeated > 500
 
 
-def test_bisection_roots_of_large_cubics():
+def test_rational_roots_of_large_cubics():
     # roots of 60 and 200 digits, where divisor enumeration cannot run
     for digits in (60, 200):
         big = 10**digits

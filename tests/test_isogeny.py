@@ -11,12 +11,11 @@ from fractions import Fraction
 import pytest
 
 from kummer_brauer import homrank, oddpart, report
-from kummer_brauer.arith import primes_up_to, valuation
+from kummer_brauer.arith import poly_eval, primes_up_to, rational_roots, valuation
 from kummer_brauer.curves import (
     CM_J_INVARIANTS,
     CurveLW,
     _ec_mul,
-    _integer_roots_monic_cubic,
     add_points,
     ap,
     count_points_exhaustive,
@@ -35,10 +34,8 @@ from kummer_brauer.homrank import (
 )
 from kummer_brauer.isogeny import (
     X0_TABLE,
-    _eval,
     _integral,
     codomains,
-    rational_roots,
     x0_roots,
 )
 from kummer_brauer.oddpart import (
@@ -206,8 +203,8 @@ def division_polynomials(A: int, B: int) -> dict[int, Poly]:
 def _x_multiple(psi: dict[int, Poly], x: Fraction, k: int) -> Fraction:
     """x(kP) = x(P) - psi_(k-1) psi_(k+1) / psi_k^2 for k = 2, 3 (the
     doubling formula at k = 2), in the g_n of division_polynomials."""
-    F = _eval(psi[0], x)
-    below, above, mid = (_eval(psi[i], x) for i in (k - 1, k + 1, k))
+    F = poly_eval(psi[0], x)
+    below, above, mid = (poly_eval(psi[i], x) for i in (k - 1, k + 1, k))
     if k % 2:
         return x - F * below * above / (mid * mid)
     return x - below * above / (F * mid * mid)
@@ -216,14 +213,14 @@ def _x_multiple(psi: dict[int, Poly], x: Fraction, k: int) -> Fraction:
 def kernels(A: int, B: int, ell: int,
             psi: dict[int, Poly] | None = None) -> list[tuple[Fraction, ...]]:
     """Every ell-kernel of y^2 = x^3 + A x + B with rational x-coordinates,
-    for ell in KERNEL_DEGREES: (x(P),) at ell = 2 (an integer root of the
-    monic 2-division cubic, by curves' bisection), (x(P), ..., x((ell-1)/2 P))
-    for odd ell (roots of psi_ell).
+    for ell in KERNEL_DEGREES: (x(P),) at ell = 2 (a root of the monic
+    2-division cubic), (x(P), ..., x((ell-1)/2 P)) for odd ell (roots of
+    psi_ell).
     psi, when given, is division_polynomials(A, B)."""
     if ell not in KERNEL_DEGREES:
         raise ValueError(f"kernels of degree {ell} are not searched")
     if ell == 2:
-        return [(Fraction(x),) for x in sorted(_integer_roots_monic_cubic(0, A, B))]
+        return [(x,) for x in rational_roots([B, A, 0, 1])]
     psi = psi or division_polynomials(A, B)
     out: list[tuple[Fraction, ...]] = []
     seen: set[Fraction] = set()
@@ -596,7 +593,7 @@ def test_mu5_reducible_exit_reads_only_the_small_primes(monkeypatch):
 
 def _e13():
     """A curve with a rational 13-isogeny: j = N(3)/3 on X_0(13)."""
-    return curve_with_j(Fraction(_eval(X0_TABLE[-1][2], 3), 3))
+    return curve_with_j(Fraction(poly_eval(X0_TABLE[-1][2], 3), 3))
 
 
 def test_reducible_shortcut_names_the_kernel():
@@ -608,7 +605,7 @@ def test_reducible_shortcut_names_the_kernel():
         # the witness names a point t of X_0(ell) over j(E)
         (N,) = (N for degree, _, N in X0_TABLE if degree == ell)
         t = Fraction(v.witnesses[-1][1].split("t = ")[1].split()[0])
-        assert _eval(N, t) == e.j() * t
+        assert poly_eval(N, t) == e.j() * t
         # a Borel image has no nonsplit witness; a class not met by p = 229
         # is marked as not sampled beyond it, never as absent below B
         assert v.witnesses[0][1] == "not found for p <= 229; larger p not sampled"

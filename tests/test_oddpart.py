@@ -287,6 +287,16 @@ def test_isogeny_witnesses():
     assert no_rational_ell_isogeny(E_CM_W, 3, 200) is None
 
 
+def test_isogeny_witness_needs_an_odd_prime_ell():
+    # irreducibility mod a composite ell proves nothing: on 11a1 at ell = 9
+    # and 15 the scan would return p = 2
+    e_11a1 = CurveLW(0, -1, 1, -10, -20)
+    for ell in (-3, 0, 1, 2, 9, 15, 25):
+        with pytest.raises(ValueError):
+            no_rational_ell_isogeny(e_11a1, ell, 200)
+    assert no_rational_ell_isogeny(e_11a1, 3, 200) == 2
+
+
 def test_isogeny_witness_reverified():
     for ell in (3, 7, 11):
         p = no_rational_ell_isogeny(E_CM_I, ell, 200)

@@ -2,7 +2,6 @@ import hashlib
 import importlib.util
 import json
 import random
-import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -425,19 +424,17 @@ def test_report_bytes_equal_the_pinned_panel_digest():
 
 
 def _spy_on_root_searches(monkeypatch) -> list:
-    """Record the arguments of every _integer_roots_monic_cubic call, in each
-    kummer_brauer module that holds the function."""
+    """Record the coefficients of every rational_roots call made through the
+    binding in curves, which cubic_roots reads; X_0(ell) root searches go
+    through other bindings and are not counted."""
     searches = []
-    search = curves._integer_roots_monic_cubic
+    search = curves.rational_roots
 
-    def spy(*coeffs):
-        searches.append(coeffs)
-        return search(*coeffs)
+    def spy(f):
+        searches.append(f)
+        return search(f)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("kummer_brauer") and \
-                getattr(module, "_integer_roots_monic_cubic", None) is search:
-            monkeypatch.setattr(module, "_integer_roots_monic_cubic", spy)
+    monkeypatch.setattr(curves, "rational_roots", spy)
     return searches
 
 

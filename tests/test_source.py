@@ -116,6 +116,38 @@ def test_no_json_dumps_in_the_package():
     assert found == []
 
 
+def _top_level_definitions(tree) -> set[str]:
+    """The names a module body binds by def, class or assignment (not by
+    import)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_package_imports_name_public_names_their_module_defines():
+    # each name lives in one module and is imported from that one: no
+    # private name crosses a module boundary, and no import is relayed
+    # through a module that itself imported the name
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    found = []
+    for stem, tree in trees.items():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1 and node.module):
+                continue
+            defined = _top_level_definitions(trees[node.module])
+            found += [f"{stem}.py:{node.lineno} {node.module}.{alias.name}"
+                      for alias in node.names
+                      if alias.name.startswith("_") or alias.name not in defined]
+    assert len(trees) > 5
+    assert found == []
+
+
 def _names_used(node, skip):
     """The names that node reads, imports or reads as attributes, outside
     the subtree skip."""
