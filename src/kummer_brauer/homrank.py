@@ -17,14 +17,13 @@ from math import isqrt
 from .arith import Record, is_rational_square, is_square, primes_up_to, rational_roots, valuation
 from .curves import (
     CM_J_INVARIANTS,
-    HASSE_MAX_PRIME,
     CurveLW,
     ap,
     cm_status,
     count_points_exhaustive,
     is_good_prime,
 )
-from .isogeny import codomains
+from .isogeny import X0_EXIT_PRIME, codomains
 from .residues import Gate
 
 # An isogeny class over Q has at most 8 curves (Kenku, J. Number Theory 15,
@@ -87,7 +86,7 @@ def nonisogeny_certificate(e: CurveLW, e2: CurveLW, bound: int) -> IsogenyEviden
     j (twists of each other, or the same curve), and when both j are CM
     (quartic and sextic twists break the sign argument, so traces are not
     compared, and CM j are integers).  So it is when a walk from E, at the
-    first prime above HASSE_MAX_PRIME, reaches a curve with the j of
+    first prime above isogeny.X0_EXIT_PRIME, reaches a curve with the j of
     E' (E' or a twist of it).  The evidence records a Q-isogeny to E'
     itself (isogenous); a twist meeting records none.
     """
@@ -101,7 +100,7 @@ def nonisogeny_certificate(e: CurveLW, e2: CurveLW, bound: int) -> IsogenyEviden
         return IsogenyEvidence("none-found", None, none_found, isogenous(e, e2))
     walked = False  # pairs with an early witness never pay for the walk
     for p in primes_up_to(bound):
-        if not walked and p > HASSE_MAX_PRIME:
+        if not walked and p > X0_EXIT_PRIME:
             walked = True
             # a Q-isogeny to E' or to a twist of E' gives equal a_p^2 at
             # every common good prime and the same potentially

@@ -41,6 +41,18 @@ X0_TABLE = (
 )
 X0_DEGREES = tuple(ell for ell, _, _ in X0_TABLE)
 
+# The trace scans' two exact exits, the isogeny walk in
+# homrank.nonisogeny_certificate and the X_0(ell) root in
+# oddpart.mod_ell_surjectivity, run at the first prime above this one, so
+# that a pair with an earlier witness never pays for them.  Each witness
+# class shows at a positive density of primes, so a pair still without a
+# witness here is almost always isogenous, a twist or of Borel image: the
+# pairs the exits end.  Analysing the goldens and search_family(363) meets
+# every non-isogeny witness at p = 3 or 5 and, at every sampled ell <= 37,
+# the last witness class by p = 41 (at ell = 11), so none of them runs an
+# exit.
+X0_EXIT_PRIME = 50
+
 
 def _integral(A: Fraction, B: Fraction) -> tuple[int, int]:
     u = lcm(A.denominator, B.denominator)

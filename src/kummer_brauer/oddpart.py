@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from .arith import Record, is_prime, is_rational_square, primes_up_to, valuation
 from .curves import (
-    HASSE_MAX_PRIME,
     CurveLW,
     CurveRT2,
     Point,
@@ -28,7 +27,7 @@ from .curves import (
 )
 from .gl2 import CriterionValidation, WitnessPredicate, validate_surjectivity_criterion
 from .homrank import same_curve
-from .isogeny import X0_DEGREES, x0_roots
+from .isogeny import X0_DEGREES, X0_EXIT_PRIME, x0_roots
 
 
 class SurjectivityVerdict(Record):
@@ -84,7 +83,7 @@ def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVe
     (ell-1)/2 nonsquares and (ell-1)/2 - 1 >= 1 other nonzero squares; and
     u = t^2/d runs over F_ell^*, from which at most 5 values are excluded
     (u = 3 is left at ell = 5).  At ell = 5, 7 and 13, once the scan
-    passes HASSE_MAX_PRIME, a rational root t of N(t) - j t on X_0(ell)
+    passes isogeny.X0_EXIT_PRIME, a rational root t of N(t) - j t on X_0(ell)
     (isogeny.x0_roots) ends it: a rational ell-isogeny puts the image in a
     Borel subgroup, which shows no nonsplit witness, so the verdict could
     only be inconclusive.  Curves with j = 0 or 1728 sample to the bound.
@@ -116,7 +115,7 @@ def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVe
     names = ("nonsplit", "split", "generic")
     isogeny_checked = ell not in X0_DEGREES
     for p in good_primes((curve,), bound, skip=ell):
-        if not isogeny_checked and p > HASSE_MAX_PRIME:
+        if not isogeny_checked and p > X0_EXIT_PRIME:
             isogeny_checked = True
             roots = x0_roots(curve.j(), ell)
             if roots:
@@ -124,7 +123,7 @@ def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVe
                                           f"on X_0({ell})")
                 return SurjectivityVerdict(
                     "inconclusive",
-                    tuple((n, found.get(n, f"not found for p <= {HASSE_MAX_PRIME}; larger p not sampled"))
+                    tuple((n, found.get(n, f"not found for p <= {X0_EXIT_PRIME}; larger p not sampled"))
                           for n in names) + (reducible,))
         t = ap(curve, p) % ell
         d = p % ell

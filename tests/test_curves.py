@@ -6,6 +6,7 @@ import pytest
 
 from kummer_brauer import curves
 from kummer_brauer.arith import factor, is_prime, primes_up_to, rational_roots
+from kummer_brauer.isogeny import X0_EXIT_PRIME
 from kummer_brauer.curves import (
     CM_J_INVARIANTS,
     HASSE_MAX_PRIME,
@@ -350,9 +351,12 @@ def test_good_primes_are_the_primes_every_curve_is_good_at(monkeypatch):
     real = curves.is_good_prime
     monkeypatch.setattr(curves, "is_good_prime",
                         lambda c, p: tested.append(p) or real(c, p))
+    # as the scans that take their exits at the first prime above
+    # X0_EXIT_PRIME do
     scan = good_primes((E_XCUBE_MINUS_X,), 10**5)
-    assert next(p for p in scan if p > HASSE_MAX_PRIME) == 233
-    assert max(tested) == 233
+    first = next(p for p in primes_up_to(2 * X0_EXIT_PRIME) if p > X0_EXIT_PRIME)
+    assert next(p for p in scan if p > X0_EXIT_PRIME) == first
+    assert max(tested) == first
 
 
 def test_count_points_examples():
@@ -408,7 +412,7 @@ def test_bsgs_count_at_small_primes_is_exact_or_undecided():
     assert undecided > 0
 
 
-def test_count_points_is_exhaustive_below_17_and_hasse_up_to_229_or_where_bsgs_is_undecided(
+def test_count_points_is_exhaustive_below_17_hasse_to_the_switch_or_if_bsgs_undecided(
         monkeypatch):
     exhaustive, hasse = [], []
     real_exhaustive, real_hasse = count_points_exhaustive, hasse_trace
@@ -417,13 +421,16 @@ def test_count_points_is_exhaustive_below_17_and_hasse_up_to_229_or_where_bsgs_i
     monkeypatch.setattr(curves, "hasse_trace",
                         lambda curve, p: hasse.append(p) or real_hasse(curve, p))
     c = CurveLW(0, -1, 1, -10, -20)
-    primes = (13, 17, 223, 233, 1009, 2999)
+    # the primes on either side of the switch HASSE_MAX_PRIME
+    below = max(primes_up_to(HASSE_MAX_PRIME))
+    above = next(p for p in primes_up_to(2 * HASSE_MAX_PRIME) if p > HASSE_MAX_PRIME)
+    primes = (13, 17, below, above, 1009, 2999)
     traces = [ap(c, p) for p in primes]
-    assert exhaustive == [13] and hasse == [17, 223]
+    assert exhaustive == [13] and hasse == [17, below]
     c._ap.clear()
     monkeypatch.setattr(curves, "bsgs_count", lambda curve, p: None)
     assert [ap(c, p) for p in primes] == traces
-    assert exhaustive == [13, 13] and hasse == [17, 223, 17, *primes[2:]]
+    assert exhaustive == [13, 13] and hasse == [17, below, 17, *primes[2:]]
     assert traces[:4] == [p + 1 - double_loop_count(c, p) for p in primes[:4]]
     assert traces[4:] == [p + 1 - real_exhaustive(c, p) for p in primes[4:]]
 
@@ -452,6 +459,8 @@ def test_hasse_trace_equals_the_exhaustive_count():
     # below: neither case needs a path of its own
     A, B = BSGS_PANEL[0].short_model
     assert A % 31 == 0 and B % 41 == 0
+    # every p at which count_points reads hasse_trace is checked
+    assert HASSE_MAX_PRIME < 3000
     signs = set()
     for c in BSGS_PANEL + [E_X3_MINUS_4]:
         for p in good_primes((c,), 3000):
@@ -481,15 +490,17 @@ def test_hasse_trace_needs_p_at_least_17():
 
 
 def test_errors_above_threshold():
-    bad = CurveRT2(1, 233).to_lw()
+    # the first prime above HASSE_MAX_PRIME, where count_points runs bsgs_count
+    p = next(q for q in primes_up_to(2 * HASSE_MAX_PRIME) if q > HASSE_MAX_PRIME)
+    bad = CurveRT2(1, p).to_lw()
     point_counts = (ap, count_points, count_points_exhaustive, bsgs_count, hasse_trace)
     for f in point_counts:
         with pytest.raises(BadReductionError):
-            f(bad, 233)
-    non_integral = CurveLW(0, 0, 0, Fraction(1, 233), 1)
+            f(bad, p)
+    non_integral = CurveLW(0, 0, 0, Fraction(1, p), 1)
     for f in point_counts:
         with pytest.raises(NonIntegralModelError):
-            f(non_integral, 233)
+            f(non_integral, p)
 
 
 def test_frobenius_table_examples():

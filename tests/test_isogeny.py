@@ -5,8 +5,10 @@ replace: every shortcut must give the result the loop gives.  The Velu walk
 over x-rational kernels below is the reference for the X_0(ell) walk: it
 must find every one of its edges again."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,7 @@ from kummer_brauer.homrank import (
     same_curve,
 )
 from kummer_brauer.isogeny import (
+    X0_EXIT_PRIME,
     X0_TABLE,
     _integral,
     codomains,
@@ -44,6 +47,8 @@ from kummer_brauer.oddpart import (
     no_rational_ell_isogeny,
 )
 from test_curves import curve_with_j
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # Cremona's isogeny classes 11a, 14a, 15a and 37b, in label order
 CLASSES = {
@@ -577,18 +582,41 @@ def test_isogenous_pair_reads_only_the_small_primes(monkeypatch):
         calls.clear()
         ev = nonisogeny_certificate(e, e2, 10**5)
         assert ev.kind == "none-found" and ev.isogenous == flag
-        assert calls and max(calls) <= 229
+        assert calls and max(calls) <= X0_EXIT_PRIME
 
 
 def test_mu5_reducible_exit_reads_only_the_small_primes(monkeypatch):
     # the 5-isogeny 11a2 -> 11a1 has kernel mu_5, which no x-rational
-    # kernel search sees; its root on X_0(5) ends the sampling at p = 233
+    # kernel search sees; its root on X_0(5) ends the sampling at the first
+    # good prime above X0_EXIT_PRIME
     calls = []
     real = oddpart.ap
     monkeypatch.setattr(oddpart, "ap", lambda c, p: calls.append(p) or real(c, p))
     v = mod_ell_surjectivity(CURVES["11a2"], 5, 10**5)
     assert v.verdict == "inconclusive" and v.witnesses[-1][0] == "reducible"
-    assert calls and max(calls) <= 229
+    assert calls and max(calls) <= X0_EXIT_PRIME
+
+
+def test_early_witnesses_never_pay_for_an_exit(monkeypatch):
+    # the goldens and the search_family pairs meet every witness they need
+    # below X0_EXIT_PRIME: neither the isogeny walk nor the X_0(ell) root
+    # runs.  11a1 x 11a3 takes the walk and 11a1 x 37a1 the root, which
+    # shows that the spies see them
+    calls = []
+    for module, name in ((homrank, "codomains"), (oddpart, "x0_roots")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    specs = [report.parse_pair_spec(json.loads(path.read_text(encoding="utf-8"))["input"])
+             for path in sorted(GOLDEN_DIR.glob("golden_*.json"))]
+    specs += report.search_family(300, 0)
+    for spec in specs:
+        report.analyze(spec)
+    assert len(specs) == 305 and calls == []
+    for e2 in (CLASSES["11a"][2], [0, 0, 1, -1, 0]):  # 11a3, 37a1
+        report.analyze(report.parse_pair_spec(
+            {"first": {"weierstrass": CLASSES["11a"][0]}, "second": {"weierstrass": e2}}))
+    assert set(calls) == {"codomains", "x0_roots"}
 
 
 def _e13():
@@ -606,33 +634,35 @@ def test_reducible_shortcut_names_the_kernel():
         (N,) = (N for degree, _, N in X0_TABLE if degree == ell)
         t = Fraction(v.witnesses[-1][1].split("t = ")[1].split()[0])
         assert poly_eval(N, t) == e.j() * t
-        # a Borel image has no nonsplit witness; a class not met by p = 229
-        # is marked as not sampled beyond it, never as absent below B
-        assert v.witnesses[0][1] == "not found for p <= 229; larger p not sampled"
+        # a Borel image has no nonsplit witness; a class not met by
+        # X0_EXIT_PRIME is marked as not sampled beyond it, never as absent
+        # below B
+        assert v.witnesses[0][1] == f"not found for p <= {X0_EXIT_PRIME}; larger p not sampled"
         assert all(w.startswith("p = ") or w == v.witnesses[0][1]
                    for _, w in v.witnesses[:3])
-    # below the first prime above 229 the scan alone decides
-    v = mod_ell_surjectivity(CURVES["11a1"], 5, 200)
+    # below the first prime above X0_EXIT_PRIME the scan alone decides
+    v = mod_ell_surjectivity(CURVES["11a1"], 5, X0_EXIT_PRIME)
     assert all(k != "reducible" for k, _ in v.witnesses)
 
 
-@pytest.mark.parametrize("bound", range(229, 242))
+@pytest.mark.parametrize("bound", [*range(X0_EXIT_PRIME, X0_EXIT_PRIME + 13), *range(229, 242)])
 def test_scans_around_the_x0_exit_equal_the_full_loops(bound):
-    # the X_0(ell) exit is looked for at the first good prime above 229, so
-    # bounds 229-241 hold the scans that end just before it, at it and past
-    # it; each curve below has a rational ell-isogeny
+    # the X_0(ell) exit is looked for at the first good prime above
+    # X0_EXIT_PRIME, so the first thirteen bounds hold the scans that end
+    # just before it, at it and past it; at bounds 229-241, far past it,
+    # every scan has taken it.  Each curve below has a rational ell-isogeny
     for e, e2, ell in ((CURVES["11a1"], CURVES["11a3"], 5), (CURVES["11a2"], E_37A1, 5),
                        (E_26B1, E_37A1, 7), (_e13(), CURVES["14a1"], 13)):
         v = mod_ell_surjectivity(e, ell, bound)
         assert v.verdict == reference_surjectivity(e, ell, bound) == "inconclusive"
-        exits = any(p > 229 and is_good_prime(e, p) for p in primes_up_to(bound))
+        exits = any(p > X0_EXIT_PRIME and is_good_prime(e, p) for p in primes_up_to(bound))
         assert (v.witnesses[-1][0] == "reducible") == exits
         first = reference_witness_primes(e, ell, bound)
         for name, text in v.witnesses[:3]:
             if text.startswith("p = "):
                 assert int(text[4:text.index(":")]) == first[name], (bound, ell, name)
             else:
-                assert first.get(name, bound + 1) > (229 if exits else bound)
+                assert first.get(name, bound + 1) > (X0_EXIT_PRIME if exits else bound)
         for curve in (e, e2):
             _assert_single_curve_scans_equal_the_full_loops(curve, bound)
         for odd in (2, 3, 5, 7, 13):

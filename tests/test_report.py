@@ -12,6 +12,7 @@ import pytest
 from kummer_brauer import arith, curves, report as report_module
 from kummer_brauer.arith import is_prime
 from kummer_brauer.curves import CurveLW
+from kummer_brauer.isogeny import X0_EXIT_PRIME
 from kummer_brauer.oddpart import check_57_family
 from kummer_brauer.report import (
     ELL3_CAVEAT,
@@ -461,6 +462,37 @@ def test_golden_pair_searches_each_curves_two_torsion_once(monkeypatch, name):
     assert len(searches) == 2
 
 
+def test_rt2_records_carry_the_roots_a_search_finds():
+    # CurveRT2.to_lw sets cubic_roots from 0, a and b: the list, and the
+    # type, that a root search on the same coefficients returns
+    specs = [parse_pair_spec(json.loads(path.read_text(encoding="utf-8"))["input"])
+             for path in sorted(GOLDEN_DIR.glob("golden_*.json"))]
+    specs += search_family(300, 0)
+    specs += [parse_pair_spec(entry["rt2"]) for entry in _big_coeff_pool_specs()]
+    inputs = [ci for spec in specs for ci in (spec.first, spec.second)]
+    rt2 = [ci for ci in inputs if ci.rt2_raw is not None]
+    assert len(rt2) > 100
+    for ci in inputs:
+        searched = CurveLW(*ci.lw.key()).cubic_roots
+        assert ci.lw.cubic_roots == searched, ci.lw.label()
+        assert [type(r) for r in ci.lw.cubic_roots] == [type(r) for r in searched]
+    assert all(len(ci.lw.cubic_roots) == 3 for ci in rt2)
+
+
+def test_an_rt2_record_runs_no_root_search(monkeypatch):
+    # its roots are 0, a and b: neither the printability check of the parse
+    # nor the mod-2 verdict and surface equation of the analysis search
+    searches = _spy_on_root_searches(monkeypatch)
+    curve = parse_curve_record({"rt2": {"a": -3, "b": 4}}).lw
+    assert curve.cubic_roots == [-3, 0, 4]
+    data = analyze(pair({"rt2": {"a": 5, "b": 7}}, {"rt2": {"a": 1, "b": 2}})).to_dict()
+    assert data["conclusion"] == "trivial"
+    analyze(parse_pair_spec(_big_coeff_pool_specs()[0]["rt2"]))
+    for spec in search_family(20, 0):
+        analyze(spec)
+    assert searches == []
+
+
 def test_stable_json_edge_cases():
     cases = [
         [], {}, [[]], [{}], {"a": []}, {"a": {}, "b": [[], {}]}, (), ("x", (1, 2)),
@@ -621,7 +653,7 @@ def test_big_image_golden_at_max_ell_within_budget():
 
 def test_isogenous_pair_at_max_bound_within_budget():
     # a certified isogeny ends the non-isogeny scan after the primes up to
-    # 229 and answers the congruence evidence without a scan
+    # X0_EXIT_PRIME and answers the congruence evidence without a scan
     spec = pair(E_11A1, {"weierstrass": [0, -1, 1, 0, 0]},
                 bound=MAX_BOUND, odd_primes=[5, 7])
     t0 = time.perf_counter()
@@ -632,10 +664,25 @@ def test_isogenous_pair_at_max_bound_within_budget():
     assert [(ev["ell"], ev["result"]) for ev in data["evidence"]] == [(5, "pass"), (7, "pass")]
 
 
+def test_full_scan_pairs_read_no_trace_past_the_exit_prime(monkeypatch):
+    # 11a1 x 11a3 (isogenous) ends its non-isogeny scan with the walk, and
+    # 11a1 x 37a1 its mod-5 sampling of 11a1 with the X_0(5) root, both at
+    # the first prime above X0_EXIT_PRIME: 45 point counts for the two
+    # pairs at B = 5000
+    calls = []
+    real = curves.count_points
+    monkeypatch.setattr(curves, "count_points", lambda c, p: calls.append(p) or real(c, p))
+    for e2, odd in (({"weierstrass": [0, -1, 1, 0, 0]}, [5, 7]), (E_37A1, [])):
+        render_report(analyze(pair(E_11A1, e2, bound=5000, odd_primes=odd)))
+    assert max(calls) <= X0_EXIT_PRIME
+    assert len(calls) <= 45
+
+
 def test_equal_j_pair_at_max_bound_within_budget():
     # 11a1 and its -1 twist have equal j: no non-isogeny witness exists, so
     # the scan ends at once; the congruence scans find a_p differing mod 5
-    # and 7 early, and a rational 5-isogeny ends mod-5 sampling at p = 233
+    # and 7 early, and a rational 5-isogeny ends mod-5 sampling at the first
+    # prime above X0_EXIT_PRIME
     spec = pair(E_11A1, {"weierstrass": [0, 0, 0, -13392, 1080432]},
                 bound=MAX_BOUND, odd_primes=[5, 7])
     t0 = time.perf_counter()

@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -299,3 +300,37 @@ def test_trace_scans_take_their_primes_from_good_primes():
                      "oddpart.py:mod_ell_surjectivity", "oddpart.py:no_rational_ell_isogeny",
                      "oddpart.py:congruence_evidence"}
     assert found == []
+
+
+def _name_reads(node, func=None):
+    """(enclosing function, name) for each name or attribute that node
+    reads; imports are not reads."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _name_reads(child, child.name)
+            continue
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            yield func, child.id
+        elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+            yield func, child.attr
+        yield from _name_reads(child, func)
+
+
+def test_the_point_counting_switch_and_the_exit_prime_have_one_reader_each():
+    # HASSE_MAX_PRIME is where count_points changes method and
+    # X0_EXIT_PRIME where the two exact exits run; neither stands in for
+    # the other, and 229, the value both once shared, is written nowhere
+    readers = {"HASSE_MAX_PRIME": set(), "X0_EXIT_PRIME": set()}
+    literals = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for func, name in _name_reads(ast.parse(text)):
+            if name in readers:
+                readers[name].add(f"{path.stem}.{func}")
+        literals += [f"{path.name}:{text.count(chr(10), 0, m.start()) + 1}"
+                     for m in re.finditer(r"\b229\b", text)]
+    assert readers == {
+        "HASSE_MAX_PRIME": {"curves.count_points"},
+        "X0_EXIT_PRIME": {"homrank.nonisogeny_certificate", "oddpart.mod_ell_surjectivity"},
+    }
+    assert literals == []
