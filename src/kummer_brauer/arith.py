@@ -364,6 +364,15 @@ def _has_repeated_root(f: Poly) -> bool:
     return len(a) > 1
 
 
+def _root_bound(g: Poly) -> int:
+    """A power of two M with |y| <= M for every complex root y of the monic
+    g of degree n >= 1: Fujiwara's bound 2 max_k |g_(n-k)|^(1/k) (Tohoku
+    Math. J. 10, 1916) or more, since |g_(n-k)| < 2^b for b its bit length,
+    and so |g_(n-k)|^(1/k) < 2^ceil(b/k)."""
+    n = len(g) - 1
+    return 2 * max(1 << -(-g[n - k].bit_length() // k) for k in range(1, n + 1))
+
+
 def rational_roots(f: Poly) -> list[Fraction]:
     """The rational roots of f, an integer polynomial, in increasing order,
     found without factoring.
@@ -373,14 +382,17 @@ def rational_roots(f: Poly) -> list[Fraction]:
     to a root of g mod every prime.  The first ROOT_TEST_PRIMES primes
     p >= 5 not dividing c are tried: one with no root mod p proves there is
     none.  Otherwise the roots mod the prime with the fewest roots, all of
-    them simple, are Hensel-lifted modulo p^(2^k) > 2M, M = 1 + max |g_i|
-    the Cauchy bound on |y|; a lift becomes a root only when g(y) = 0
-    exactly.  ValueError when none of the first ROOT_TEST_PRIMES primes has
-    only simple roots or none, and f has a repeated root: a repeated
+    them simple, are Hensel-lifted modulo p^(2^k) > 2M, M = _root_bound(g)
+    (Fujiwara's bound on |y|); a lift becomes a root only when |y| <= M,
+    y divides g_0 and g(y) = 0 exactly.  ValueError when the leading
+    coefficient is 0, or when none of the first ROOT_TEST_PRIMES primes has
+    only simple roots or none and f has a repeated root: a repeated
     rational root is a repeated root mod every prime.
     """
     n = len(f) - 1
     c = f[n]
+    if c == 0:
+        raise ValueError("leading coefficient is 0")
     g = [f[i] * c ** (n - 1 - i) for i in range(n)] + [1]
     dg = [i * g[i] for i in range(1, n + 1)]
     lift: tuple[int, list[int]] | None = None
@@ -400,7 +412,7 @@ def rational_roots(f: Poly) -> list[Fraction]:
         elif tried == ROOT_TEST_PRIMES and lift is None and _has_repeated_root(g):
             raise ValueError("polynomial has a repeated root")
     p, roots = lift
-    bound = 1 + max(abs(a) for a in g[:n])
+    bound = _root_bound(g)
     out = []
     for r in roots:
         m = p

@@ -87,16 +87,20 @@ class CurveLW(Record):
         if disc == 0:
             raise SingularCurveError("zero discriminant")
         # short_model and the private fields are computed once from a1..a6;
-        # equality, hashing and repr ignore them.  _disc and _b246 are the
-        # discriminant and b2, b4, b6 of the integral model, and _ap holds
-        # a_p by good prime p, filled by ap()
+        # equality, hashing and repr ignore them.  _disc, _b246 and _b8 are
+        # the discriminant and b2, b4, b6, b8 of the integral model, and _ap
+        # holds a_p by good prime p, filled by ap()
         self.__dict__.update(
             zip(self.__match_args__, coeffs),
             short_model=(-27 * (b2 * b2 - 24 * b4), 54 * (b2**3 - 36 * b2 * b4 + 216 * b6)),
-            _u=u, _disc=disc, _b246=(b2, b4, b6), _ap={})
+            _u=u, _disc=disc, _b246=(b2, b4, b6), _b8=b8, _ap={})
 
     def b_invariants(self) -> tuple[Rational, Rational, Rational, Rational]:
-        return _b_invariants(*self.key())
+        """b2, b4, b6, b8 of this model: b_i has weight i, so it is the
+        integral model's b_i over u^i."""
+        u2 = self._u**2
+        b2, b4, b6 = self._b246
+        return Fraction(b2, u2), Fraction(b4, u2**2), Fraction(b6, u2**3), Fraction(self._b8, u2**4)
 
     def discriminant(self) -> Rational:
         return Fraction(self._disc, self._u**12)

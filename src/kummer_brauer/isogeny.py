@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .arith import poly_eval, rational_roots
+from .arith import rational_roots
 from .curves import j_invariant_sw
 
 # (ell, s, N(t) with constant term first): j = N(t)/t on X_0(ell), and the
@@ -70,6 +70,16 @@ def x0_roots(j: Fraction, ell: int) -> list[Fraction]:
     return rational_roots([b * c - a * (i == 1) for i, c in enumerate(N)])
 
 
+def _form(f: list[int], x: int, y: int) -> int:
+    """y^n f(x/y) for f of degree n, constant term first: the homogeneous
+    form sum f_i x^i y^(n-i), in integers."""
+    acc, xi = 0, 1
+    for c in f:
+        acc = acc * y + c * xi
+        xi *= x
+    return acc
+
+
 def codomains(A: int, B: int) -> list[tuple[int, tuple[int, int]]]:
     """(ell, the integral short model of the codomain) for every rational
     isogeny of degree ell in {2, 3, 5, 7, 13} from y^2 = x^3 + A x + B
@@ -81,18 +91,29 @@ def codomains(A: int, B: int) -> list[tuple[int, tuple[int, int]]]:
     j~' = -t^2 D(u) j' / (s D(t) ell) with D(t) = t N'(t) - N(t); then
     E4~ = j~'^2 / (j~ (j~ - 1728)), E6~ = -j~'^3 / (j~^2 (j~ - 1728)) and
     the codomain is y^2 = x^3 - (E4~/48) x + E6~/864.
+
+    All of it is integer arithmetic.  With j = jn/jd, t = tn/td,
+    u = P/Q for P = s td and Q = tn, and the homogeneous forms N^ and D^
+    (_form) of N and D, both of degree n: j~ = a/b with a = N^(P, Q) and
+    b = P Q^(n-1), and j~' = c/d with c = -18 jn B td^(n-2) D^(P, Q) and
+    d = s ell A jd tn^(n-2) D^(tn, td).  So -E4~/48 = -(cb)^2 / (48 d^2 a e)
+    and E6~/864 = -(cb)^3 / (864 d^3 a^2 e) with e = a - 1728 b, the only
+    two Fractions built.
     """
     j = j_invariant_sw(A, B)
     out = []
     for ell, s, N in X0_TABLE:
         D = [(i - 1) * c for i, c in enumerate(N)]
+        n = len(N) - 1
         for t in x0_roots(j, ell):
-            u = s / t
-            j2 = poly_eval(N, u) / u
-            if j2 in (0, 1728):
+            tn, td = t.numerator, t.denominator
+            P, Q = s * td, tn
+            a, b = _form(N, P, Q), P * Q ** (n - 1)
+            e = a - 1728 * b
+            if a == 0 or e == 0:  # j~ = 0 or 1728
                 continue
-            dj2 = -t * t * poly_eval(D, u) * 18 * j * B / (s * poly_eval(D, t) * ell * A)
-            E4 = dj2 * dj2 / (j2 * (j2 - 1728))
-            E6 = -dj2**3 / (j2 * j2 * (j2 - 1728))
-            out.append((ell, _integral(-E4 / 48, E6 / 864)))
+            cb = -18 * j.numerator * B * td ** (n - 2) * _form(D, P, Q) * b
+            d = s * ell * A * j.denominator * tn ** (n - 2) * _form(D, tn, td)
+            out.append((ell, _integral(Fraction(-cb * cb, 48 * d * d * a * e),
+                                       Fraction(-cb**3, 864 * d**3 * a * a * e))))
     return out

@@ -140,19 +140,21 @@ def kernel_dimension(m: ResidueMatrix) -> tuple[int, list[tuple[str, ...]]]:
 
     A subset is in the kernel exactly when, in every column, the integer
     product of its entries is a positive perfect square, so the 2^nrows - 1
-    subsets are tested directly, each product built from a smaller subset's
-    by one more row: no coprime base, square-class encoding or factoring.
-    The basis is the kernel's reduced echelon basis with each pivot at the
-    highest set bit: the members whose highest bit is their only pivot bit.
+    subsets are tested directly, one column at a time: the column's subset
+    products are built each from a smaller subset's by one more row, and
+    only the subsets every earlier column kept are tested, until none is
+    left.  No coprime base, square-class encoding or factoring.  The basis
+    is the kernel's reduced echelon basis with each pivot at the highest
+    set bit: the members whose highest bit is their only pivot bit.
     """
-    prods = [[1] * m.ncols]
-    kernel = []
-    for mask in range(1, 1 << m.nrows):
-        row = m.values[(mask & -mask).bit_length() - 1]
-        prod = [x * y for x, y in zip(prods[mask & (mask - 1)], row)]
-        prods.append(prod)
-        if all(is_square(v) for v in prod):
-            kernel.append(mask)
+    kernel = list(range(1, 1 << m.nrows))
+    for column in zip(*m.values):
+        if not kernel:
+            break
+        prods = [1]
+        for mask in range(1, 1 << m.nrows):
+            prods.append(prods[mask & (mask - 1)] * column[(mask & -mask).bit_length() - 1])
+        kernel = [mask for mask in kernel if is_square(prods[mask])]
     pivots = sum({1 << (v.bit_length() - 1) for v in kernel})  # OR of highest bits
     basis = [tuple(ALGEBRA_LABELS[i] for i in bits_of(v)) for v in kernel
              if v & pivots == 1 << (v.bit_length() - 1)]

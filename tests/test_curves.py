@@ -246,6 +246,17 @@ def test_integral_invariants_equal_the_fraction_formulas():
                     good_reduction_at(c, p)
 
 
+def test_b_invariants_equal_the_formulas_on_the_fraction_coefficients():
+    # b_invariants scales the integral model's b_i by u^-i
+    rng = random.Random(27)
+    models = [random_rational_lw(rng) for _ in range(200)] + big_coeff_shifted_models()
+    assert sum(c._u > 1 for c in models) > 150
+    for c in models:
+        got = c.b_invariants()
+        assert got == curves._b_invariants(*c.key())
+        assert all(type(b) is Fraction for b in got)
+
+
 def test_rt2_form_carried_by_to_lw_equals_the_root_search():
     rng = random.Random(89)
     pairs = [(3, 5), (5, 3), (-3, 5), (3, -5), (-3, -5), (-5, -3), (7, -7)]

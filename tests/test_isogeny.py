@@ -7,13 +7,22 @@ must find every one of its edges again."""
 
 import json
 import random
+import signal
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from kummer_brauer import homrank, oddpart, report
-from kummer_brauer.arith import poly_eval, primes_up_to, rational_roots, valuation
+from kummer_brauer import arith, homrank, oddpart, report
+from kummer_brauer.arith import (
+    _root_bound,
+    is_prime,
+    poly_eval,
+    primes_up_to,
+    rational_roots,
+    valuation,
+)
 from kummer_brauer.curves import (
     CM_J_INVARIANTS,
     CurveLW,
@@ -23,6 +32,7 @@ from kummer_brauer.curves import (
     count_points_exhaustive,
     frobenius_table,
     is_good_prime,
+    j_invariant_sw,
     point_order,
     supersingular_fraction,
 )
@@ -326,6 +336,90 @@ def test_rational_roots_raise_on_a_repeated_root():
     assert rational_roots(_mul(_mul([-2, 0, 1], [-2, 0, 1]), [5, 3])) == [Fraction(-5, 3)]
 
 
+def test_rational_roots_refuse_a_zero_leading_coefficient():
+    # every prime divides a zero leading coefficient, so a search for a
+    # prime that does not would never end; the alarm turns a hang into a
+    # failure
+    def hang(signum, frame):
+        raise TimeoutError("rational_roots did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        for f in ([1, 2, 0], [0], [-6, 1, 1, 0, 0]):
+            with pytest.raises(ValueError):
+                rational_roots(f)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _monic(f: Poly) -> Poly:
+    """c^(n-1) f(y/c) for f of degree n with leading coefficient c: a monic
+    integer polynomial whose roots are c times those of f."""
+    n, c = len(f) - 1, f[-1]
+    return [a * c ** (n - 1 - i) for i, a in enumerate(f[:n])] + [1]
+
+
+def test_root_bound_covers_every_rational_root():
+    rng = random.Random(27)
+    for _ in range(300):
+        digits = rng.choice((1, 5, 30, 300))
+        roots = [Fraction(rng.randint(-10**digits, 10**digits),
+                          rng.randint(1, 10**rng.randint(0, 4)))
+                 for _ in range(rng.randint(1, 5))]
+        f = [rng.choice((-1, 1)) * rng.randint(1, 10**rng.randint(0, 6))]
+        for r in roots:
+            f = _mul(f, [-r.numerator, r.denominator])
+        for extra in ([1, 0, 1], [-2, 0, 1], [3, 1, 0, 1]):  # no rational roots
+            if rng.random() < 0.3:
+                f = _mul(f, extra)
+        g, c = _monic(f), f[-1]
+        bound = _root_bound(g)
+        assert bound & (bound - 1) == 0
+        for r in roots:  # c r is an integer root of g
+            assert poly_eval(g, r * c) == 0 and abs(r * c) <= bound, (f, r)
+
+
+def test_root_bound_is_within_8n_of_the_largest_root():
+    # |g_(n-k)| <= C(n, k) rho^k for rho = max |r_i|, so the bound is at most
+    # 2 * 2 * 2 (C(n, k) rho^k)^(1/k) <= 8 n rho; the Cauchy bound
+    # 1 + max |g_i| grows like rho^n
+    rng = random.Random(1916)
+    cauchy_beyond = 0
+    for _ in range(500):
+        n = rng.randint(1, 14)
+        roots = [rng.randint(-10**rng.randint(0, 40), 10**rng.randint(0, 40)) for _ in range(n)]
+        roots[0] = roots[0] or 1
+        g = [1]
+        for r in roots:
+            g = _mul(g, [-r, 1])
+        rho = max(abs(r) for r in roots)
+        assert all(abs(g[n - k]) <= comb(n, k) * rho**k for k in range(1, n + 1))
+        assert rho <= _root_bound(g) <= 8 * n * rho, (roots, _root_bound(g))
+        cauchy_beyond += 1 + max(abs(a) for a in g[:n]) > 8 * n * rho
+    assert cauchy_beyond > 400
+
+
+def test_hensel_lift_stops_at_the_root_bound(monkeypatch):
+    # on X_0(5) over j(11a1) the root bound is 2^24, and the roots mod 7
+    # are lifted modulo 7^2, 7^4, 7^8 and 7^16 > 2 * 2^24: four squarings
+    # per root, each evaluating g and g' once modulo the square
+    moduli = []
+    real = arith.poly_eval
+    monkeypatch.setattr(arith, "poly_eval",
+                        lambda f, x, m=0: moduli.append(m) or real(f, x, m))
+    j = CURVES["11a1"].j()
+    x0_polynomial = [j.denominator * c - j.numerator * (i == 1)
+                     for i, c in enumerate(X0_TABLE[2][2])]
+    roots = x0_roots(j, 5)
+    assert roots == [Fraction(-125, 11), Fraction(-1, 11)]
+    lifts = [m for m in moduli if m and not is_prime(m)]
+    assert _root_bound(_monic(x0_polynomial)) == 2**24
+    assert sorted(set(lifts)) == [7**2, 7**4, 7**8, 7**16]
+    assert len(lifts) == 2 * 4 * len(roots)
+
+
 def test_cm_curves_sample_to_the_bound_at_x0_degrees():
     # at j = 0 and 1728, N(t) - j t has repeated roots; no edge is sought,
     # and the verdict is the full loop's
@@ -418,6 +512,41 @@ def _count_isogeny_edges(starts, edges_of):
 
 def test_every_edge_of_every_walk_is_an_isogeny():
     assert _count_isogeny_edges(CURVES.values(), isogenies) > 100
+
+
+def reference_codomains(A: int, B: int) -> list[tuple[int, tuple[int, int]]]:
+    """isogeny.codomains, computed in Fractions straight from the formula of
+    its docstring."""
+    j = j_invariant_sw(A, B)
+    out = []
+    for ell, s, N in X0_TABLE:
+        D = [(i - 1) * c for i, c in enumerate(N)]
+        for t in x0_roots(j, ell):
+            u = s / t
+            j2 = poly_eval(N, u) / u
+            if j2 in (0, 1728):
+                continue
+            dj2 = -t * t * poly_eval(D, u) * 18 * j * B / (s * poly_eval(D, t) * ell * A)
+            E4 = dj2 * dj2 / (j2 * (j2 - 1728))
+            E6 = -dj2**3 / (j2 * j2 * (j2 - 1728))
+            out.append((ell, _integral(-E4 / 48, E6 / 864)))
+    return out
+
+
+def test_codomains_equal_the_fraction_formula():
+    # every curve of the four classes, 37a1, 26b1 and a 13-isogenous curve,
+    # as integral short models rescaled by u = 1, 2, 3 and 5 and twisted by
+    # -1: 184 models, each with the same edges as its curve
+    edges = 0
+    for e in (*CURVES.values(), E_37A1, E_26B1, _e13()):
+        A, B = e.short_model
+        for u in (1, 2, 3, 5):
+            for d in (1, -1):
+                model = (A * u**4, B * u**6 * d)
+                found = codomains(*model)
+                assert found == reference_codomains(*model), (e, u, d)
+                edges += len(found)
+    assert edges == 8 * 38
 
 
 def test_every_x0_edge_is_an_isogeny():
