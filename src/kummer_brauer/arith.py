@@ -208,11 +208,15 @@ def factor(n: int) -> Factorization:
 
 
 def valuation(x: int | Rational, p: int) -> int:
-    """The p-adic valuation of a nonzero rational."""
+    """The p-adic valuation of a nonzero int or Fraction, read off its
+    numerator and denominator; any other type (a str, a float) raises
+    TypeError."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    x = Fraction(x)
-    if x == 0:
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"valuation takes an int or a Fraction, not {type(x).__name__}")
+    num, den = x.numerator, x.denominator
+    if num == 0:
         raise ValueError("valuation of 0 is undefined")
 
     def _val(n: int) -> int:
@@ -222,7 +226,7 @@ def valuation(x: int | Rational, p: int) -> int:
             v += 1
         return v
 
-    return _val(x.numerator) - _val(x.denominator)
+    return _val(num) - _val(den)
 
 
 class SquareClass(Record):

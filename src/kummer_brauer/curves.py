@@ -485,6 +485,12 @@ CM_J_INVARIANTS = (
 )
 
 
+def is_cm_j(j: int | Rational) -> bool:
+    """Whether j is the j-invariant of a CM curve over Q: an integer in
+    CM_J_INVARIANTS, decided on ints."""
+    return j.denominator == 1 and j.numerator in CM_J_INVARIANTS
+
+
 class CMStatus(Record):
     """verdict "cm" | "not_cm"; evidence names j and the supersingular count."""
 
@@ -510,7 +516,7 @@ def cm_status(curve: CurveLW) -> CMStatus:
     with the supersingular frequency up to CM_EVIDENCE_BOUND attached as
     corroborating evidence."""
     j = curve.j()
-    cm = j in CM_J_INVARIANTS
+    cm = is_cm_j(j)
     frac = supersingular_fraction(curve, CM_EVIDENCE_BOUND)
     return CMStatus(
         "cm" if cm else "not_cm",

@@ -16,11 +16,11 @@ from math import isqrt
 
 from .arith import Record, is_rational_square, is_square, primes_up_to, rational_roots, valuation
 from .curves import (
-    CM_J_INVARIANTS,
     CurveLW,
     ap,
     cm_status,
     count_points_exhaustive,
+    is_cm_j,
     is_good_prime,
 )
 from .isogeny import X0_EXIT_PRIME, codomains
@@ -96,7 +96,7 @@ def nonisogeny_certificate(e: CurveLW, e2: CurveLW, bound: int) -> IsogenyEviden
     je, je2 = e.j(), e2.j()
     if je == je2:
         return IsogenyEvidence("none-found", None, none_found, same_curve(e, e2))
-    if je in CM_J_INVARIANTS and je2 in CM_J_INVARIANTS:
+    if is_cm_j(je) and is_cm_j(je2):
         return IsogenyEvidence("none-found", None, none_found, isogenous(e, e2))
     walked = False  # pairs with an early witness never pay for the walk
     for p in primes_up_to(bound):

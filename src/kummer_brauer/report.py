@@ -219,7 +219,7 @@ def _fmt_cubic(c3: Fraction, c2: Fraction, c1: Fraction, c0: Fraction, var: str)
     return out
 
 
-def _root_factor(var: str, root: Fraction) -> str:
+def _root_factor(var: str, root: int | Fraction) -> str:
     if root == 0:
         return var
     r = str(root) if root.denominator == 1 else f"({root})"
@@ -230,7 +230,7 @@ def _curve_rhs(ci: CurveInput, var: str) -> tuple[str, bool]:
     """(right-hand side text, already-factored flag) for one curve."""
     if ci.rt2_raw is not None:
         a, b = ci.rt2_raw
-        return "".join(_root_factor(var, Fraction(r)) for r in (0, a, b)), True
+        return "".join(_root_factor(var, r) for r in (0, a, b)), True
     c = ci.lw
     if c.a1 == 0 and c.a3 == 0:
         roots = c.cubic_roots

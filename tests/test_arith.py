@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -156,6 +157,9 @@ def test_valuation_examples():
     assert valuation(5, 3) == 0
     assert valuation(Fraction(3796416, 1225), 5) == -2
     assert valuation(Fraction(3796416, 1225), 7) == -2
+    assert valuation(-48, 2) == 4
+    assert valuation(Fraction(-3, 50), 5) == -2
+    assert valuation(10**40, 5) == 40
 
 
 def test_valuation_errors():
@@ -163,6 +167,15 @@ def test_valuation_errors():
         valuation(0, 5)
     with pytest.raises(ValueError):
         valuation(10, 6)
+    with pytest.raises(ValueError):
+        valuation(Fraction(0), 5)
+    with pytest.raises(ValueError):
+        valuation(12, 1)
+    # valuation takes an int or a Fraction only: strings, floats and
+    # Decimals once passed through Fraction(x)
+    for x in ("12", 0.5, 12.0, Decimal("12")):
+        with pytest.raises(TypeError):
+            valuation(x, 2)
 
 
 def test_valuation_of_square_is_even():

@@ -26,6 +26,7 @@ from kummer_brauer.curves import (
     good_primes,
     good_reduction_at,
     hasse_trace,
+    is_cm_j,
     is_good_prime,
     j_invariant_rt2,
     j_invariant_sw,
@@ -565,6 +566,17 @@ def test_cm_status_examples():
     st = cm_status(curve)
     assert st.verdict == "not_cm" and curve.j() == 1536
     assert st.evidence.startswith("j = 1536 is not in the rational CM list")
+
+
+def test_is_cm_j_is_membership_of_the_rational_j():
+    rng = random.Random(28)
+    panel = [j + k for j in CM_J_INVARIANTS for k in (-1, 0, 1)]
+    panel += [Fraction(j, d) for j in CM_J_INVARIANTS for d in (1, 2, 7, 1728)]
+    panel += [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 50)) for _ in range(300)]
+    for x in panel:
+        assert is_cm_j(x) == (Fraction(x) in CM_J_INVARIANTS), x
+    assert all(is_cm_j(j) and is_cm_j(Fraction(j)) for j in CM_J_INVARIANTS)
+    assert is_cm_j(Fraction(2 * 1728, 2)) and not is_cm_j(Fraction(1728, 5))
 
 
 def test_cm_list_validated_by_supersingular_oracle():

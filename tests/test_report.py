@@ -300,6 +300,13 @@ def test_pair_surface_equation():
             == "z^2 = x(x-3)(x-4)y(y+2)(y-7)")
 
 
+def test_root_factor_formats_an_int_as_its_fraction():
+    # rt2 roots reach the formatter as ints, Weierstrass roots as Fractions
+    for r in (0, 1, -1, 5, -35, 10**30, -(10**30)):
+        for var in ("x", "y"):
+            assert report_module._root_factor(var, r) == report_module._root_factor(var, Fraction(r))
+
+
 def test_empty_report_never_flags_twists():
     d = analyze(SELF_CM).to_dict()
     assert d["twisted"]["flag"] is False
@@ -562,6 +569,39 @@ def test_search_family_holds_one_input_per_curve():
     for ci in inputs:
         assert by_curve.setdefault(ci.rt2_raw, ci) is ci
     assert len(by_curve) == 38 and len(inputs) == 600
+
+
+def test_family_analyses_build_one_fraction_per_curve(monkeypatch):
+    """analyze + render_report over search_family(300, 5) build one Fraction
+    per curve object, its j memo, and compare at most 6 per pair: rt2
+    roots, valuations and CM membership are decided on ints.  The 6 left
+    are the record compare in analyze, the j compares of same_curve (twice)
+    and nonisogeny_certificate, and j = 0 in j_valuation_certificate."""
+    specs = search_family(300, 5)
+    curve_objects = {id(ci.lw) for spec in specs for ci in (spec.first, spec.second)}
+    counted = Counter()
+    new, eq, richcmp = Fraction.__new__, Fraction.__eq__, Fraction._richcmp
+
+    def spy_new(cls, *args, **kwargs):
+        counted["new"] += 1
+        return new(cls, *args, **kwargs)
+
+    def spy_eq(a, b):
+        counted["compare"] += 1
+        return eq(a, b)
+
+    def spy_richcmp(a, b, op):
+        counted["compare"] += 1
+        return richcmp(a, b, op)
+
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__new__", spy_new)
+        m.setattr(Fraction, "__eq__", spy_eq)
+        m.setattr(Fraction, "_richcmp", spy_richcmp)
+        for spec in specs:
+            render_report(analyze(spec))
+    assert counted["new"] == len(curve_objects) == 38
+    assert counted["compare"] <= 6 * len(specs)
 
 
 SELF_PAIR_GOLDENS = ("golden_big_image_square.json", "golden_rt2_1_5_square.json",

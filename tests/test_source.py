@@ -334,3 +334,17 @@ def test_the_point_counting_switch_and_the_exit_prime_have_one_reader_each():
         "X0_EXIT_PRIME": {"homrank.nonisogeny_certificate", "oddpart.mod_ell_surjectivity"},
     }
     assert literals == []
+
+
+def test_the_cm_list_has_one_reader():
+    # CM membership is decided on ints in curves.is_cm_j, and every CM
+    # test in the package goes through it
+    readers = {"CM_J_INVARIANTS": set(), "is_cm_j": set()}
+    for path in sorted(SRC.glob("*.py")):
+        for func, name in _name_reads(ast.parse(path.read_text(encoding="utf-8"))):
+            if name in readers:
+                readers[name].add(f"{path.stem}.{func}")
+    assert readers == {
+        "CM_J_INVARIANTS": {"curves.is_cm_j"},
+        "is_cm_j": {"curves.cm_status", "homrank.nonisogeny_certificate"},
+    }
