@@ -26,7 +26,7 @@ from .curves import (
     j_invariant_sw,
     to_rt2,
 )
-from .gl2 import CriterionValidation
+from .gl2 import CriterionValidation, validate_surjectivity_criterion
 from .homrank import IsogenyEvidence, RankVerdict, nonisogeny_certificate, rank_r
 from .oddpart import (
     OddCertificate,
@@ -38,7 +38,6 @@ from .oddpart import (
     mod_ell_surjectivity,
     no_rational_ell_isogeny,
     six_torsion_cm_certificate,
-    validate_criterion_oracle,
 )
 from .report import (
     BrauerReport,

@@ -120,20 +120,18 @@ class Record:
     """An immutable record with field-wise ==, hash and repr.
 
     A subclass names its fields in __match_args__, in repr order, and sets
-    them in its own __init__ through self.__dict__.  == and hash read the
-    fields in _compared, or all of them when it is None; records of
-    different classes are never equal.  Assigning or deleting any attribute
-    raises AttributeError.  A memo (functools.cached_property) writes to the
-    instance dict directly and takes no part in ==, hash or repr.
+    them in its own __init__ through self.__dict__.  == and hash read every
+    field; records of different classes are never equal.  Assigning or
+    deleting any attribute raises AttributeError.  A memo (cached_property)
+    writes to the instance dict directly and takes no part in ==, hash or repr.
     """
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
-    _compared: tuple[str, ...] | None = None
 
     def _values(self, record: "Record") -> tuple:
-        """The compared fields of a record of this class."""
-        return tuple(getattr(record, name) for name in self._compared or self.__match_args__)
+        """The fields of a record of this class."""
+        return tuple(getattr(record, name) for name in self.__match_args__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

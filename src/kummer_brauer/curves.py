@@ -1,7 +1,8 @@
-"""Elliptic curve models over Q: invariants, reduction, point counting over
-F_p (exhaustive below 17, from the Hasse invariant up to 650, and by
-baby-step giant-step in the Hasse interval above it), Frobenius trace
-tables, and complex-multiplication status.
+"""Elliptic curve models over Q: invariants, isomorphism over Q
+(same_curve), reduction, point counting over F_p (exhaustive below 17, from
+the Hasse invariant up to 650, and by baby-step giant-step in the Hasse
+interval above it) with an exhaustive recount of a cited trace
+(verify_trace), Frobenius trace tables, and complex-multiplication status.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm
 
-from .arith import Rational, Record, is_prime, primes_up_to, rational_roots
+from .arith import Rational, Record, is_prime, is_square, primes_up_to, rational_roots
 
 
 class SingularCurveError(ValueError):
@@ -157,6 +158,44 @@ def j_invariant_sw(p: int | Rational, q: int | Rational) -> Rational:
     if disc == 0:
         raise SingularCurveError("4p^3 + 27q^2 = 0")
     return 1728 * 4 * p**3 / disc
+
+
+def _integer_root(n: int, k: int) -> int | None:
+    """The integer r with r^3 = n for k = 3 (n >= 1, so x^3 - n is
+    separable), or r >= 0 with r^2 = n for k = 2; None when there is none."""
+    if k == 2:
+        return isqrt(n) if is_square(n) else None
+    return next((int(r) for r in rational_roots([-n, 0, 0, 1])), None)
+
+
+def _is_rational_power(q: Fraction, *ks: int) -> bool:
+    """Whether q = u^(k1 k2 ...) for a rational u, taking integer k-th roots
+    of the coprime numerator and denominator in turn."""
+    num, den = q.numerator, q.denominator
+    for k in ks:
+        num, den = _integer_root(num, k), _integer_root(den, k)
+        if num is None or den is None:
+            return False
+    return True
+
+
+def same_curve(e: CurveLW, e2: CurveLW) -> bool:
+    """Isomorphism over Q: A' = u^4 A and B' = u^6 B for a rational u != 0,
+    (A, B) the curves' short models (Cremona, Algorithms for Modular
+    Elliptic Curves, 3.1).
+
+    With j equal and j not in {0, 1728}, A' = L^2 A and B' = L^3 B for
+    L = B' A / (B A'), so u exists iff L is a square.  At j = 1728 (B = 0)
+    A'/A must be a fourth power, at j = 0 (A = 0) B'/B a sixth power.
+    Twists with equal j are deliberately not "same"."""
+    if e.j() != e2.j():
+        return False
+    (A, B), (A2, B2) = e.short_model, e2.short_model
+    if A == 0:
+        return _is_rational_power(Fraction(B2, B), 2, 3)
+    if B == 0:
+        return _is_rational_power(Fraction(A2, A), 2, 2)
+    return _is_rational_power(Fraction(B2 * A, B * A2), 2)
 
 
 def good_reduction_at(curve: CurveLW, p: int) -> bool:
@@ -410,6 +449,19 @@ def ap(curve: CurveLW, p: int) -> int:
     if p not in known:
         known[p] = p + 1 - count_points(curve, p)
     return known[p]
+
+
+class WitnessVerificationError(RuntimeError):
+    """A cited a_p disagreed with its exhaustive recount: a program fault,
+    never an input error."""
+
+
+def verify_trace(curve: CurveLW, p: int, t: int) -> None:
+    """Check a cited a_p against the exhaustive point count at p."""
+    exact = p + 1 - count_points_exhaustive(curve, p)
+    if t != exact:
+        raise WitnessVerificationError(
+            f"a_{p} of {curve.label()} was {t}, exhaustive count gives {exact}")
 
 
 def good_primes(curves: tuple[CurveLW, ...], bound: int, skip: int = 0):

@@ -12,11 +12,13 @@ J. Theor. Nombres Bordeaux 7, 1995, section 7) then gives the codomain over
 Q exactly, twist included, with no kernel polynomial.  The roots t come
 from arith.rational_roots, without factoring.
 
-Everything works on an integral short model y^2 = x^3 + A x + B (a curve's
-short_model), given as the pair (A, B).  Not found: isogenies of degree 11,
-17, 19, 37, 43, 67 and 163, whose X_0(ell) has positive genus, and every
-edge at j = 0 or 1728 (either end), where N(t) - j t has repeated roots and
-the codomain formula divides by zero; such curves have CM.
+The edges work on an integral short model y^2 = x^3 + A x + B (a curve's
+short_model), given as the pair (A, B); isogeny_class walks them from a
+curve to the curves of its isogeny class over Q that they reach, each once
+up to curves.same_curve.  Not found: isogenies of degree 11, 17, 19, 37,
+43, 67 and 163, whose X_0(ell) has positive genus, and every edge at j = 0
+or 1728 (either end), where N(t) - j t has repeated roots and the codomain
+formula divides by zero; such curves have CM.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 from math import lcm
 
 from .arith import rational_roots
-from .curves import j_invariant_sw
+from .curves import CurveLW, j_invariant_sw, same_curve
 
 # (ell, s, N(t) with constant term first): j = N(t)/t on X_0(ell), and the
 # Fricke involution is t -> s/t
@@ -41,7 +43,7 @@ X0_TABLE = (
 )
 X0_DEGREES = tuple(ell for ell, _, _ in X0_TABLE)
 
-# The trace scans' two exact exits, the isogeny walk in
+# The trace scans' two exact exits, the isogeny_class walk in
 # homrank.nonisogeny_certificate and the X_0(ell) root in
 # oddpart.mod_ell_surjectivity, run at the first prime above this one, so
 # that a pair with an earlier witness never pays for them.  Each witness
@@ -52,6 +54,10 @@ X0_DEGREES = tuple(ell for ell, _, _ in X0_TABLE)
 # the last witness class by p = 41 (at ell = 11), so none of them runs an
 # exit.
 X0_EXIT_PRIME = 50
+
+# An isogeny class over Q has at most 8 curves (Kenku, J. Number Theory 15,
+# 1982; Cremona, Algorithms for Modular Elliptic Curves, 3.8).
+CLASS_SIZE_MAX = 8
 
 
 def _integral(A: Fraction, B: Fraction) -> tuple[int, int]:
@@ -117,3 +123,30 @@ def codomains(A: int, B: int) -> list[tuple[int, tuple[int, int]]]:
             out.append((ell, _integral(Fraction(-cb * cb, 48 * d * d * a * e),
                                        Fraction(-cb**3, 864 * d**3 * a * a * e))))
     return out
+
+
+def isogeny_class(curve: CurveLW):
+    """Yield the curves reached from the curve by rational isogenies of
+    degree 2, 3, 5, 7 and 13 (codomains, which skips every edge at j = 0 or
+    1728), as integral short models, breadth first and each once up to
+    isomorphism over Q (same_curve), at most CLASS_SIZE_MAX of them; the
+    first is the curve itself."""
+    reached = [CurveLW(0, 0, 0, *curve.short_model)]
+    yield reached[0]
+    for model in reached:  # grows while it is walked
+        for _, codomain in codomains(int(model.a4), int(model.a6)):
+            image = CurveLW(0, 0, 0, *codomain)
+            if any(same_curve(image, seen) for seen in reached):
+                continue
+            reached.append(image)
+            yield image
+            if len(reached) == CLASS_SIZE_MAX:
+                return
+
+
+def isogenous(e: CurveLW, e2: CurveLW) -> bool:
+    """True when the walk from E reaches E', which certifies a chain of
+    Q-isogenies from E to E' (prime-degree chains run both ways, through
+    the dual isogenies); False proves nothing (an isogeny of degree 11, 17,
+    19, 37, 43, 67 or 163, or through j = 0 or 1728, is not walked)."""
+    return any(same_curve(model, e2) for model in isogeny_class(e))

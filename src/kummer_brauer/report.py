@@ -345,7 +345,7 @@ def analyze(spec: CurvePairSpec) -> BrauerReport:
 
     # requested congruence evidence; a certified Q-isogeny gives equal a_p
     # at every common good prime, so the scan would pass
-    isogenous = rank.evidence.isogenous
+    isogenous = rank.evidence.kind in ("same-curve", "isogenous")
     evidence = []
     for ell in spec.odd_primes:
         fail = None if isogenous else congruence_evidence(e, e2, ell, bound)

@@ -20,12 +20,12 @@ from kummer_brauer.curves import (
     frobenius_table,
     good_reduction_at,
 )
+from kummer_brauer.gl2 import validate_surjectivity_criterion
 from kummer_brauer.homrank import nonisogeny_certificate
 from kummer_brauer.oddpart import (
     check_57_family,
     mod_ell_surjectivity,
     no_rational_ell_isogeny,
-    validate_criterion_oracle,
 )
 from kummer_brauer.report import analyze, parse_pair_spec, render_report, search_family
 from kummer_brauer.residues import (
@@ -191,7 +191,7 @@ def test_07_nonisogeny_witness():
 def test_08_surjectivity_criterion_soundness():
     t0 = time.time()
     for ell in (3, 5):
-        result = validate_criterion_oracle(ell)
+        result = validate_surjectivity_criterion(ell)
         assert result.passed
         assert result.offending_proper_subgroups == ()
     for coeffs in ((0, 0, 0, -1, 0), (0, 0, 0, 0, -1)):

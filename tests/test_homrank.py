@@ -8,13 +8,14 @@ from pathlib import Path
 import pytest
 
 from kummer_brauer import curves
-from kummer_brauer.curves import CurveLW, CurveRT2, j_invariant_rt2
-from kummer_brauer.homrank import (
+from kummer_brauer.curves import (
+    CurveLW,
+    CurveRT2,
     WitnessVerificationError,
-    nonisogeny_certificate,
-    rank_r,
+    j_invariant_rt2,
     same_curve,
 )
+from kummer_brauer.homrank import nonisogeny_certificate, rank_r
 
 E_37 = CurveLW(0, 0, 1, -1, 0)
 E_43 = CurveLW(0, 1, 1, 0, 0)
@@ -47,7 +48,7 @@ def test_trace_square_mismatch_for_conductor_37_43_pair():
 
 
 def test_identical_curves_no_witness():
-    assert nonisogeny_certificate(E_37, E_37, 50).kind == "none-found"
+    assert nonisogeny_certificate(E_37, E_37, 50).kind == "same-curve"
 
 
 def test_reduction_type_mismatch():
@@ -216,7 +217,7 @@ def test_a_wrong_hasse_trace_is_not_certified(monkeypatch):
         nonisogeny_certificate(e, e2, 1000)
     e._ap.clear()
     monkeypatch.setattr(curves, "hasse_trace", real)
-    assert nonisogeny_certificate(e, e2, 1000).kind == "none-found"
+    assert nonisogeny_certificate(e, e2, 1000).kind == "isogenous"
 
 
 def test_poisoned_trace_is_not_certified_under_python_O():

@@ -23,7 +23,6 @@ from kummer_brauer.oddpart import (
     mod_ell_surjectivity,
     no_rational_ell_isogeny,
     six_torsion_cm_certificate,
-    validate_criterion_oracle,
 )
 from test_curves import rational_roots_monic_cubic
 
@@ -143,12 +142,6 @@ def test_verdicts_are_one_sided():
         for ell in (2, 3, 5):
             assert mod_ell_surjectivity(e, ell, 200).verdict in (
                 "surjective", "inconclusive")
-
-
-def test_oracle_wrapper():
-    assert validate_criterion_oracle(3).passed
-    with pytest.raises(ValueError):
-        validate_criterion_oracle(11)
 
 
 # -- valuation certificates ----------------------------------------------------

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import random
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from kummer_brauer import arith, curves, report as report_module
+from kummer_brauer import arith, curves, homrank, report as report_module
 from kummer_brauer.arith import is_prime
 from kummer_brauer.curves import CurveLW
 from kummer_brauer.isogeny import X0_EXIT_PRIME
@@ -573,10 +574,10 @@ def test_search_family_holds_one_input_per_curve():
 
 def test_family_analyses_build_one_fraction_per_curve(monkeypatch):
     """analyze + render_report over search_family(300, 5) build one Fraction
-    per curve object, its j memo, and compare at most 6 per pair: rt2
-    roots, valuations and CM membership are decided on ints.  The 6 left
-    are the record compare in analyze, the j compares of same_curve (twice)
-    and nonisogeny_certificate, and j = 0 in j_valuation_certificate."""
+    per curve object, its j memo, and compare at most 5 per pair: rt2
+    roots, valuations and CM membership are decided on ints.  The 5 left
+    are the record compare in analyze (2), the j compares of same_curve and
+    nonisogeny_certificate, and j = 0 in j_valuation_certificate."""
     specs = search_family(300, 5)
     curve_objects = {id(ci.lw) for spec in specs for ci in (spec.first, spec.second)}
     counted = Counter()
@@ -601,7 +602,24 @@ def test_family_analyses_build_one_fraction_per_curve(monkeypatch):
         for spec in specs:
             render_report(analyze(spec))
     assert counted["new"] == len(curve_objects) == 38
-    assert counted["compare"] <= 6 * len(specs)
+    assert counted["compare"] <= 5 * len(specs)
+
+
+def test_family_analyses_ask_same_curve_once_per_pair(monkeypatch):
+    """rank_r asks same_curve of every pair, and j_valuation_certificate
+    only of a partner that fails its conditions; every family partner
+    meets them.  The spy replaces the function wherever the package holds
+    it, as the benchmark's tracer does."""
+    specs = search_family(300, 5)
+    calls = []
+    real = homrank.same_curve
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "kummer_brauer" and vars(module).get("same_curve") is real:
+            monkeypatch.setattr(module, "same_curve",
+                                lambda e, e2: calls.append(e2) or real(e, e2))
+    for spec in specs:
+        render_report(analyze(spec))
+    assert len(calls) == len(specs) == 300
 
 
 SELF_PAIR_GOLDENS = ("golden_big_image_square.json", "golden_rt2_1_5_square.json",
@@ -670,7 +688,7 @@ def test_200_digit_pair_at_small_bound_is_fast():
 
 def test_200_digit_isogeny_walk_is_fast():
     # both curves have full rational 2-torsion, so each walk takes 2-isogenies
-    from kummer_brauer.homrank import isogenous
+    from kummer_brauer.isogeny import isogenous
     p, q, r, s = (_next_prime(k * 10**99) for k in (2, 5, 3, 7))
     e = parse_curve_record({"rt2": {"a": p * q, "b": 3 * p}}).lw
     e2 = parse_curve_record({"rt2": {"a": r * s, "b": 5 * r}}).lw

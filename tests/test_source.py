@@ -348,3 +348,38 @@ def test_the_cm_list_has_one_reader():
         "CM_J_INVARIANTS": {"curves.is_cm_j"},
         "is_cm_j": {"curves.cm_status", "homrank.nonisogeny_certificate"},
     }
+
+
+def _relative_imports(tree) -> dict[str, set[str]]:
+    """module -> the names imported from it, for every relative import."""
+    found: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.setdefault(node.module, set()).update(alias.name for alias in node.names)
+    return found
+
+
+def test_each_module_imports_only_the_layers_below_it():
+    # curve identity and the exhaustive recount live in curves, the isogeny
+    # class in isogeny: oddpart reaches neither through homrank, and from
+    # gl2 it takes only the witness predicate, not the subgroup oracle
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"}
+    imports = {stem: _relative_imports(tree) for stem, tree in trees.items()}
+    assert {stem: set(found) for stem, found in imports.items()} == {
+        "arith": set(),
+        "curves": {"arith"},
+        "gl2": {"arith"},
+        "residues": {"arith"},
+        "isogeny": {"arith", "curves"},
+        "homrank": {"arith", "curves", "isogeny", "residues"},
+        "oddpart": {"arith", "curves", "isogeny", "gl2"},
+        "report": {"arith", "curves", "homrank", "oddpart", "residues"},
+        "cli": {"arith", "curves", "gl2", "report", "residues"},
+    }
+    assert imports["oddpart"]["gl2"] == {"WitnessPredicate"}
+    definers = {name: sorted(stem for stem, tree in trees.items()
+                             if name in _top_level_definitions(tree))
+                for name in ("same_curve", "isogeny_class", "verify_trace")}
+    assert definers == {"same_curve": ["curves"], "isogeny_class": ["isogeny"],
+                        "verify_trace": ["curves"]}
