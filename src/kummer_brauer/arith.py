@@ -375,7 +375,7 @@ def _root_bound(g: Poly) -> int:
     return 2 * max(1 << -(-g[n - k].bit_length() // k) for k in range(1, n + 1))
 
 
-def rational_roots(f: Poly) -> list[Fraction]:
+def rational_roots(f: Poly, root_expected: bool = False) -> list[Fraction]:
     """The rational roots of f, an integer polynomial, in increasing order,
     found without factoring.
 
@@ -386,10 +386,15 @@ def rational_roots(f: Poly) -> list[Fraction]:
     none.  Otherwise the roots mod the prime with the fewest roots, all of
     them simple, are Hensel-lifted modulo p^(2^k) > 2M, M = _root_bound(g)
     (Fujiwara's bound on |y|); a lift becomes a root only when |y| <= M,
-    y divides g_0 and g(y) = 0 exactly.  ValueError when the leading
-    coefficient is 0, or when none of the first ROOT_TEST_PRIMES primes has
-    only simple roots or none and f has a repeated root: a repeated
-    rational root is a repeated root mod every prime.
+    y divides g_0 and g(y) = 0 exactly.  A caller with evidence of a root
+    (root_expected) skips the search for a rootless prime, which would
+    not succeed: the roots mod the first prime with only simple roots are
+    lifted at once.  Either way every rational root is found, since each
+    reduces to one of the simple roots lifted, and Hensel's lift from a
+    simple root is unique.  ValueError when the leading coefficient is 0,
+    or when none of the first ROOT_TEST_PRIMES primes has only simple roots
+    or none and f has a repeated root: a repeated rational root is a
+    repeated root mod every prime.
     """
     n = len(f) - 1
     c = f[n]
@@ -399,7 +404,7 @@ def rational_roots(f: Poly) -> list[Fraction]:
     dg = [i * g[i] for i in range(1, n + 1)]
     lift: tuple[int, list[int]] | None = None
     p, tried = 3, 0
-    while lift is None or tried < ROOT_TEST_PRIMES:
+    while lift is None or (tried < ROOT_TEST_PRIMES and not root_expected):
         p += 2
         while not is_prime(p) or c % p == 0:
             p += 2

@@ -73,7 +73,8 @@ class CurveLW(Record):
     A = -27 c4 u^4 and B = -54 c6 u^6 (Cremona, 3.1), isomorphic to the model
     over Q and over F_p for p not dividing 6u.  j, the rt2 form, the a_p and
     the x of the rational 2-torsion points are memos kept on the object;
-    equality and hashing read a1..a6 only, so equal objects share no memo.
+    equality and hashing read a1..a6 only (equality rules out models with
+    different discriminants first), so equal objects share no memo.
     """
 
     __match_args__ = ("a1", "a2", "a3", "a4", "a6")
@@ -95,6 +96,15 @@ class CurveLW(Record):
             zip(self.__match_args__, coeffs),
             short_model=(-27 * (b2 * b2 - 24 * b4), 54 * (b2**3 - 36 * b2 * b4 + 216 * b6)),
             _u=u, _disc=disc, _b246=(b2, b4, b6), _b8=b8, _ap={})
+
+    def __eq__(self, other):
+        # equal a1..a6 give equal integral models, so models whose
+        # discriminants differ are told apart in ints, with no Fraction
+        if other.__class__ is self.__class__ and self._disc != other._disc:
+            return False
+        return Record.__eq__(self, other)
+
+    __hash__ = Record.__hash__
 
     def b_invariants(self) -> tuple[Rational, Rational, Rational, Rational]:
         """b2, b4, b6, b8 of this model: b_i has weight i, so it is the

@@ -67,9 +67,10 @@ def nonisogeny_certificate(e: CurveLW, e2: CurveLW, bound: int) -> IsogenyEviden
     sextic twists break the sign argument, so traces are not compared, and
     CM j are integers).  So it does when the walk isogeny.isogeny_class(E),
     at the first prime above isogeny.X0_EXIT_PRIME, reaches a curve with
-    the j of E' (E' or a twist of it).  The kind is then "same-curve" for
-    E' isomorphic to E, "isogenous" where a walk reaches E' itself, and
-    "none-found" for a twist.
+    the j of E' (E' or a twist of it).  The walk is given the a_p(E) the
+    scan has read, so it skips every degree they rule out.  The kind is
+    then "same-curve" for E' isomorphic to E, "isogenous" where a walk
+    reaches E' itself, and "none-found" for a twist.
     """
     if bound < 10:
         raise ValueError("bound must be at least 10")
@@ -82,6 +83,7 @@ def nonisogeny_certificate(e: CurveLW, e2: CurveLW, bound: int) -> IsogenyEviden
         return IsogenyEvidence("isogenous" if isogenous(e, e2) else "none-found",
                                None, none_found)
     walked = False  # pairs with an early witness never pay for the walk
+    traces = []  # (p, a_p(E)) as read, which rule degrees out of the walk
     for p in primes_up_to(bound):
         if not walked and p > X0_EXIT_PRIME:
             walked = True
@@ -90,13 +92,15 @@ def nonisogeny_certificate(e: CurveLW, e2: CurveLW, bound: int) -> IsogenyEviden
             # multiplicative primes: no witness exists.  Unless both curves
             # are CM, the walk reaches at most one curve with the j of E'
             # (two would be isogenous twists, which have CM)
-            meeting = next((model for model in isogeny_class(e) if model.j() == je2), None)
+            meeting = next((model for model in isogeny_class(e, tuple(traces))
+                            if model.j() == je2), None)
             if meeting is not None:
                 return IsogenyEvidence("isogenous" if same_curve(meeting, e2) else "none-found",
                                        None, none_found)
         ok1, ok2 = is_good_prime(e, p), is_good_prime(e2, p)
         if ok1 and ok2:
             t1, t2 = ap(e, p), ap(e2, p)
+            traces.append((p, t1))
             if t1 * t1 != t2 * t2:
                 # re-verify both cited traces before certifying
                 verify_trace(e, p, t1)

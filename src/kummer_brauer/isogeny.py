@@ -19,6 +19,11 @@ up to curves.same_curve.  Not found: isogenies of degree 11, 17, 19, 37,
 43, 67 and 163, whose X_0(ell) has positive genus, and every edge at j = 0
 or 1728 (either end), where N(t) - j t has repeated roots and the codomain
 formula divides by zero; such curves have CM.
+
+A trace already read rules a degree out for the whole class: where
+x^2 - a_p x + p is irreducible over F_ell (frobenius_irreducible), E[ell]
+is an irreducible Galois module, so E has no rational ell-isogeny (Serre,
+Invent. Math. 15, 1972), and every curve isogenous to E has the same a_p.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ X0_DEGREES = tuple(ell for ell, _, _ in X0_TABLE)
 
 # The trace scans' two exact exits, the isogeny_class walk in
 # homrank.nonisogeny_certificate and the X_0(ell) root in
-# oddpart.mod_ell_surjectivity, run at the first prime above this one, so
+# oddpart.surjectivity_verdicts, run at the first prime above this one, so
 # that a pair with an earlier witness never pays for them.  Each witness
 # class shows at a positive density of primes, so a pair still without a
 # witness here is almost always isogenous, a twist or of Borel image: the
@@ -65,15 +70,28 @@ def _integral(A: Fraction, B: Fraction) -> tuple[int, int]:
     return int(A * u**4), int(B * u**6)
 
 
-def x0_roots(j: Fraction, ell: int) -> list[Fraction]:
+def frobenius_irreducible(t: int, p: int, ell: int) -> bool:
+    """Whether x^2 - t x + p, the characteristic polynomial of Frobenius at
+    a good prime p != ell with trace t, is irreducible over F_ell: for
+    ell = 2 (p odd, so the polynomial is x^2 + x + 1 or (x + 1)^2) when t is
+    odd, for odd ell when t^2 - 4p is a nonsquare mod ell (Euler's
+    criterion).  Then the curve has no rational ell-isogeny."""
+    if ell == 2:
+        return t % 2 == 1
+    return pow(t * t - 4 * p, (ell - 1) // 2, ell) == ell - 1
+
+
+def x0_roots(j: Fraction, ell: int, root_expected: bool = False) -> list[Fraction]:
     """The rational t with N(t) = j t on X_0(ell), ell in X0_DEGREES, in
     increasing order: one for each rational ell-isogeny from a curve with
-    j-invariant j.  None are sought at j = 0 or 1728."""
+    j-invariant j.  None are sought at j = 0 or 1728.  root_expected, for a
+    caller whose Frobenius samples leave a root likely, skips the search
+    for a rootless prime (arith.rational_roots); the roots are the same."""
     if j in (0, 1728):
         return []
     (N,) = (N for degree, _, N in X0_TABLE if degree == ell)
     a, b = j.numerator, j.denominator
-    return rational_roots([b * c - a * (i == 1) for i, c in enumerate(N)])
+    return rational_roots([b * c - a * (i == 1) for i, c in enumerate(N)], root_expected)
 
 
 def _form(f: list[int], x: int, y: int) -> int:
@@ -86,10 +104,12 @@ def _form(f: list[int], x: int, y: int) -> int:
     return acc
 
 
-def codomains(A: int, B: int) -> list[tuple[int, tuple[int, int]]]:
+def codomains(A: int, B: int, degrees: tuple[int, ...] = X0_DEGREES,
+              root_expected: bool = False) -> list[tuple[int, tuple[int, int]]]:
     """(ell, the integral short model of the codomain) for every rational
-    isogeny of degree ell in {2, 3, 5, 7, 13} from y^2 = x^3 + A x + B
-    (4A^3 + 27B^2 != 0) whose codomain j is not 0 or 1728.
+    isogeny of degree ell in degrees, a subset of {2, 3, 5, 7, 13}, from
+    y^2 = x^3 + A x + B (4A^3 + 27B^2 != 0) whose codomain j is not 0 or
+    1728; root_expected is passed to x0_roots.
 
     With E4 = -48A, E6 = 864B and j' = -j E6/E4 = 18 j B/A, a root t of
     N(t) - j t and u = s/t give the codomain's j~ = N(u)/u and
@@ -109,9 +129,11 @@ def codomains(A: int, B: int) -> list[tuple[int, tuple[int, int]]]:
     j = j_invariant_sw(A, B)
     out = []
     for ell, s, N in X0_TABLE:
+        if ell not in degrees:
+            continue
         D = [(i - 1) * c for i, c in enumerate(N)]
         n = len(N) - 1
-        for t in x0_roots(j, ell):
+        for t in x0_roots(j, ell, root_expected):
             tn, td = t.numerator, t.denominator
             P, Q = s * td, tn
             a, b = _form(N, P, Q), P * Q ** (n - 1)
@@ -125,16 +147,24 @@ def codomains(A: int, B: int) -> list[tuple[int, tuple[int, int]]]:
     return out
 
 
-def isogeny_class(curve: CurveLW):
+def isogeny_class(curve: CurveLW, traces: tuple[tuple[int, int], ...] = ()):
     """Yield the curves reached from the curve by rational isogenies of
     degree 2, 3, 5, 7 and 13 (codomains, which skips every edge at j = 0 or
     1728), as integral short models, breadth first and each once up to
     isomorphism over Q (same_curve), at most CLASS_SIZE_MAX of them; the
-    first is the curve itself."""
+    first is the curve itself.
+
+    traces, pairs (p, a_p) of the curve at good primes, rule degrees out:
+    an ell with frobenius_irreducible at some p != ell is not walked, from
+    any curve of the class.  The degrees left have a reducible polynomial
+    at every p given, so, when traces are given, their roots are searched
+    as expected (x0_roots)."""
+    degrees = tuple(ell for ell in X0_DEGREES
+                    if not any(p != ell and frobenius_irreducible(t, p, ell) for p, t in traces))
     reached = [CurveLW(0, 0, 0, *curve.short_model)]
     yield reached[0]
     for model in reached:  # grows while it is walked
-        for _, codomain in codomains(int(model.a4), int(model.a6)):
+        for _, codomain in codomains(int(model.a4), int(model.a6), degrees, bool(traces)):
             image = CurveLW(0, 0, 0, *codomain)
             if any(same_curve(image, seen) for seen in reached):
                 continue

@@ -27,7 +27,7 @@ from .curves import (
     to_rt2,
 )
 from .gl2 import WitnessPredicate
-from .isogeny import X0_DEGREES, X0_EXIT_PRIME, x0_roots
+from .isogeny import X0_DEGREES, X0_EXIT_PRIME, frobenius_irreducible, x0_roots
 
 
 class SurjectivityVerdict(Record):
@@ -63,7 +63,8 @@ class CertificateFailure(Record):
 
 
 def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVerdict:
-    """Decide surjectivity of the mod-ell Galois image where possible.
+    """Decide surjectivity of the mod-ell Galois image where possible: the
+    verdict of surjectivity_verdicts at the one ell.
 
     ell = 2: exact.  The image is the Galois group of the 2-division cubic,
     and it is all of GL(2, F_2) = S3 iff the cubic is irreducible (the curve
@@ -86,60 +87,105 @@ def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVe
     passes isogeny.X0_EXIT_PRIME, a rational root t of N(t) - j t on X_0(ell)
     (isogeny.x0_roots) ends it: a rational ell-isogeny puts the image in a
     Borel subgroup, which shows no nonsplit witness, so the verdict could
-    only be inconclusive.  Curves with j = 0 or 1728 sample to the bound.
+    only be inconclusive.  A nonsplit witness met before then proves the
+    mod-ell module irreducible, so no root is sought; otherwise a root is
+    likely, and its search lifts at once (root_expected).  Curves with
+    j = 0 or 1728 sample to the bound.
     """
-    if ell == 2:
-        # 256 Delta is the discriminant of the monic 2-division cubic
-        # y^3 + b2 y^2 + 8 b4 y + 16 b6 (y = 4x)
-        disc = 256 * curve.discriminant()
-        roots = curve.cubic_roots
-        if roots:
-            detail = f"2-division cubic has a rational root (x = {roots[0]})"
-        elif is_rational_square(disc):
-            detail = "2-division cubic has square discriminant (group inside A3)"
-        else:
-            detail = ("2-division cubic irreducible with non-square discriminant "
-                      f"(class of {disc})")
-            return SurjectivityVerdict("surjective", (("exact", detail),))
-        return SurjectivityVerdict("inconclusive", (("exact", detail),))
-    if not is_prime(ell):
-        raise ValueError("ell must be prime")
-    if ell == 3:
-        return SurjectivityVerdict(
-            "inconclusive",
-            (("unsatisfiable",
-              "some witness class is empty mod 3; no trace/determinant "
-              "sample can certify surjectivity at this ell"),))
-    classify = WitnessPredicate(ell)
-    found: dict[str, str] = {}
+    return surjectivity_verdicts(curve, (ell,), bound)[ell]
+
+
+def _mod2_verdict(curve: CurveLW) -> SurjectivityVerdict:
+    # 256 Delta is the discriminant of the monic 2-division cubic
+    # y^3 + b2 y^2 + 8 b4 y + 16 b6 (y = 4x)
+    disc = 256 * curve.discriminant()
+    roots = curve.cubic_roots
+    if roots:
+        detail = f"2-division cubic has a rational root (x = {roots[0]})"
+    elif is_rational_square(disc):
+        detail = "2-division cubic has square discriminant (group inside A3)"
+    else:
+        detail = ("2-division cubic irreducible with non-square discriminant "
+                  f"(class of {disc})")
+        return SurjectivityVerdict("surjective", (("exact", detail),))
+    return SurjectivityVerdict("inconclusive", (("exact", detail),))
+
+
+def surjectivity_verdicts(
+    curve: CurveLW, ells, bound: int
+) -> dict[int, SurjectivityVerdict]:
+    """The mod_ell_surjectivity verdict at every ell of ells, by ell, from
+    one walk over the curve's good primes for all the sampled ell.
+
+    At each p the X_0(ell) exits due there run first; then a_p is read
+    once, if a scan with ell != p is still open, and classified for each
+    such ell.  So every ell gets the verdict and witnesses of its own scan,
+    the exits run where its scan would run them, and the a_p read are
+    exactly those the scans of the single ell read together.  ValueError,
+    before anything is sampled, when an ell is not prime.
+    """
     names = ("nonsplit", "split", "generic")
-    isogeny_checked = ell not in X0_DEGREES
-    for p in good_primes((curve,), bound, skip=ell):
-        if not isogeny_checked and p > X0_EXIT_PRIME:
-            isogeny_checked = True
-            roots = x0_roots(curve.j(), ell)
-            if roots:
-                reducible = ("reducible", f"rational {ell}-isogeny: t = {roots[0]} "
-                                          f"on X_0({ell})")
-                return SurjectivityVerdict(
-                    "inconclusive",
-                    tuple((n, found.get(n, f"not found for p <= {X0_EXIT_PRIME}; larger p not sampled"))
-                          for n in names) + (reducible,))
-        t = ap(curve, p) % ell
-        d = p % ell
-        nonsplit, split, generic = classify(t, d)
-        disc = (t * t - 4 * d) % ell
-        if "nonsplit" not in found and nonsplit:
-            found["nonsplit"] = f"p = {p}: t = {t}, t^2-4d = {disc} nonsquare mod {ell}"
-        if "split" not in found and split:
-            found["split"] = f"p = {p}: t = {t}, t^2-4d = {disc} nonzero square mod {ell}"
-        if "generic" not in found and generic:
-            u = t * t * pow(d, -1, ell) % ell
-            found["generic"] = f"p = {p}: u = t^2/d = {u} mod {ell}"
-        if len(found) == 3:
-            return SurjectivityVerdict("surjective", tuple((n, found[n]) for n in names))
-    witnesses = tuple((n, found.get(n, "not found")) for n in names)
-    return SurjectivityVerdict("inconclusive", witnesses)
+    verdicts: dict[int, SurjectivityVerdict] = {}
+    scans = {}  # ell -> (its predicate, the first witness of each class met)
+    for ell in ells:
+        if ell == 2:
+            verdicts[ell] = _mod2_verdict(curve)
+        elif not is_prime(ell):
+            raise ValueError("ell must be prime")
+        elif ell == 3:
+            verdicts[ell] = SurjectivityVerdict(
+                "inconclusive",
+                (("unsatisfiable",
+                  "some witness class is empty mod 3; no trace/determinant "
+                  "sample can certify surjectivity at this ell"),))
+        else:
+            scans[ell] = (WitnessPredicate(ell), {})
+    if not scans:
+        return verdicts
+    exits = [ell for ell in scans if ell in X0_DEGREES]
+    for p in good_primes((curve,), bound):
+        if exits and p > X0_EXIT_PRIME:
+            for ell in exits:
+                # a nonsplit sample has proved E[ell] irreducible, so that
+                # X_0(ell) has no root over j; without one, a root is likely
+                if ell in scans and "nonsplit" not in scans[ell][1]:
+                    roots = x0_roots(curve.j(), ell, root_expected=True)
+                    if roots:
+                        found = scans.pop(ell)[1]
+                        verdicts[ell] = SurjectivityVerdict(
+                            "inconclusive",
+                            tuple((n, found.get(n, f"not found for p <= {X0_EXIT_PRIME}; "
+                                                   "larger p not sampled"))
+                                  for n in names)
+                            + (("reducible", f"rational {ell}-isogeny: t = {roots[0]} "
+                                             f"on X_0({ell})"),))
+            exits = []
+        sampled = [ell for ell in scans if ell != p]
+        if sampled:
+            trace = ap(curve, p)
+        for ell in sampled:
+            classify, found = scans[ell]
+            t = trace % ell
+            d = p % ell
+            nonsplit, split, generic = classify(t, d)
+            disc = (t * t - 4 * d) % ell
+            if "nonsplit" not in found and nonsplit:
+                found["nonsplit"] = f"p = {p}: t = {t}, t^2-4d = {disc} nonsquare mod {ell}"
+            if "split" not in found and split:
+                found["split"] = f"p = {p}: t = {t}, t^2-4d = {disc} nonzero square mod {ell}"
+            if "generic" not in found and generic:
+                u = t * t * pow(d, -1, ell) % ell
+                found["generic"] = f"p = {p}: u = t^2/d = {u} mod {ell}"
+            if len(found) == 3:
+                del scans[ell]
+                verdicts[ell] = SurjectivityVerdict(
+                    "surjective", tuple((n, found[n]) for n in names))
+        if not scans:
+            break
+    for ell, (_, found) in scans.items():
+        verdicts[ell] = SurjectivityVerdict(
+            "inconclusive", tuple((n, found.get(n, "not found")) for n in names))
+    return verdicts
 
 
 def _is_minus_power_of_two(v: int) -> bool:
@@ -214,7 +260,10 @@ def six_torsion_cm_certificate(
 
     Surjectivity for E is only sampled for primes up to ell_max (and is not
     decidable from traces at ell = 3); the certificate lists both gaps as
-    caveats rather than silently asserting them.
+    caveats rather than silently asserting them.  One surjectivity_verdicts
+    pass samples every ell; the failure names the first ell without a full
+    image, as a scan ell by ell would, though the pass may have read a_p
+    that such a scan, stopping there, would not.
     """
     order = point_order(partner, point)
     if order != 6:
@@ -227,11 +276,10 @@ def six_torsion_cm_certificate(
     caveats = [f"surjectivity sampled only for ell <= {ell_max}",
                "mod-3 surjectivity is not decidable from trace sampling and "
                "is carried as an assumption"]
-    for ell in primes_up_to(ell_max):
-        if ell == 3:
-            continue
-        verdict = mod_ell_surjectivity(e, ell, bound)
-        if verdict.verdict != "surjective":
+    ells = [ell for ell in primes_up_to(ell_max) if ell != 3]
+    verdicts = surjectivity_verdicts(e, ells, bound)
+    for ell in ells:
+        if verdicts[ell].verdict != "surjective":
             return CertificateFailure(f"mod-{ell} surjectivity not established")
         witnesses.append((f"mod-{ell} image", "full" if ell > 2 else "full (exact)"))
     return OddCertificate(
@@ -249,9 +297,8 @@ def no_rational_ell_isogeny(curve: CurveLW, ell: int, bound: int) -> int | None:
     """
     if ell == 2 or not is_prime(ell):
         raise ValueError("ell must be an odd prime")
-    squares = {x * x % ell for x in range(ell)}
     for p in good_primes((curve,), bound, skip=ell):
-        if (ap(curve, p) ** 2 - 4 * p) % ell not in squares:
+        if frobenius_irreducible(ap(curve, p), p, ell):
             return p
     return None
 
@@ -290,7 +337,29 @@ def congruence_evidence(
     A failing prime p != ell, with an irreducible mod-ell module on one side,
     also rules out a nonzero Galois homomorphism between the ell-torsion
     modules: the hom-vanishing witness of the pair reports."""
-    for p in good_primes((e, e2), bound, skip=ell):
-        if (ap(e, p) - ap(e2, p)) % ell != 0:
-            return p
-    return None
+    return first_incongruent_primes(e, e2, (ell,), bound)[ell]
+
+
+def first_incongruent_primes(
+    e: CurveLW, e2: CurveLW, ells, bound: int
+) -> dict[int, int | None]:
+    """The congruence_evidence result at every ell of ells, by ell, from one
+    walk over the primes good for both curves: at each p, while some ell
+    != p is still open, delta = a_p(E) - a_p(E') is computed once and
+    tested mod each such ell.  The a_p read are exactly those the scans of
+    the single ell read together."""
+    failing: dict[int, int | None] = dict.fromkeys(ells)
+    open_ells = list(failing)
+    if not open_ells:
+        return failing
+    for p in good_primes((e, e2), bound):
+        tested = [ell for ell in open_ells if ell != p]
+        if tested:
+            delta = ap(e, p) - ap(e2, p)
+        for ell in tested:
+            if delta % ell:
+                failing[ell] = p
+                open_ells.remove(ell)
+        if not open_ells:
+            break
+    return failing

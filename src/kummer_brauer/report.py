@@ -24,9 +24,11 @@ from .oddpart import (
     OddCertificate,
     congruence_evidence,
     cm_isogeny_exclusion_certificate,
+    first_incongruent_primes,
     j_valuation_certificate,
     mod_ell_surjectivity,
     six_torsion_cm_certificate,
+    surjectivity_verdicts,
 )
 from .residues import kernel_dimension, residue_matrix, two_torsion_dimension
 
@@ -346,9 +348,10 @@ def analyze(spec: CurvePairSpec) -> BrauerReport:
     # requested congruence evidence; a certified Q-isogeny gives equal a_p
     # at every common good prime, so the scan would pass
     isogenous = rank.evidence.kind in ("same-curve", "isogenous")
+    failing = {} if isogenous else first_incongruent_primes(e, e2, spec.odd_primes, bound)
     evidence = []
     for ell in spec.odd_primes:
-        fail = None if isogenous else congruence_evidence(e, e2, ell, bound)
+        fail = failing.get(ell)
         evidence.append({
             "ell": ell,
             "result": "pass" if fail is None else "fail",
@@ -400,10 +403,14 @@ def _sampling_certificate(
 ) -> OddCertificate:
     """Per-ell sampling over the odd ell no other certificate covers.  A full
     mod-ell image on E covers ell for E paired with itself, and for a pair
-    together with a trace mismatch mod ell."""
+    together with a trace mismatch mod ell.  One pass over the primes
+    samples every ell, and one more finds the mismatches."""
+    verdicts = surjectivity_verdicts(e, ells, bound)
+    full = [ell for ell in ells if verdicts[ell].verdict == "surjective"]
+    failing = {} if same else first_incongruent_primes(e, e2, full, bound)
     covered, witnesses, caveats = [], [], []
     for ell in ells:
-        verdict = mod_ell_surjectivity(e, ell, bound)
+        verdict = verdicts[ell]
         if verdict.verdict != "surjective":
             if any(k == "unsatisfiable" for k, _ in verdict.witnesses):
                 caveats.append(ELL3_CAVEAT)
@@ -416,7 +423,7 @@ def _sampling_certificate(
             witnesses.append((f"ell = {ell}",
                               "full mod-ell image forces scalar invariants"))
             continue
-        w = congruence_evidence(e, e2, ell, bound)
+        w = failing[ell]
         if w is None:
             caveats.append(f"ell = {ell}: traces congruent for all "
                            f"p <= {bound}; modules may be isomorphic")

@@ -51,8 +51,10 @@ from kummer_brauer.isogeny import (
 )
 from kummer_brauer.oddpart import (
     congruence_evidence,
+    first_incongruent_primes,
     mod_ell_surjectivity,
     no_rational_ell_isogeny,
+    surjectivity_verdicts,
 )
 from test_curves import curve_with_j
 
@@ -641,21 +643,27 @@ def test_scans_equal_the_full_loops(name, name2, e, e2):
 
 
 def _reference_report(spec, monkeypatch):
+    real_verdicts = oddpart.surjectivity_verdicts
+
+    def verdicts(curve, ells, bound):
+        # ell = 2 and the empty witness classes at ell = 3 never reach the
+        # loop; elsewhere the report reads the verdict alone
+        out = real_verdicts(curve, [ell for ell in ells if not all(witness_classes(ell))],
+                            bound)
+        for ell in ells:
+            out.setdefault(ell, oddpart.SurjectivityVerdict(
+                reference_surjectivity(curve, ell, bound), ()))
+        return out
+
+    def congruences(e, e2, ells, bound):
+        return {ell: reference_congruence(e, e2, ell, bound) for ell in ells}
+
     with monkeypatch.context() as m:
         m.setattr(homrank, "nonisogeny_certificate", reference_nonisogeny)
-        m.setattr(oddpart, "congruence_evidence", reference_congruence)
-        m.setattr(report, "congruence_evidence", reference_congruence)
-
-        def surjectivity(curve, ell, bound):
-            # ell = 2 and empty witness classes never reach the loop
-            if ell == 2 or not all(witness_classes(ell)):
-                return mod_ell_surjectivity(curve, ell, bound)
-            if reference_surjectivity(curve, ell, bound) == "surjective":
-                return mod_ell_surjectivity(curve, ell, bound)
-            return oddpart.SurjectivityVerdict("inconclusive", ())
-
-        m.setattr(oddpart, "mod_ell_surjectivity", surjectivity)
-        m.setattr(report, "mod_ell_surjectivity", surjectivity)
+        # the one-ell entry points read these two through oddpart
+        for module in (oddpart, report):
+            m.setattr(module, "surjectivity_verdicts", verdicts)
+            m.setattr(module, "first_incongruent_primes", congruences)
         return report.render_report(report.analyze(spec))
 
 
@@ -744,8 +752,8 @@ def test_early_witnesses_never_pay_for_an_exit(monkeypatch):
     calls = []
     for module, name in ((isogeny, "codomains"), (oddpart, "x0_roots")):
         real = getattr(module, name)
-        monkeypatch.setattr(module, name,
-                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name, **kwargs:
+                            calls.append(name) or real(*args, **kwargs))
     specs = [report.parse_pair_spec(json.loads(path.read_text(encoding="utf-8"))["input"])
              for path in sorted(GOLDEN_DIR.glob("golden_*.json"))]
     specs += report.search_family(300, 0)
@@ -821,3 +829,119 @@ def test_single_curve_scans_equal_the_full_loops():
               CurveLW(0, 0, 0, Fraction(1, 3), Fraction(2, 5))]
     for curve in curves:
         _assert_single_curve_scans_equal_the_full_loops(curve, 600)
+
+
+# -- one pass over the primes for every ell ----------------------------------------
+
+ELLS_TO_37 = tuple(primes_up_to(37))
+
+
+def _traces_read(monkeypatch, run) -> set:
+    """The (curve, p) of every a_p that oddpart reads while run() runs."""
+    reads = set()
+    real = oddpart.ap
+    with monkeypatch.context() as m:
+        m.setattr(oddpart, "ap", lambda c, p: reads.add((id(c), p)) or real(c, p))
+        run()
+    return reads
+
+
+@pytest.mark.parametrize("bound", [*range(X0_EXIT_PRIME, X0_EXIT_PRIME + 13), *range(229, 242)])
+def test_one_pass_scans_equal_the_full_loops_at_every_ell(bound, monkeypatch):
+    # one pass over the primes gives each ell <= 37 the verdict, the first
+    # witness primes and the first failing prime of its own full loop, and
+    # reads exactly the a_p that the scans of the single ell read together;
+    # the bounds are those of the X_0(ell) exit test above
+    curves = {id(c): c for _, _, e, e2 in PANEL for c in (e, e2)}
+    for curve in curves.values():
+        verdicts = surjectivity_verdicts(curve, ELLS_TO_37, bound)
+        assert verdicts[3].witnesses[0][0] == "unsatisfiable"
+        for ell in ELLS_TO_37[2:]:
+            first = reference_witness_primes(curve, ell, bound)
+            assert verdicts[ell].verdict == ("surjective" if len(first) == 3 else "inconclusive")
+            for name, text in verdicts[ell].witnesses[:3]:
+                if text.startswith("p = "):
+                    assert int(text[4:text.index(":")]) == first[name], (ell, name)
+        assert _traces_read(monkeypatch,
+                            lambda: surjectivity_verdicts(curve, ELLS_TO_37, bound)) \
+            == _traces_read(monkeypatch, lambda: [mod_ell_surjectivity(curve, ell, bound)
+                                                  for ell in ELLS_TO_37])
+    for _, _, e, e2 in PANEL:
+        assert first_incongruent_primes(e, e2, ELLS_TO_37, bound) == {
+            ell: reference_congruence(e, e2, ell, bound) for ell in ELLS_TO_37}
+        assert _traces_read(monkeypatch,
+                            lambda: first_incongruent_primes(e, e2, ELLS_TO_37, bound)) \
+            == _traces_read(monkeypatch, lambda: [congruence_evidence(e, e2, ell, bound)
+                                                  for ell in ELLS_TO_37])
+
+
+# -- the degrees Frobenius allows, and root searches that expect a root -------------
+
+
+def _small_traces(curve) -> tuple:
+    """(p, a_p) at the good primes up to X0_EXIT_PRIME, as the non-isogeny
+    scan reads them before its walk."""
+    return tuple((p, ap(curve, p)) for p in primes_up_to(X0_EXIT_PRIME)
+                 if is_good_prime(curve, p))
+
+
+def _frobenius_walk_is_the_full_walk(curve) -> bool:
+    walked = list(isogeny_class(curve, _small_traces(curve)))
+    full = list(isogeny_class(curve))
+    return len(walked) == len(full) and all(any(same_curve(model, seen) for seen in walked)
+                                            for model in full)
+
+
+def test_walk_over_the_frobenius_degrees_reaches_the_whole_walk():
+    # a degree with an irreducible x^2 - a_p x + p mod ell has no edge from
+    # any curve of the class, so leaving it out loses no curve
+    for cs in CLASSES.values():
+        for c in cs:
+            assert _frobenius_walk_is_the_full_walk(CurveLW(*c)), c
+
+
+def test_frobenius_leaves_11a1_only_degree_5(monkeypatch):
+    # non-vacuity: the traces rule out 2, 3, 7 and 13, and a mutant that
+    # also rules out 5 loses 11a2 and 11a3
+    searched = []
+    real = isogeny.x0_roots
+    monkeypatch.setattr(isogeny, "x0_roots",
+                        lambda j, ell, *args: searched.append(ell) or real(j, ell, *args))
+    e = CURVES["11a1"]
+    assert len(list(isogeny_class(e, _small_traces(e)))) == 3
+    assert set(searched) == {5}
+    irreducible = isogeny.frobenius_irreducible
+    monkeypatch.setattr(isogeny, "frobenius_irreducible",
+                        lambda t, p, ell: ell == 5 or irreducible(t, p, ell))
+    assert not _frobenius_walk_is_the_full_walk(e)
+
+
+def _x0_polynomials(curve):
+    j = curve.j()
+    if j in (0, 1728):
+        return []
+    return [[j.denominator * c - j.numerator * (i == 1) for i, c in enumerate(N)]
+            for _, _, N in X0_TABLE]
+
+
+def test_lift_first_and_scan_first_root_searches_agree():
+    # the X_0(ell) polynomials of the classes, of the benchmark's shifted
+    # big-coefficient curves and of random curves, rootless ones included
+    from test_report import _big_coeff_pool_specs
+    curves = [CurveLW(*c) for cs in CLASSES.values() for c in cs]
+    for entry in _big_coeff_pool_specs():
+        spec = report.parse_pair_spec(entry["shifted"])
+        curves += [spec.first.lw, spec.second.lw]
+    rng = random.Random(31)
+    for _ in range(20):
+        A, B = rng.randint(-10**6, 10**6), rng.randint(-10**9, 10**9)
+        curves.append(CurveLW(0, 0, 0, A, B))  # a zero discriminant is improbable
+    rooted = rootless = 0
+    for curve in curves:
+        for f in _x0_polynomials(curve):
+            roots = rational_roots(f)
+            assert rational_roots(f, root_expected=True) == roots, (curve, len(f))
+            rooted += bool(roots)
+            rootless += not roots
+    assert len(curves) == 20 + 20 + 64
+    assert rooted >= 20 and rootless >= 400

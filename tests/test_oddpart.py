@@ -218,16 +218,18 @@ def test_six_torsion_certificate():
 
 
 def test_six_torsion_certificate_samples_only_the_ells_it_reads(monkeypatch):
-    # ell = 3 is skipped as undecidable, so its verdict is never computed
+    # ell = 3 is skipped as undecidable, so its verdict is never computed;
+    # one pass samples the others
     from kummer_brauer import oddpart
     calls = []
-    real = oddpart.mod_ell_surjectivity
-    monkeypatch.setattr(oddpart, "mod_ell_surjectivity",
-                        lambda curve, ell, bound: calls.append(ell) or real(curve, ell, bound))
+    real = oddpart.surjectivity_verdicts
+    monkeypatch.setattr(oddpart, "surjectivity_verdicts",
+                        lambda curve, ells, bound: calls.append(list(ells))
+                        or real(curve, ells, bound))
     cert = six_torsion_cm_certificate(
         E_A1, E_SEXTIC, (Fraction(2), Fraction(3)), 37, 10_000)
     assert isinstance(cert, OddCertificate)
-    assert calls == [ell for ell in primes_up_to(37) if ell != 3]
+    assert calls == [[ell for ell in primes_up_to(37) if ell != 3]]
 
 
 def test_analysis_builds_no_witness_sets(monkeypatch):

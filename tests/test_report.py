@@ -224,8 +224,8 @@ def test_same_curve_pairs_skip_their_congruence_scans(monkeypatch):
     # an isomorphism is a Q-isogeny: a_p agree at every common good prime,
     # so each requested scan passes without being run
     calls = []
-    scan = report_module.congruence_evidence
-    monkeypatch.setattr(report_module, "congruence_evidence",
+    scan = report_module.first_incongruent_primes
+    monkeypatch.setattr(report_module, "first_incongruent_primes",
                         lambda *args: calls.append(args) or scan(*args))
     rescaled = [str(c * 4**i) for c, i in zip(E_11A1["weierstrass"], (1, 2, 3, 4, 6))]
     for second in (E_11A1, {"weierstrass": rescaled}):
@@ -574,10 +574,11 @@ def test_search_family_holds_one_input_per_curve():
 
 def test_family_analyses_build_one_fraction_per_curve(monkeypatch):
     """analyze + render_report over search_family(300, 5) build one Fraction
-    per curve object, its j memo, and compare at most 5 per pair: rt2
-    roots, valuations and CM membership are decided on ints.  The 5 left
-    are the record compare in analyze (2), the j compares of same_curve and
-    nonisogeny_certificate, and j = 0 in j_valuation_certificate."""
+    per curve object, its j memo, and compare at most 3 per pair: rt2
+    roots, valuations and CM membership are decided on ints, and the record
+    compare in analyze on the models' discriminants.  The 3 left are the j
+    compares of same_curve and nonisogeny_certificate, and j = 0 in
+    j_valuation_certificate."""
     specs = search_family(300, 5)
     curve_objects = {id(ci.lw) for spec in specs for ci in (spec.first, spec.second)}
     counted = Counter()
@@ -602,7 +603,7 @@ def test_family_analyses_build_one_fraction_per_curve(monkeypatch):
         for spec in specs:
             render_report(analyze(spec))
     assert counted["new"] == len(curve_objects) == 38
-    assert counted["compare"] <= 5 * len(specs)
+    assert counted["compare"] <= 3 * len(specs)
 
 
 def test_family_analyses_ask_same_curve_once_per_pair(monkeypatch):
@@ -734,6 +735,50 @@ def test_full_scan_pairs_read_no_trace_past_the_exit_prime(monkeypatch):
         render_report(analyze(pair(E_11A1, e2, bound=5000, odd_primes=odd)))
     assert max(calls) <= X0_EXIT_PRIME
     assert len(calls) <= 45
+
+
+FULL_SCAN_PAIRS = ((E_11A1, {"weierstrass": [0, -1, 1, 0, 0]}, [5, 7]), (E_11A1, E_37A1, []))
+
+
+def test_full_scan_pairs_do_counted_work(monkeypatch):
+    # exact work on the two pairs at B = 5000, which machine noise cannot
+    # move: X_0(ell) root searches in the walk (isogeny) and in sampling
+    # (oddpart), evaluations mod a prime in rational_roots (the residue
+    # scans and simple-root checks, cubic_roots' searches included), and
+    # point counts.  The walk of 11a1 x 11a3 searches only degree 5, which
+    # the traces read leave, and both exits lift their roots without a
+    # search for a rootless prime
+    from kummer_brauer import isogeny, oddpart
+    counts = Counter()
+    for key, module, name in (("walk", isogeny, "x0_roots"), ("sampling", oddpart, "x0_roots"),
+                              ("points", curves, "count_points")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, key=key, **kwargs:
+                            counts.update([key]) or real(*args, **kwargs))
+    poly_eval = arith.poly_eval
+    monkeypatch.setattr(arith, "poly_eval", lambda f, x, m=0: counts.update(
+        ["residues"] * (m > 1 and is_prime(m))) or poly_eval(f, x, m))
+    found = []
+    for e, e2, odd in FULL_SCAN_PAIRS:
+        counts.clear()
+        render_report(analyze(pair(e, e2, bound=5000, odd_primes=odd)))
+        found.append(tuple(counts[key] for key in ("walk", "sampling", "residues", "points")))
+    assert found == [(1, 0, 26, 28), (0, 1, 34, 17)]
+
+
+def test_sampling_certificate_walks_the_primes_twice(monkeypatch):
+    # one pass samples every ell and one more finds the trace mismatches of
+    # the 9 ell with a full image
+    from kummer_brauer import oddpart
+    walks = []
+    real = oddpart.good_primes
+    monkeypatch.setattr(oddpart, "good_primes",
+                        lambda *args, **kwargs: walks.append(args) or real(*args, **kwargs))
+    e, e2 = (parse_curve_record(c).lw for c in (E_11A1, E_37A1))
+    ells = [ell for ell in range(3, 38) if is_prime(ell)]
+    cert = report_module._sampling_certificate(e, e2, False, ells, 37, 5000)
+    assert cert.primes_covered == (7, 11, 13, 17, 19, 23, 29, 31, 37)
+    assert len(walks) == 2
 
 
 def test_equal_j_pair_at_max_bound_within_budget():

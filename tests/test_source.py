@@ -296,9 +296,11 @@ def test_trace_scans_take_their_primes_from_good_primes():
             if filters or _calls(loop, "is_good_prime"):
                 found.append(f"{where}:{loop.lineno}: drops primes itself")
     assert exceptions == ["homrank.py:nonisogeny_certificate"]
+    # mod_ell_surjectivity and congruence_evidence read the one-pass scans
+    # over every ell, surjectivity_verdicts and first_incongruent_primes
     assert scans >= {"curves.py:frobenius_table", "curves.py:supersingular_fraction",
-                     "oddpart.py:mod_ell_surjectivity", "oddpart.py:no_rational_ell_isogeny",
-                     "oddpart.py:congruence_evidence"}
+                     "oddpart.py:surjectivity_verdicts", "oddpart.py:no_rational_ell_isogeny",
+                     "oddpart.py:first_incongruent_primes"}
     assert found == []
 
 
@@ -331,7 +333,7 @@ def test_the_point_counting_switch_and_the_exit_prime_have_one_reader_each():
                      for m in re.finditer(r"\b229\b", text)]
     assert readers == {
         "HASSE_MAX_PRIME": {"curves.count_points"},
-        "X0_EXIT_PRIME": {"homrank.nonisogeny_certificate", "oddpart.mod_ell_surjectivity"},
+        "X0_EXIT_PRIME": {"homrank.nonisogeny_certificate", "oddpart.surjectivity_verdicts"},
     }
     assert literals == []
 
