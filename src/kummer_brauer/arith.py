@@ -337,7 +337,8 @@ def bits_of(mask: int) -> list[int]:
 
 Poly = list[int]  # integer coefficients, constant term first
 
-# rational_roots looks for a prime with no root mod p among this many primes
+# rational_roots tests f for a repeated root once this many primes have
+# each shown a repeated root mod p
 ROOT_TEST_PRIMES = 6
 
 
@@ -375,26 +376,22 @@ def _root_bound(g: Poly) -> int:
     return 2 * max(1 << -(-g[n - k].bit_length() // k) for k in range(1, n + 1))
 
 
-def rational_roots(f: Poly, root_expected: bool = False) -> list[Fraction]:
+def rational_roots(f: Poly) -> list[Fraction]:
     """The rational roots of f, an integer polynomial, in increasing order,
     found without factoring.
 
     y = c x (c the leading coefficient) turns c^(n-1) f(y/c) into a monic
     integer polynomial g, whose rational roots are integers, so each reduces
-    to a root of g mod every prime.  The first ROOT_TEST_PRIMES primes
-    p >= 5 not dividing c are tried: one with no root mod p proves there is
-    none.  Otherwise the roots mod the prime with the fewest roots, all of
-    them simple, are Hensel-lifted modulo p^(2^k) > 2M, M = _root_bound(g)
-    (Fujiwara's bound on |y|); a lift becomes a root only when |y| <= M,
-    y divides g_0 and g(y) = 0 exactly.  A caller with evidence of a root
-    (root_expected) skips the search for a rootless prime, which would
-    not succeed: the roots mod the first prime with only simple roots are
-    lifted at once.  Either way every rational root is found, since each
-    reduces to one of the simple roots lifted, and Hensel's lift from a
-    simple root is unique.  ValueError when the leading coefficient is 0,
-    or when none of the first ROOT_TEST_PRIMES primes has only simple roots
-    or none and f has a repeated root: a repeated rational root is a
-    repeated root mod every prime.
+    to a root of g mod every prime.  The primes p >= 5 not dividing c are
+    tried in turn: one with no root mod p proves there is none, and the
+    roots mod the first one whose roots are all simple are Hensel-lifted
+    modulo p^(2^k) > 2M, M = _root_bound(g) (Fujiwara's bound on |y|); a
+    lift becomes a root only when |y| <= M, y divides g_0 and g(y) = 0
+    exactly.  Every rational root is found, since it reduces to one of the
+    simple roots lifted, and Hensel's lift from a simple root is unique.
+    ValueError when the leading coefficient is 0, or when each of the first
+    ROOT_TEST_PRIMES primes has a repeated root and so has f: a repeated
+    rational root is a repeated root mod every prime.
     """
     n = len(f) - 1
     c = f[n]
@@ -404,7 +401,7 @@ def rational_roots(f: Poly, root_expected: bool = False) -> list[Fraction]:
     dg = [i * g[i] for i in range(1, n + 1)]
     lift: tuple[int, list[int]] | None = None
     p, tried = 3, 0
-    while lift is None or (tried < ROOT_TEST_PRIMES and not root_expected):
+    while lift is None:
         p += 2
         while not is_prime(p) or c % p == 0:
             p += 2
@@ -414,9 +411,8 @@ def rational_roots(f: Poly, root_expected: bool = False) -> list[Fraction]:
             return []
         tried += 1
         if all(poly_eval(dg, r, p) for r in roots):
-            if lift is None or len(roots) < len(lift[1]):
-                lift = (p, roots)
-        elif tried == ROOT_TEST_PRIMES and lift is None and _has_repeated_root(g):
+            lift = (p, roots)
+        elif tried == ROOT_TEST_PRIMES and _has_repeated_root(g):
             raise ValueError("polynomial has a repeated root")
     p, roots = lift
     bound = _root_bound(g)

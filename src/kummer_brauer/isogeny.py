@@ -81,17 +81,15 @@ def frobenius_irreducible(t: int, p: int, ell: int) -> bool:
     return pow(t * t - 4 * p, (ell - 1) // 2, ell) == ell - 1
 
 
-def x0_roots(j: Fraction, ell: int, root_expected: bool = False) -> list[Fraction]:
+def x0_roots(j: Fraction, ell: int) -> list[Fraction]:
     """The rational t with N(t) = j t on X_0(ell), ell in X0_DEGREES, in
     increasing order: one for each rational ell-isogeny from a curve with
-    j-invariant j.  None are sought at j = 0 or 1728.  root_expected, for a
-    caller whose Frobenius samples leave a root likely, skips the search
-    for a rootless prime (arith.rational_roots); the roots are the same."""
+    j-invariant j.  None are sought at j = 0 or 1728."""
     if j in (0, 1728):
         return []
     (N,) = (N for degree, _, N in X0_TABLE if degree == ell)
     a, b = j.numerator, j.denominator
-    return rational_roots([b * c - a * (i == 1) for i, c in enumerate(N)], root_expected)
+    return rational_roots([b * c - a * (i == 1) for i, c in enumerate(N)])
 
 
 def _form(f: list[int], x: int, y: int) -> int:
@@ -104,12 +102,12 @@ def _form(f: list[int], x: int, y: int) -> int:
     return acc
 
 
-def codomains(A: int, B: int, degrees: tuple[int, ...] = X0_DEGREES,
-              root_expected: bool = False) -> list[tuple[int, tuple[int, int]]]:
+def codomains(A: int, B: int,
+              degrees: tuple[int, ...] = X0_DEGREES) -> list[tuple[int, tuple[int, int]]]:
     """(ell, the integral short model of the codomain) for every rational
     isogeny of degree ell in degrees, a subset of {2, 3, 5, 7, 13}, from
     y^2 = x^3 + A x + B (4A^3 + 27B^2 != 0) whose codomain j is not 0 or
-    1728; root_expected is passed to x0_roots.
+    1728.
 
     With E4 = -48A, E6 = 864B and j' = -j E6/E4 = 18 j B/A, a root t of
     N(t) - j t and u = s/t give the codomain's j~ = N(u)/u and
@@ -133,7 +131,7 @@ def codomains(A: int, B: int, degrees: tuple[int, ...] = X0_DEGREES,
             continue
         D = [(i - 1) * c for i, c in enumerate(N)]
         n = len(N) - 1
-        for t in x0_roots(j, ell, root_expected):
+        for t in x0_roots(j, ell):
             tn, td = t.numerator, t.denominator
             P, Q = s * td, tn
             a, b = _form(N, P, Q), P * Q ** (n - 1)
@@ -156,15 +154,13 @@ def isogeny_class(curve: CurveLW, traces: tuple[tuple[int, int], ...] = ()):
 
     traces, pairs (p, a_p) of the curve at good primes, rule degrees out:
     an ell with frobenius_irreducible at some p != ell is not walked, from
-    any curve of the class.  The degrees left have a reducible polynomial
-    at every p given, so, when traces are given, their roots are searched
-    as expected (x0_roots)."""
+    any curve of the class."""
     degrees = tuple(ell for ell in X0_DEGREES
                     if not any(p != ell and frobenius_irreducible(t, p, ell) for p, t in traces))
     reached = [CurveLW(0, 0, 0, *curve.short_model)]
     yield reached[0]
     for model in reached:  # grows while it is walked
-        for _, codomain in codomains(int(model.a4), int(model.a6), degrees, bool(traces)):
+        for _, codomain in codomains(int(model.a4), int(model.a6), degrees):
             image = CurveLW(0, 0, 0, *codomain)
             if any(same_curve(image, seen) for seen in reached):
                 continue

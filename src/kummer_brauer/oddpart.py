@@ -88,9 +88,8 @@ def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVe
     (isogeny.x0_roots) ends it: a rational ell-isogeny puts the image in a
     Borel subgroup, which shows no nonsplit witness, so the verdict could
     only be inconclusive.  A nonsplit witness met before then proves the
-    mod-ell module irreducible, so no root is sought; otherwise a root is
-    likely, and its search lifts at once (root_expected).  Curves with
-    j = 0 or 1728 sample to the bound.
+    mod-ell module irreducible, so no root is sought.  Curves with j = 0 or
+    1728 sample to the bound.
     """
     return surjectivity_verdicts(curve, (ell,), bound)[ell]
 
@@ -147,9 +146,9 @@ def surjectivity_verdicts(
         if exits and p > X0_EXIT_PRIME:
             for ell in exits:
                 # a nonsplit sample has proved E[ell] irreducible, so that
-                # X_0(ell) has no root over j; without one, a root is likely
+                # X_0(ell) has no root over j
                 if ell in scans and "nonsplit" not in scans[ell][1]:
-                    roots = x0_roots(curve.j(), ell, root_expected=True)
+                    roots = x0_roots(curve.j(), ell)
                     if roots:
                         found = scans.pop(ell)[1]
                         verdicts[ell] = SurjectivityVerdict(
@@ -260,10 +259,7 @@ def six_torsion_cm_certificate(
 
     Surjectivity for E is only sampled for primes up to ell_max (and is not
     decidable from traces at ell = 3); the certificate lists both gaps as
-    caveats rather than silently asserting them.  One surjectivity_verdicts
-    pass samples every ell; the failure names the first ell without a full
-    image, as a scan ell by ell would, though the pass may have read a_p
-    that such a scan, stopping there, would not.
+    caveats rather than silently asserting them.
     """
     order = point_order(partner, point)
     if order != 6:
@@ -276,10 +272,11 @@ def six_torsion_cm_certificate(
     caveats = [f"surjectivity sampled only for ell <= {ell_max}",
                "mod-3 surjectivity is not decidable from trace sampling and "
                "is carried as an assumption"]
-    ells = [ell for ell in primes_up_to(ell_max) if ell != 3]
-    verdicts = surjectivity_verdicts(e, ells, bound)
-    for ell in ells:
-        if verdicts[ell].verdict != "surjective":
+    for ell in primes_up_to(ell_max):
+        if ell == 3:
+            continue
+        verdict = mod_ell_surjectivity(e, ell, bound)
+        if verdict.verdict != "surjective":
             return CertificateFailure(f"mod-{ell} surjectivity not established")
         witnesses.append((f"mod-{ell} image", "full" if ell > 2 else "full (exact)"))
     return OddCertificate(

@@ -752,8 +752,8 @@ def test_early_witnesses_never_pay_for_an_exit(monkeypatch):
     calls = []
     for module, name in ((isogeny, "codomains"), (oddpart, "x0_roots")):
         real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args, real=real, name=name, **kwargs:
-                            calls.append(name) or real(*args, **kwargs))
+        monkeypatch.setattr(module, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
     specs = [report.parse_pair_spec(json.loads(path.read_text(encoding="utf-8"))["input"])
              for path in sorted(GOLDEN_DIR.glob("golden_*.json"))]
     specs += report.search_family(300, 0)
@@ -906,7 +906,7 @@ def test_frobenius_leaves_11a1_only_degree_5(monkeypatch):
     searched = []
     real = isogeny.x0_roots
     monkeypatch.setattr(isogeny, "x0_roots",
-                        lambda j, ell, *args: searched.append(ell) or real(j, ell, *args))
+                        lambda j, ell: searched.append(ell) or real(j, ell))
     e = CURVES["11a1"]
     assert len(list(isogeny_class(e, _small_traces(e)))) == 3
     assert set(searched) == {5}
@@ -924,9 +924,23 @@ def _x0_polynomials(curve):
             for _, _, N in X0_TABLE]
 
 
-def test_lift_first_and_scan_first_root_searches_agree():
+def _deflate(f, root):
+    """f / (d x - n), root = n/d in lowest terms, exactly over the integers
+    (Gauss's lemma), constant term first."""
+    n, d = root.numerator, root.denominator
+    q = [Fraction(0)] * (len(f) - 1)
+    q[-1] = Fraction(f[-1], d)
+    for i in range(len(f) - 2, 0, -1):
+        q[i - 1] = (f[i] + n * q[i]) / d
+    assert f[0] == -n * q[0] and all(c.denominator == 1 for c in q)
+    return [int(c) for c in q]
+
+
+def test_rational_roots_miss_no_root_of_the_x0_polynomials():
     # the X_0(ell) polynomials of the classes, of the benchmark's shifted
-    # big-coefficient curves and of random curves, rootless ones included
+    # big-coefficient curves and of random curves, rootless ones included:
+    # each root found is exact, and the quotient by all of them has a prime
+    # with no root mod p, so no rational root was missed
     from test_report import _big_coeff_pool_specs
     curves = [CurveLW(*c) for cs in CLASSES.values() for c in cs]
     for entry in _big_coeff_pool_specs():
@@ -940,7 +954,12 @@ def test_lift_first_and_scan_first_root_searches_agree():
     for curve in curves:
         for f in _x0_polynomials(curve):
             roots = rational_roots(f)
-            assert rational_roots(f, root_expected=True) == roots, (curve, len(f))
+            quotient = f
+            for root in roots:
+                assert sum(c * root**i for i, c in enumerate(f)) == 0, (curve, len(f), root)
+                quotient = _deflate(quotient, root)
+            assert any(quotient[-1] % p and all(poly_eval(quotient, r, p) for r in range(p))
+                       for p in primes_up_to(200)), (curve, len(f), roots)
             rooted += bool(roots)
             rootless += not roots
     assert len(curves) == 20 + 20 + 64

@@ -218,18 +218,31 @@ def test_six_torsion_certificate():
 
 
 def test_six_torsion_certificate_samples_only_the_ells_it_reads(monkeypatch):
-    # ell = 3 is skipped as undecidable, so its verdict is never computed;
-    # one pass samples the others
+    # ell = 3 is skipped as undecidable, so its verdict is never computed
     from kummer_brauer import oddpart
     calls = []
-    real = oddpart.surjectivity_verdicts
-    monkeypatch.setattr(oddpart, "surjectivity_verdicts",
-                        lambda curve, ells, bound: calls.append(list(ells))
-                        or real(curve, ells, bound))
+    real = oddpart.mod_ell_surjectivity
+    monkeypatch.setattr(oddpart, "mod_ell_surjectivity",
+                        lambda curve, ell, bound: calls.append(ell) or real(curve, ell, bound))
     cert = six_torsion_cm_certificate(
         E_A1, E_SEXTIC, (Fraction(2), Fraction(3)), 37, 10_000)
     assert isinstance(cert, OddCertificate)
-    assert calls == [[ell for ell in primes_up_to(37) if ell != 3]]
+    assert calls == [ell for ell in primes_up_to(37) if ell != 3]
+
+
+def test_six_torsion_certificate_stops_at_the_first_ell_without_a_full_image(monkeypatch):
+    # 11a1 has a full mod-2 image and a rational 5-isogeny: the certificate
+    # fails at ell = 5 and samples no ell after it
+    from kummer_brauer import oddpart
+    calls = []
+    real = oddpart.mod_ell_surjectivity
+    monkeypatch.setattr(oddpart, "mod_ell_surjectivity",
+                        lambda curve, ell, bound: calls.append(ell) or real(curve, ell, bound))
+    res = six_torsion_cm_certificate(
+        CurveLW(0, -1, 1, -10, -20), E_SEXTIC, (Fraction(2), Fraction(3)), 37, 10_000)
+    assert isinstance(res, CertificateFailure)
+    assert res.reason == "mod-5 surjectivity not established"
+    assert calls == [2, 5]
 
 
 def test_analysis_builds_no_witness_sets(monkeypatch):
