@@ -19,8 +19,9 @@ the normality test cannot fail above that seed.
 
 Each piece of work is done once:
 
-- Each listed generator's powers are walked once, when the cyclic subgroups
-  are listed, and its step reads g^p, g^-1 and g, ..., g^(p-1) off them.
+- Each cyclic subgroup is walked once, from its least generator g and along
+  g's row alone, when the cyclic subgroups are listed, and its step reads
+  g^p, g^-1 and g, ..., g^(p-1) off those powers.
 - The steps are indexed by g^p, so for H only the steps whose g^p lies in H
   are tried, by walking H's elements.
 - A step whose g lies in H adds nothing, and one whose g lies in a K already
@@ -61,6 +62,7 @@ Why this finds every subgroup:
 
 from __future__ import annotations
 
+from math import gcd
 from operator import itemgetter
 
 from .arith import Record, bits_of
@@ -91,16 +93,17 @@ class GL2:
                  for (e, f, g, h) in elements] for (a, b, c, d) in gens]
         self.identity = index[(1, 0, 0, 1)]
         self.generators = [index[s] for s in gens]
-        # s h is s's row at h, and the row of s h is s's row read at h's row
-        # (itemgetter of n >= 6 indices returns a tuple)
+        # s h is s's row at h, and the row of s h is s's row read at h's row,
+        # kept as the tuple that itemgetter of n >= 6 indices returns
         mult = [None] * n
-        mult[self.identity] = list(range(n))
+        mult[self.identity] = tuple(range(n))
         reached = [self.identity]
         for h in reached:
+            read_at_h = itemgetter(*mult[h])
             for s_row in rows:
                 k = s_row[h]
                 if mult[k] is None:
-                    mult[k] = list(itemgetter(*mult[h])(s_row))
+                    mult[k] = read_at_h(s_row)
                     reached.append(k)
         if len(reached) != n:
             raise RuntimeError(f"enumeration failure: the generators reach {len(reached)} of {n}")
@@ -111,28 +114,38 @@ class GL2:
         self.det = [(m[0] * m[3] - m[1] * m[2]) % ell for m in elements]
 
     def powers(self, i: int) -> list[int]:
-        """[1, x, x^2, ..., x^(n-1)] for the element x = i of order n."""
+        """[1, x, x^2, ..., x^(n-1)] for the element x = i of order n, read
+        along x's row alone (x^(k+1) = x x^k), so one row lookup per call."""
+        row = self.mult[i]
         out = [self.identity]
         x = i
         while x != self.identity:
             out.append(x)
-            x = self.mult[x][i]
+            x = row[x]
         return out
 
     def cyclic_prime_power_subgroups(self) -> list[tuple[int, int, int, list[int]]]:
         """(mask, generator, p, the generator's powers) for each distinct
-        cyclic subgroup of order a power of the prime p."""
-        seen: dict[int, tuple[int, int, list[int]]] = {}
+        cyclic subgroup of order a power of the prime p, in the order of
+        their least generators, which are the generators listed.
+
+        Each cyclic subgroup <x> of order n is walked once, from its least
+        generator x: its other generators x^k, gcd(k, n) = 1, are then
+        skipped."""
+        listed = []
+        walked = bytearray(self.order)
         for i in range(self.order):
-            pw = self.powers(i)
-            p = _prime_power_base(len(pw))
-            if p is None:
+            if walked[i]:
                 continue
-            mask = 0
-            for x in pw:
-                mask |= 1 << x
-            seen.setdefault(mask, (i, p, pw))
-        return [(mask, *found) for mask, found in seen.items()]
+            pw = self.powers(i)
+            n = len(pw)
+            for k in range(2, n):
+                if gcd(k, n) == 1:
+                    walked[pw[k]] = 1
+            p = _prime_power_base(n)
+            if p is not None:
+                listed.append((sum(1 << x for x in pw), i, p, pw))
+        return listed
 
 
 def _primitive_root(ell: int) -> int:
@@ -232,12 +245,16 @@ def witness_classes(ell: int) -> tuple[set, set, set]:
 
 def witness_masks(group: GL2, classes: tuple[set, set, set]) -> tuple[int, ...]:
     """For each witness class, the mask of the elements whose (trace, det)
-    lies in it."""
+    lies in it; each element is classified by one lookup of its pair."""
+    # (t, d) -> the indices of the classes holding it
+    kinds: dict[tuple[int, int], list[int]] = {}
+    for k, cls in enumerate(classes):
+        for td in cls:
+            kinds.setdefault(td, []).append(k)
     masks = [0] * len(classes)
     for i, td in enumerate(zip(group.trace, group.det)):
-        for k, cls in enumerate(classes):
-            if td in cls:
-                masks[k] |= 1 << i
+        for k in kinds.get(td, ()):
+            masks[k] |= 1 << i
     return tuple(masks)
 
 
@@ -319,13 +336,14 @@ def validate_surjectivity_criterion(ell: int) -> CriterionValidation:
     classes = witness_classes(ell)
     class_masks = witness_masks(group, classes)
     masks = enumerate_subgroups(group)
+    nonsplit, split, generic = class_masks
     offending = []
     for mask in masks:
-        found = subgroup_witnesses(mask, class_masks)
-        if group.order % found.order:
+        order = mask.bit_count()
+        if group.order % order:
             raise RuntimeError("enumeration failure: Lagrange violated")
-        if found.all_three:
-            offending.append(found.order)
+        if mask & nonsplit and mask & split and mask & generic:
+            offending.append(order)
     full = subgroup_witnesses((1 << group.order) - 1, class_masks)
     notes = []
     for name, cls in zip(("nonsplit", "split", "generic"), classes):

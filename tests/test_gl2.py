@@ -202,12 +202,13 @@ def test_oracle_rejects_large_ell():
 
 
 def test_table_matches_plain_build():
-    # at ell = 2 the diagonal generator diag(r, 1) is the identity (r = 1)
+    # at ell = 2 the diagonal generator diag(r, 1) is the identity (r = 1);
+    # the rows are compared by content, since the table keeps them as tuples
     for ell in (2, 3, 5):
         g = GL2(ell)
         elements, mult = plain_table(ell)
         assert g.elements == elements
-        assert g.mult == mult
+        assert [list(row) for row in g.mult] == mult
         assert g.elements[g.identity] == (1, 0, 0, 1)
 
 
@@ -234,6 +235,45 @@ def test_table_build_fails_when_the_generators_miss_a_determinant(monkeypatch):
     monkeypatch.setattr("kummer_brauer.gl2._primitive_root", lambda ell: 1)
     with pytest.raises(RuntimeError, match="enumeration failure: .* 120 of 480"):
         GL2(5)
+
+
+def cyclic_subgroups_by_element(group):
+    """The listing of cyclic_prime_power_subgroups, element by element: the
+    powers of every element i, by right multiplication x -> x i, and for each
+    cyclic subgroup of prime-power order the first i found to generate it."""
+    seen = {}
+    for i in range(group.order):
+        pw = [group.identity]
+        x = i
+        while x != group.identity:
+            pw.append(x)
+            x = group.mult[x][i]
+        p = _prime_power_base(len(pw))
+        if p is not None:
+            seen.setdefault(sum(1 << x for x in pw), (i, p, pw))
+    return [(mask, *found) for mask, found in seen.items()]
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_cyclic_listing_equals_the_element_by_element_listing(ell):
+    # the steps read g, p and g's powers off the listing, so its tuples and
+    # their order are pinned, not only its masks
+    g = GL2(ell)
+    assert g.cyclic_prime_power_subgroups() == cyclic_subgroups_by_element(g)
+
+
+@pytest.mark.parametrize("ell, walks", [(3, 28), (5, 176), (7, 610)])
+def test_cyclic_listing_walks_each_cyclic_subgroup_once(ell, walks, monkeypatch):
+    # one powers() call per cyclic subgroup, of any order; a walk from every
+    # element makes 48, 480 and 2016 calls
+    g = GL2(ell)
+    walked = []
+    powers = GL2.powers
+    monkeypatch.setattr(GL2, "powers", lambda self, i: walked.append(i) or powers(self, i))
+    g.cyclic_prime_power_subgroups()
+    cyclic = {sum(1 << x for x in powers(g, i)) for i in range(g.order)}
+    assert len(walked) == len(cyclic) == walks
+    assert {sum(1 << x for x in powers(g, i)) for i in walked} == cyclic
 
 
 def test_primitive_root_is_the_least_generator():
@@ -291,18 +331,22 @@ def enumeration_lookups(ell):
 
 
 def test_enumeration_work_bound_mod_5():
-    # 12 059 lookups when only the first subgroup found in each conjugacy
-    # class is extended, against 74 481 when every subgroup is, and 144 766
-    # when every step is also tried on every subgroup and each coset is read
-    # one row per element of H
+    # 7 816 lookups when each cyclic subgroup is walked once, along one row,
+    # and only the first subgroup found in each conjugacy class is extended.
+    # Walking the cyclic subgroups from every element, one row per power,
+    # makes it 12 059; with that listing, extending every subgroup makes it
+    # 74 481, and also trying every step on every subgroup and reading each
+    # coset one row per element of H makes it 144 766
     count, lookups = enumeration_lookups(5)
-    assert count == 465 and lookups <= 12_500
+    assert count == 465 and lookups <= 7_816
 
 
 def test_enumeration_work_bound_mod_7():
-    # 68 238 lookups, against 701 845 when every subgroup is extended
+    # 34 765 lookups, against 68 238 when the cyclic subgroups are walked
+    # from every element, one row per power, and 701 845 with that listing
+    # when every subgroup is extended
     count, lookups = enumeration_lookups(7)
-    assert count == 1703 and lookups <= 70_000
+    assert count == 1703 and lookups <= 34_765
 
 
 def masks_sha256(group, masks):

@@ -1,11 +1,12 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 
-from kummer_brauer.arith import is_rational_square, primes_up_to
+from kummer_brauer.arith import factor, is_rational_square, primes_up_to
 from kummer_brauer.curves import (
     CurveLW,
     CurveRT2,
@@ -13,6 +14,7 @@ from kummer_brauer.curves import (
     good_primes,
     is_good_prime,
 )
+from kummer_brauer.isogeny import x0_roots
 from kummer_brauer.oddpart import (
     CertificateFailure,
     OddCertificate,
@@ -23,6 +25,7 @@ from kummer_brauer.oddpart import (
     mod_ell_surjectivity,
     no_rational_ell_isogeny,
     six_torsion_cm_certificate,
+    surjectivity_verdicts,
 )
 from test_curves import rational_roots_monic_cubic
 
@@ -142,6 +145,104 @@ def test_verdicts_are_one_sided():
         for ell in (2, 3, 5):
             assert mod_ell_surjectivity(e, ell, 200).verdict in (
                 "surjective", "inconclusive")
+
+
+# Cremona models of semistable curves, by label: (conductor, a1..a6)
+SEMISTABLE = {
+    "11a1": (11, (0, -1, 1, -10, -20)),
+    "11a2": (11, (0, -1, 1, -7820, -263580)),
+    "11a3": (11, (0, -1, 1, 0, 0)),
+    "14a1": (14, (1, 0, 1, 4, -6)),
+    "15a1": (15, (1, 1, 1, -10, -10)),
+    "17a1": (17, (1, -1, 1, -1, -14)),
+    "19a1": (19, (0, 1, 1, -9, -15)),
+    "26b1": (26, (1, -1, 1, -3, 3)),
+    "37a1": (37, (0, 0, 1, -1, 0)),
+    "38b1": (38, (1, 1, 1, 0, 1)),
+    "43a1": (43, (0, 1, 1, 0, 0)),
+    "389a1": (389, (0, 1, 1, -2, 0)),
+    "5077a1": (5077, (0, 0, 1, -7, 6)),
+}
+
+
+def semistable_by_gcd(curve):
+    """gcd(c4, Delta) = 1 on the integral model `curve`.  Then the model is
+    minimal, since a model that is not minimal at p has p^4 | c4 and
+    p^12 | Delta, and its reduction at each p | Delta is multiplicative, since
+    p does not divide c4 (Silverman, AEC VII.5.1): the curve is semistable.
+    A semistable curve given by a model that is not minimal fails the test,
+    so the test is one-sided."""
+    b2, b4, _, _ = curve.b_invariants()
+    c4, disc = b2 * b2 - 24 * b4, curve.discriminant()
+    if c4.denominator != 1 or disc.denominator != 1:
+        raise ValueError("the test reads an integral model")
+    return gcd(int(c4), int(disc)) == 1
+
+
+def test_semistable_curves_are_surjective_exactly_where_theory_says():
+    """The sampler against the known mod-ell images of semistable curves, at
+    every prime 5 <= ell <= 97 and B = 10^4.
+
+    - ell >= 11: E[ell] is irreducible, since a semistable curve over Q has
+      no rational ell-isogeny for ell >= 11 (Mazur, Publ. Math. IHES 47,
+      1977; Invent. Math. 44, 1978), and for ell >= 7 Serre's dichotomy
+      (Invent. Math. 15, 1972, section 5.4, Prop. 21) makes the image of a
+      semistable curve either all of GL(2, F_ell) or inside a Borel
+      subgroup.  So the image is GL(2, F_ell), and sampling must certify it.
+    - ell = 7: by the same Prop. 21 the image is GL(2, F_7) unless E has a
+      rational 7-isogeny, which is a root of X_0(7) over j (isogeny.x0_roots;
+      no semistable curve has j = 0 or 1728).
+    - ell = 5: a rational 5-isogeny puts the image in a Borel subgroup, where
+      no nonsplit witness exists, so `surjective` with a root would be
+      unsound.  Prop. 21 is not leaned on at 5: that every rootless curve of
+      the panel is certified is checked for this panel only, and each
+      `surjective` there is proved by the witness criterion, which the
+      exhaustive oracle validates at 5.
+    - ell = 3 is not tested: sampling is never conclusive there, and nothing
+      is claimed.
+
+    It checks the sampler's completeness at 11 <= ell <= 97 and its soundness
+    on the Borel images at 5 and 7; it proves nothing about subgroups that
+    no curve of the panel has as its image."""
+    ells = [ell for ell in primes_up_to(97) if ell >= 5]
+    checked = 0
+    for label, (conductor, a) in SEMISTABLE.items():
+        e = CurveLW(*a)
+        assert semistable_by_gcd(e), label
+        # a semistable curve's conductor is the product of the primes of bad
+        # reduction, which pins each model to its label's conductor
+        radical = 1
+        for p, _ in factor(abs(int(e.discriminant()))).factors:
+            radical *= p
+        assert radical == conductor, label
+        verdicts = surjectivity_verdicts(e, ells, 10_000)
+        for ell in ells:
+            full = ell >= 11 or not x0_roots(e.j(), ell)
+            assert (verdicts[ell].verdict == "surjective") == full, (label, ell)
+            checked += 1
+    assert checked == 299
+    # the panel meets the Borel case at both small ell: 11a (ell = 5), 26b1
+    # (ell = 7) and 38b1 (ell = 5)
+    assert [label for label, (_, a) in SEMISTABLE.items()
+            if any(x0_roots(CurveLW(*a).j(), ell) for ell in (5, 7))] == [
+        "11a1", "11a2", "11a3", "26b1", "38b1"]
+
+
+def test_semistable_gcd_test_refuses_twists_and_rescaled_models():
+    # a quadratic twist by d is additive at the primes where d ramifies (2
+    # for d = -1, 5 for d = 5), so no model of it passes; 11a1 rescaled by
+    # u = 5 is still semistable, but its model is not minimal at 5
+    for label, (_, a) in SEMISTABLE.items():
+        A, B = CurveLW(*a).short_model
+        for d, p in ((-1, 2), (5, 5)):
+            twisted = CurveLW(0, 0, 0, A * d * d, B * d**3)
+            assert not semistable_by_gcd(twisted), (label, d)
+            b2, b4, _, _ = twisted.b_invariants()
+            assert (b2 * b2 - 24 * b4) % p == 0 and twisted.discriminant() % p == 0
+    u = 5
+    rescaled = CurveLW(*(c * u**i for c, i in zip(SEMISTABLE["11a1"][1], (1, 2, 3, 4, 6))))
+    assert rescaled.j() == CurveLW(*SEMISTABLE["11a1"][1]).j()
+    assert not semistable_by_gcd(rescaled)
 
 
 # -- valuation certificates ----------------------------------------------------
