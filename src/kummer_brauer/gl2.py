@@ -180,10 +180,6 @@ class SubgroupWitnesses(Record):
         self.__dict__.update(order=order, has_nonsplit=has_nonsplit, has_split=has_split,
                              has_generic=has_generic)
 
-    @property
-    def all_three(self) -> bool:
-        return self.has_nonsplit and self.has_split and self.has_generic
-
 
 class CriterionValidation(Record):
     """Result of checking the witness criterion against the full lattice;

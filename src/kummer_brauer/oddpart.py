@@ -2,7 +2,8 @@
 congruence evidence for deliberately non-trivial odd classes.
 
 Every certificate is one-sided and carries its witnesses, so a report can be
-re-checked without re-running the search.
+re-checked without re-running the search.  Surjectivity verdicts carry the
+facts they rest on, not text (SurjectivityVerdict); a report formats them.
 
 The determinant of the mod-ell Galois representation of a curve over Q is
 onto F_ell^*, a theorem rather than an assumption: by the Weil pairing it is
@@ -31,11 +32,16 @@ from .isogeny import X0_DEGREES, X0_EXIT_PRIME, frobenius_irreducible, x0_roots
 
 
 class SurjectivityVerdict(Record):
-    """verdict is "surjective" | "inconclusive"."""
+    """verdict is "surjective" | "inconclusive"; witnesses are the facts it
+    rests on, kind first.  ell = 2: ("rational-root", x), x a root of the
+    2-division cubic, ("square-discriminant", 256 Delta) or ("irreducible",
+    256 Delta).  ell = 3: none.  ell >= 5: the first (class, p, a_p) of each
+    witness class met, in nonsplit, split, generic order, then
+    ("reducible", t) if a root t on X_0(ell) ended the scan."""
 
     __match_args__ = ("verdict", "witnesses")
 
-    def __init__(self, verdict: str, witnesses: tuple[tuple[str, str], ...]):
+    def __init__(self, verdict: str, witnesses: tuple[tuple, ...]):
         self.__dict__.update(verdict=verdict, witnesses=witnesses)
 
 
@@ -64,7 +70,8 @@ class CertificateFailure(Record):
 
 def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVerdict:
     """Decide surjectivity of the mod-ell Galois image where possible: the
-    verdict of surjectivity_verdicts at the one ell.
+    verdict of surjectivity_verdicts at the one ell, with the witnesses
+    that SurjectivityVerdict lists.
 
     ell = 2: exact.  The image is the Galois group of the 2-division cubic,
     and it is all of GL(2, F_2) = S3 iff the cubic is irreducible (the curve
@@ -87,9 +94,9 @@ def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVe
     passes isogeny.X0_EXIT_PRIME, a rational root t of N(t) - j t on X_0(ell)
     (isogeny.x0_roots) ends it: a rational ell-isogeny puts the image in a
     Borel subgroup, which shows no nonsplit witness, so the verdict could
-    only be inconclusive.  A nonsplit witness met before then proves the
-    mod-ell module irreducible, so no root is sought.  Curves with j = 0 or
-    1728 sample to the bound.
+    only be inconclusive, and ("reducible", t) is its last witness.  A
+    nonsplit witness met before then proves the mod-ell module irreducible,
+    so no root is sought.  Curves with j = 0 or 1728 sample to the bound.
     """
     return surjectivity_verdicts(curve, (ell,), bound)[ell]
 
@@ -97,17 +104,13 @@ def mod_ell_surjectivity(curve: CurveLW, ell: int, bound: int) -> SurjectivityVe
 def _mod2_verdict(curve: CurveLW) -> SurjectivityVerdict:
     # 256 Delta is the discriminant of the monic 2-division cubic
     # y^3 + b2 y^2 + 8 b4 y + 16 b6 (y = 4x)
-    disc = 256 * curve.discriminant()
     roots = curve.cubic_roots
     if roots:
-        detail = f"2-division cubic has a rational root (x = {roots[0]})"
-    elif is_rational_square(disc):
-        detail = "2-division cubic has square discriminant (group inside A3)"
-    else:
-        detail = ("2-division cubic irreducible with non-square discriminant "
-                  f"(class of {disc})")
-        return SurjectivityVerdict("surjective", (("exact", detail),))
-    return SurjectivityVerdict("inconclusive", (("exact", detail),))
+        return SurjectivityVerdict("inconclusive", (("rational-root", roots[0]),))
+    disc = 256 * curve.discriminant()
+    if is_rational_square(disc):
+        return SurjectivityVerdict("inconclusive", (("square-discriminant", disc),))
+    return SurjectivityVerdict("surjective", (("irreducible", disc),))
 
 
 def surjectivity_verdicts(
@@ -125,18 +128,14 @@ def surjectivity_verdicts(
     """
     names = ("nonsplit", "split", "generic")
     verdicts: dict[int, SurjectivityVerdict] = {}
-    scans = {}  # ell -> (its predicate, the first witness of each class met)
+    scans = {}  # ell -> (its predicate, the first (class, p, a_p) of each class met)
     for ell in ells:
         if ell == 2:
             verdicts[ell] = _mod2_verdict(curve)
         elif not is_prime(ell):
             raise ValueError("ell must be prime")
         elif ell == 3:
-            verdicts[ell] = SurjectivityVerdict(
-                "inconclusive",
-                (("unsatisfiable",
-                  "some witness class is empty mod 3; no trace/determinant "
-                  "sample can certify surjectivity at this ell"),))
+            verdicts[ell] = SurjectivityVerdict("inconclusive", ())
         else:
             scans[ell] = (WitnessPredicate(ell), {})
     if not scans:
@@ -153,37 +152,26 @@ def surjectivity_verdicts(
                         found = scans.pop(ell)[1]
                         verdicts[ell] = SurjectivityVerdict(
                             "inconclusive",
-                            tuple((n, found.get(n, f"not found for p <= {X0_EXIT_PRIME}; "
-                                                   "larger p not sampled"))
-                                  for n in names)
-                            + (("reducible", f"rational {ell}-isogeny: t = {roots[0]} "
-                                             f"on X_0({ell})"),))
+                            tuple(found[n] for n in names if n in found)
+                            + (("reducible", roots[0]),))
             exits = []
         sampled = [ell for ell in scans if ell != p]
         if sampled:
             trace = ap(curve, p)
         for ell in sampled:
             classify, found = scans[ell]
-            t = trace % ell
-            d = p % ell
-            nonsplit, split, generic = classify(t, d)
-            disc = (t * t - 4 * d) % ell
-            if "nonsplit" not in found and nonsplit:
-                found["nonsplit"] = f"p = {p}: t = {t}, t^2-4d = {disc} nonsquare mod {ell}"
-            if "split" not in found and split:
-                found["split"] = f"p = {p}: t = {t}, t^2-4d = {disc} nonzero square mod {ell}"
-            if "generic" not in found and generic:
-                u = t * t * pow(d, -1, ell) % ell
-                found["generic"] = f"p = {p}: u = t^2/d = {u} mod {ell}"
+            for name, hit in zip(names, classify(trace % ell, p % ell)):
+                if hit and name not in found:
+                    found[name] = (name, p, trace)
             if len(found) == 3:
                 del scans[ell]
                 verdicts[ell] = SurjectivityVerdict(
-                    "surjective", tuple((n, found[n]) for n in names))
+                    "surjective", tuple(found[n] for n in names))
         if not scans:
             break
     for ell, (_, found) in scans.items():
         verdicts[ell] = SurjectivityVerdict(
-            "inconclusive", tuple((n, found.get(n, "not found")) for n in names))
+            "inconclusive", tuple(found[n] for n in names if n in found))
     return verdicts
 
 

@@ -412,7 +412,7 @@ def _sampling_certificate(
     for ell in ells:
         verdict = verdicts[ell]
         if verdict.verdict != "surjective":
-            if any(k == "unsatisfiable" for k, _ in verdict.witnesses):
+            if ell == 3:
                 caveats.append(ELL3_CAVEAT)
             else:
                 caveats.append(f"ell = {ell}: surjectivity not established "
@@ -449,8 +449,10 @@ def _mod2_witness(
     if same:
         v2 = mod_ell_surjectivity(e, 2, bound)
         if v2.verdict == "surjective":
+            ((_, disc),) = v2.witnesses
             return {"role": "two-torsion (same curve)", "prime": None,
-                    "detail": v2.witnesses[0][1]}
+                    "detail": "2-division cubic irreducible with non-square "
+                              f"discriminant (class of {disc})"}
     elif any(mod_ell_surjectivity(c, 2, bound).verdict == "surjective" for c in (e, e2)):
         w = congruence_evidence(e, e2, 2, bound)
         if w is not None:
@@ -623,6 +625,9 @@ def _shape_violations(data: dict) -> list[str]:
         ell_max = given["ell_max"]
         if type(ell_max) is not int or not 2 <= ell_max <= MAX_ELL:
             out.append(f"input.ell_max {ell_max!r} is not an integer in [2, {MAX_ELL}]")
+    caveats = data.get("caveats", [])
+    if not isinstance(caveats, list) or not all(isinstance(c, str) for c in caveats):
+        out.append("caveats is not a list of strings")
     for key, fields in (("certificates", ("kind", "primes_covered", "caveats")),
                         ("witnesses", ("role",))):
         items = data.get(key, [])
@@ -633,6 +638,16 @@ def _shape_violations(data: dict) -> list[str]:
             lacks = [k for k in fields if not isinstance(item, dict) or k not in item]
             if lacks:
                 out.append(f"{key}[{i}] has no field {lacks}")
+            elif key == "certificates":
+                # the coverage rule gathers the listed primes into a set and
+                # looks for the mod-3 caveat among the caveats
+                covered = item["primes_covered"]
+                if covered not in ("all-odd", "all") and not (
+                        isinstance(covered, list) and all(type(p) is int for p in covered)):
+                    out.append(f"{key}[{i}].primes_covered is neither 'all-odd', 'all' "
+                               "nor a list of integers")
+                if not isinstance(item["caveats"], list):
+                    out.append(f"{key}[{i}].caveats is not a list")
     return out
 
 

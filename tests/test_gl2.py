@@ -192,7 +192,7 @@ def test_oracle_passes_mod_5():
     assert r.group_order == 480
     assert r.subgroup_count == 466
     # sanity: the full group exhibits all three witnesses
-    assert r.full_group.all_three
+    assert r.full_group == SubgroupWitnesses(480, True, True, True)
     assert r.notes == ()
 
 
@@ -492,7 +492,11 @@ def test_no_subgroup_with_onto_determinant_meets_all_three_witnesses_mod_7():
     class_masks = witness_masks(g, witness_classes(7))
     onto = onto_determinant(g, masks)
     assert len(onto) == 649
-    assert not any(subgroup_witnesses(m, class_masks).all_three for m in onto)
+    def all_three(mask):
+        w = subgroup_witnesses(mask, class_masks)
+        return w.has_nonsplit and w.has_split and w.has_generic
+
+    assert not any(all_three(m) for m in onto)
     # the one proper subgroup that does is the det-preimage of {1, -1}
-    offenders = [m for m in masks if subgroup_witnesses(m, class_masks).all_three]
+    offenders = [m for m in masks if all_three(m)]
     assert [(m.bit_count(), {g.det[i] for i in bits_of(m)}) for m in offenders] == [(672, {1, 6})]

@@ -18,6 +18,7 @@ from kummer_brauer import arith, homrank, isogeny, oddpart, report
 from kummer_brauer.arith import (
     _root_bound,
     is_prime,
+    is_rational_square,
     poly_eval,
     primes_up_to,
     rational_roots,
@@ -37,7 +38,7 @@ from kummer_brauer.curves import (
     same_curve,
     supersingular_fraction,
 )
-from kummer_brauer.gl2 import witness_classes
+from kummer_brauer.gl2 import WitnessPredicate, witness_classes
 from kummer_brauer.homrank import nonisogeny_certificate
 from kummer_brauer.isogeny import (
     CLASS_SIZE_MAX,
@@ -142,6 +143,26 @@ def reference_witness_primes(curve, ell, bound):
         if len(first) == 3:
             break
     return first
+
+
+def assert_full_loop_witnesses(v, curve, ell, bound):
+    """The (class, p, a_p) of the verdict v are the full loop's first
+    witness of each class, in class order, for every class it meets up to
+    bound, or up to X0_EXIT_PRIME when ("reducible", t) ended the scan; t
+    is then a point of X_0(ell) over j(E), N(t) = j t.  Returns whether
+    that exit ended the scan."""
+    witnesses = list(v.witnesses)
+    limit = bound
+    if witnesses and witnesses[-1][0] == "reducible":
+        _, t = witnesses.pop()
+        (N,) = (N for degree, _, N in X0_TABLE if degree == ell)
+        assert poly_eval(N, t) == curve.j() * t
+        limit = X0_EXIT_PRIME
+    first = reference_witness_primes(curve, ell, bound)
+    assert witnesses == [(name, first[name], ap(curve, first[name]))
+                         for name in ("nonsplit", "split", "generic")
+                         if first.get(name, limit + 1) <= limit], (ell, bound)
+    return limit < bound
 
 
 def reference_surjectivity(curve, ell, bound):
@@ -438,7 +459,7 @@ def test_cm_curves_sample_to_the_bound_at_x0_degrees():
         for ell in (5, 7, 13):
             v = mod_ell_surjectivity(e, ell, 1000)
             assert v.verdict == reference_surjectivity(e, ell, 1000) == "inconclusive"
-            assert all(k != "reducible" for k, _ in v.witnesses)
+            assert not assert_full_loop_witnesses(v, e, ell, 1000)
 
 
 # -- kernels, Velu and the walk ---------------------------------------------------
@@ -638,7 +659,7 @@ def test_scans_equal_the_full_loops(name, name2, e, e2):
         for ell in (5, 7):
             v = mod_ell_surjectivity(curve, ell, PANEL_B)
             assert v.verdict == reference_surjectivity(curve, ell, PANEL_B)
-            if any(k == "reducible" for k, _ in v.witnesses):
+            if assert_full_loop_witnesses(v, curve, ell, PANEL_B):
                 assert v.verdict == "inconclusive"
 
 
@@ -742,6 +763,7 @@ def test_mu5_reducible_exit_reads_only_the_small_primes(monkeypatch):
     v = mod_ell_surjectivity(CURVES["11a2"], 5, 10**5)
     assert v.verdict == "inconclusive" and v.witnesses[-1][0] == "reducible"
     assert calls and max(calls) <= X0_EXIT_PRIME
+    assert assert_full_loop_witnesses(v, CURVES["11a2"], 5, 10**5)
 
 
 def test_early_witnesses_never_pay_for_an_exit(monkeypatch):
@@ -775,21 +797,14 @@ def test_reducible_shortcut_names_the_kernel():
     for e, ell in ((CURVES["11a1"], 5), (E_26B1, 7), (_e13(), 13)):
         v = mod_ell_surjectivity(e, ell, 1000)
         assert v.verdict == "inconclusive" == reference_surjectivity(e, ell, 1000)
-        assert [k for k, _ in v.witnesses] == ["nonsplit", "split", "generic", "reducible"]
-        assert f"{ell}-isogeny" in v.witnesses[-1][1]
-        # the witness names a point t of X_0(ell) over j(E)
-        (N,) = (N for degree, _, N in X0_TABLE if degree == ell)
-        t = Fraction(v.witnesses[-1][1].split("t = ")[1].split()[0])
-        assert poly_eval(N, t) == e.j() * t
-        # a Borel image has no nonsplit witness; a class not met by
-        # X0_EXIT_PRIME is marked as not sampled beyond it, never as absent
-        # below B
-        assert v.witnesses[0][1] == f"not found for p <= {X0_EXIT_PRIME}; larger p not sampled"
-        assert all(w.startswith("p = ") or w == v.witnesses[0][1]
-                   for _, w in v.witnesses[:3])
+        # the last witness names a point t of X_0(ell) over j(E), and the
+        # classes before it are those met by X0_EXIT_PRIME; a Borel image
+        # has no nonsplit witness
+        assert assert_full_loop_witnesses(v, e, ell, 1000)
+        assert "nonsplit" not in [w[0] for w in v.witnesses]
     # below the first prime above X0_EXIT_PRIME the scan alone decides
     v = mod_ell_surjectivity(CURVES["11a1"], 5, X0_EXIT_PRIME)
-    assert all(k != "reducible" for k, _ in v.witnesses)
+    assert not assert_full_loop_witnesses(v, CURVES["11a1"], 5, X0_EXIT_PRIME)
 
 
 @pytest.mark.parametrize("bound", [*range(X0_EXIT_PRIME, X0_EXIT_PRIME + 13), *range(229, 242)])
@@ -803,13 +818,7 @@ def test_scans_around_the_x0_exit_equal_the_full_loops(bound):
         v = mod_ell_surjectivity(e, ell, bound)
         assert v.verdict == reference_surjectivity(e, ell, bound) == "inconclusive"
         exits = any(p > X0_EXIT_PRIME and is_good_prime(e, p) for p in primes_up_to(bound))
-        assert (v.witnesses[-1][0] == "reducible") == exits
-        first = reference_witness_primes(e, ell, bound)
-        for name, text in v.witnesses[:3]:
-            if text.startswith("p = "):
-                assert int(text[4:text.index(":")]) == first[name], (bound, ell, name)
-            else:
-                assert first.get(name, bound + 1) > (X0_EXIT_PRIME if exits else bound)
+        assert assert_full_loop_witnesses(v, e, ell, bound) == exits
         for curve in (e, e2):
             _assert_single_curve_scans_equal_the_full_loops(curve, bound)
         for odd in (2, 3, 5, 7, 13):
@@ -855,13 +864,11 @@ def test_one_pass_scans_equal_the_full_loops_at_every_ell(bound, monkeypatch):
     curves = {id(c): c for _, _, e, e2 in PANEL for c in (e, e2)}
     for curve in curves.values():
         verdicts = surjectivity_verdicts(curve, ELLS_TO_37, bound)
-        assert verdicts[3].witnesses[0][0] == "unsatisfiable"
+        assert verdicts[3].witnesses == ()
         for ell in ELLS_TO_37[2:]:
             first = reference_witness_primes(curve, ell, bound)
             assert verdicts[ell].verdict == ("surjective" if len(first) == 3 else "inconclusive")
-            for name, text in verdicts[ell].witnesses[:3]:
-                if text.startswith("p = "):
-                    assert int(text[4:text.index(":")]) == first[name], (ell, name)
+            assert_full_loop_witnesses(verdicts[ell], curve, ell, bound)
         assert _traces_read(monkeypatch,
                             lambda: surjectivity_verdicts(curve, ELLS_TO_37, bound)) \
             == _traces_read(monkeypatch, lambda: [mod_ell_surjectivity(curve, ell, bound)
@@ -873,6 +880,46 @@ def test_one_pass_scans_equal_the_full_loops_at_every_ell(bound, monkeypatch):
                             lambda: first_incongruent_primes(e, e2, ELLS_TO_37, bound)) \
             == _traces_read(monkeypatch, lambda: [congruence_evidence(e, e2, ell, bound)
                                                   for ell in ELLS_TO_37])
+
+
+def test_every_sampled_witness_is_a_true_fact():
+    # each fact recounts from scratch: a_p from the points over F_p, the
+    # class from the witness predicate, t from X_0(ell), and the mod-2
+    # facts from the curve's 2-torsion and its discriminant.  No panel
+    # curve has a cyclic mod-2 image: y^2 = x^3 - 3x - 1 (Shanks' simplest
+    # cubic, discriminant 81) has one
+    bound = 600
+    counted = {}
+    kinds = set()
+    curves = {id(c): c for _, _, e, e2 in PANEL for c in (e, e2)}
+    for curve in [*curves.values(), CurveLW(0, 0, 0, -3, -1)]:
+        verdicts = surjectivity_verdicts(curve, ELLS_TO_37, bound)
+        assert verdicts[3].witnesses == ()
+        for ell in ELLS_TO_37[2:]:
+            classify = WitnessPredicate(ell)
+            for witness in verdicts[ell].witnesses:
+                kinds.add(witness[0])
+                if witness[0] == "reducible":
+                    (N,) = (N for degree, _, N in X0_TABLE if degree == ell)
+                    assert poly_eval(N, witness[1]) == curve.j() * witness[1]
+                    continue
+                name, p, a_p = witness
+                if (id(curve), p) not in counted:
+                    counted[id(curve), p] = p + 1 - count_points_exhaustive(curve, p)
+                assert a_p == counted[id(curve), p], (ell, witness)
+                hits = dict(zip(("nonsplit", "split", "generic"), classify(a_p % ell, p % ell)))
+                assert hits[name], (ell, witness)
+        ((kind, value),) = verdicts[2].witnesses
+        kinds.add(kind)
+        disc = 256 * curve.discriminant()
+        if curve.cubic_roots:
+            assert (kind, value) == ("rational-root", curve.cubic_roots[0])
+        else:
+            assert value == disc
+            assert kind == ("square-discriminant" if is_rational_square(disc) else "irreducible")
+        assert (verdicts[2].verdict == "surjective") == (kind == "irreducible")
+    assert kinds == {"nonsplit", "split", "generic", "reducible",
+                     "rational-root", "square-discriminant", "irreducible"}
 
 
 # -- the degrees Frobenius allows, and root searches that expect a root -------------

@@ -18,6 +18,7 @@ from kummer_brauer.isogeny import x0_roots
 from kummer_brauer.oddpart import (
     CertificateFailure,
     OddCertificate,
+    SurjectivityVerdict,
     check_57_family,
     cm_isogeny_exclusion_certificate,
     congruence_evidence,
@@ -51,17 +52,17 @@ def test_mod2_exact():
 def mod2_by_b_invariants(curve):
     """The oracle for the mod-2 verdict: the 2-division cubic
     y^3 + b2 y^2 + 8 b4 y + 16 b6 (y = 4x) built from the b-invariants, with
-    its rational roots and its discriminant.  Returns the case and, when the
-    image is S3, the witness text."""
+    its rational roots and its discriminant.  Returns the witness it
+    decides by: the least rational root x = y/4, or the discriminant."""
     b2, b4, b6, _ = curve.b_invariants()
     p, q, r = b2, 8 * b4, 16 * b6
-    if rational_roots_monic_cubic(p, q, r):
-        return "rational root", None
+    roots = rational_roots_monic_cubic(p, q, r)
+    if roots:
+        return "rational-root", roots[0] / 4
     disc = 18 * p * q * r - 4 * p**3 * r + p * p * q * q - 4 * q**3 - 27 * r * r
     if is_rational_square(disc):
-        return "square discriminant", None
-    return "surjective", ("2-division cubic irreducible with non-square "
-                          f"discriminant (class of {disc})")
+        return "square-discriminant", disc
+    return "irreducible", disc
 
 
 def test_mod2_verdict_equals_the_b_invariant_cubic():
@@ -81,16 +82,13 @@ def test_mod2_verdict_equals_the_b_invariant_cubic():
             continue
     cases = []
     for e in panel:
-        case, text = mod2_by_b_invariants(e)
+        witness = mod2_by_b_invariants(e)
         v = mod_ell_surjectivity(e, 2, 0)
-        assert (v.verdict == "surjective") == (case == "surjective"), e.key()
-        if text is not None:
-            assert v.witnesses == (("exact", text),), e.key()
-        else:
-            assert case in v.witnesses[0][1], e.key()
-        cases.append(case)
+        assert (v.verdict == "surjective") == (witness[0] == "irreducible"), e.key()
+        assert v.witnesses == (witness,), e.key()
+        cases.append(witness[0])
     assert min(cases.count(k) for k in
-               ("rational root", "square discriminant", "surjective")) >= 12
+               ("rational-root", "square-discriminant", "irreducible")) >= 12
 
 
 def test_sampling_verdicts():
@@ -103,8 +101,7 @@ def test_mod3_never_certifiable():
     # no trace/determinant sample distinguishes the full group mod 3 from a
     # semidihedral subgroup, so mod-3 verdicts are always inconclusive
     v = mod_ell_surjectivity(E_A1, 3, 1000)
-    assert v.verdict == "inconclusive"
-    assert v.witnesses[0][0] == "unsatisfiable"
+    assert v == SurjectivityVerdict("inconclusive", ())
 
 
 def test_surjectivity_classifies_each_sampled_prime_once(monkeypatch):

@@ -53,7 +53,7 @@ RECORDS = [
                    "evidence": IsogenyEvidence("none-found")},
      {"r": None, "confidence": "inconclusive", "gate": Gate("not-isogenous", True, "d"),
       "evidence": IsogenyEvidence("same-curve")}),
-    (SurjectivityVerdict, {"verdict": "surjective", "witnesses": (("split", "p = 2"),)},
+    (SurjectivityVerdict, {"verdict": "surjective", "witnesses": (("split", 7, 2),)},
      {"verdict": "inconclusive", "witnesses": ()}),
     (OddCertificate, {"kind": "j-valuation", "primes_covered": "all-odd",
                       "witnesses": (), "caveats": (), "detail": ""},
@@ -132,8 +132,8 @@ def test_curve_memos_take_no_part_in_equality():
 
 
 def test_pinned_reprs():
-    assert repr(SurjectivityVerdict("surjective", (("split", "p = 2"),))) == (
-        "SurjectivityVerdict(verdict='surjective', witnesses=(('split', 'p = 2'),))")
+    assert repr(SurjectivityVerdict("surjective", (("split", 7, 2),))) == (
+        "SurjectivityVerdict(verdict='surjective', witnesses=(('split', 7, 2),))")
     assert repr(OddCertificate("mod-ell-sampling", (5, 7))) == (
         "OddCertificate(kind='mod-ell-sampling', primes_covered=(5, 7), witnesses=(), "
         "caveats=(), detail='')")

@@ -367,7 +367,15 @@ def test_validator_reports_malformed_reports():
     full = json.loads(json.dumps(d))
     full.update(dim2=True, conclusion="two-part-nontrivial")
     assert any("dim2" in v for v in validate_report(full))
-    for bad in ([], {**d, "certificates": 5}, {**d, "witnesses": [{}]}, {**d, "gate": 1}):
+    # a report with sampled coverage, whose rule reads every certificate's
+    # caveats and primes_covered and the report's caveats: each of the last
+    # four used to raise TypeError
+    s = json.loads((GOLDEN_DIR / "golden_big_image_square.json").read_text(encoding="utf-8"))
+    assert validate_report(s) == [] and s["certificates"][0]["kind"] == "mod-ell-sampling"
+    for bad in ([], {**d, "certificates": 5}, {**d, "witnesses": [{}]}, {**d, "gate": 1},
+                {**s, "certificates": [{**s["certificates"][0], "caveats": 5}]},
+                {**s, "certificates": [{**s["certificates"][0], "primes_covered": [[5]]}]},
+                {**s, "caveats": 5}, {**s, "caveats": [5]}):
         assert validate_report(bad)
 
 

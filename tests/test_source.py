@@ -216,13 +216,18 @@ def _attributes_outside(node, skip):
         yield from _attributes_outside(child, skip)
 
 
-def test_every_tracer_target_resolves_in_the_package():
-    # the benchmark's tracer wraps these names and reports a missing one as
-    # absent; its own test of that runs outside the tier-1 suite
+def _perfbench_tracer():
     path = ROOT / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_tracer_target_resolves_in_the_package():
+    # the benchmark's tracer wraps these names and reports a missing one as
+    # absent; its own test of that runs outside the tier-1 suite
+    tracer = _perfbench_tracer()
     missing = []
     for name, module, attr_path, _ in tracer.TARGETS:
         obj = importlib.import_module(f"{tracer.PACKAGE}.{module}")
@@ -232,6 +237,73 @@ def test_every_tracer_target_resolves_in_the_package():
             missing.append(name)
     assert len(tracer.TARGETS) > 20
     assert missing == []
+
+
+def test_every_tracer_hook_reads_a_real_result():
+    # a hook reads the arguments and the result of the call it follows, and
+    # the tracer counts a hook that raises and goes on: a changed argument
+    # or return shape would empty a per-layer metric without failing a run
+    from kummer_brauer.curves import CurveLW
+    from kummer_brauer.gl2 import GL2
+    e37 = CurveLW(0, 0, 1, -1, 0)
+    calls = {"oddpart.mod_ell_surjectivity": (e37, 5, 1000),
+             "curves.count_points": (e37, 101),
+             "arith.factor": (16 * 3 * 10007,),
+             "gl2.enumerate_subgroups": (GL2(3),)}
+    tracer = _perfbench_tracer()
+    t = tracer.Tracer()
+    hooked = []
+    for name, module, attr, hook in tracer.TARGETS:
+        if hook is not None:
+            args = calls[name]
+            hook(t, args, {}, getattr(importlib.import_module(f"{tracer.PACKAGE}.{module}"),
+                                      attr)(*args), 0.5)
+            hooked.append(name)
+    assert sorted(hooked) == sorted(calls)
+    assert dict(t.extra) == {"mod_ell_surjectivity.surjective": 1,
+                             "count_points.band_calls.b1e3": 1,
+                             "count_points.band_s.b1e3": 0.5,
+                             "factor.max_digits": 6,
+                             "enumerate_subgroups.subgroups": 54}
+
+
+def test_the_surjectivity_sampler_formats_no_text():
+    # its verdicts carry facts: (class, p, a_p), ("reducible", t) and the
+    # 2-division cubic's root or discriminant; the report formats the one
+    # line of them it prints
+    tree = ast.parse((SRC / "oddpart.py").read_text(encoding="utf-8"))
+    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    found = []
+    for name in ("surjectivity_verdicts", "_mod2_verdict"):
+        for node in ast.walk(funcs[name]):
+            if (isinstance(node, ast.JoinedStr)
+                    or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "format"
+                    or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                    and isinstance(node.left, ast.Constant) and isinstance(node.left.value, str)):
+                found.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
+
+
+def test_every_method_and_property_of_a_package_class_is_read():
+    # a method or property that neither the package nor its tests reads is
+    # code to delete; a read is an attribute access .name in src/ or tests/,
+    # matched by name.  The language calls the dunder methods
+    reads = {n.attr for path in [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py")]
+             for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(n, ast.Attribute)}
+    unread, methods = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for f in cls.body:
+                if isinstance(f, ast.FunctionDef) and not f.name.startswith("__"):
+                    methods += 1
+                    if f.name not in reads:
+                        unread.append(f"{path.stem}.{cls.name}.{f.name}")
+    assert methods > 20
+    assert unread == []
 
 
 def test_only_curves_reads_private_attributes_of_other_objects():
